@@ -18,7 +18,7 @@
 
 GO ?= go
 
-.PHONY: build vet vet-extra lint lint-fast test race soak cluster-chaos check bench benchjson bench-smoke bench-check cover fuzz-smoke
+.PHONY: build vet vet-extra fmt-check lint lint-fast test race soak cluster-chaos check bench benchjson bench-smoke bench-check cover fuzz-smoke loc
 
 # Coverage floor for the caching/incremental layer. The pipeline and core
 # packages carry the correctness-critical cache keying and blast-radius
@@ -36,6 +36,23 @@ vet:
 # pre-1.22 loop-variable capture, and discarded error-returning calls.
 vet-extra:
 	$(GO) vet -copylocks -loopclosure -unusedresult ./...
+
+# Go files outside testdata/ and dot-directories (build caches). The lint
+# corpus under testdata/ is excluded on purpose: suppresslist puts two
+# statements on one line to exercise suppression placement.
+GO_FILES = find . -name '.?*' -prune -o -name testdata -prune -o -name '*.go' -print
+
+# fmt-check: fail on any Go file gofmt would rewrite.
+fmt-check:
+	@out=$$($(GO_FILES) | xargs gofmt -l); \
+	if [ -n "$$out" ]; then echo "gofmt -l reports unformatted files:"; echo "$$out"; exit 1; fi
+
+# loc: non-test Go lines per package directory and in total, excluding
+# perfbench/ (the benchmark harness, a module of its own).
+loc:
+	@$(GO_FILES) | grep -v '_test\.go$$' | grep -v '^\./perfbench/' | xargs wc -l | \
+	awk '$$2 != "total" { d = $$2; sub(/\/[^\/]*$$/, "", d); n[d] += $$1; t += $$1 } \
+	END { for (d in n) printf "%7d %s\n", n[d], d | "sort -k2"; close("sort -k2"); printf "%7d total\n", t }'
 
 # gblint: the repo-invariant analyzer suite (DESIGN.md §7). Exits
 # nonzero on any finding; suppressions require a written reason.
@@ -89,7 +106,7 @@ cover:
 		if (t+0 < min+0) { printf "coverage %.1f%% below floor %.1f%%\n", t, min; exit 1 } \
 		else { printf "coverage %.1f%% meets floor %.1f%%\n", t, min } }'
 
-check: vet vet-extra lint-fast test race soak cluster-chaos fuzz-smoke bench-smoke bench-check
+check: vet vet-extra fmt-check lint-fast test race soak cluster-chaos fuzz-smoke bench-smoke bench-check
 
 bench:
 	$(GO) test -bench . -benchmem -run '^$$' .

@@ -15,9 +15,11 @@
 //     these three steps simultaneously");
 //   - model counting and model extraction (used for example selection).
 //
-// A Factory owns all nodes; Refs from different factories must not be mixed.
-// Factories are not safe for concurrent use; analyses that run in parallel
-// each build their own factory.
+// A Factory owns all nodes; Refs from different factories must not be mixed,
+// and nothing copies BDDs between factories. Factories are not safe for
+// concurrent use: each analysis owns exactly one, and parallel BDD work
+// happens only in the sweep executor, whose per-worker pipelines each build
+// their own.
 //
 // Panic policy: this package panics only on violated library invariants —
 // an invalid variable count, a variable index out of range, or a
@@ -326,15 +328,6 @@ func (f *Factory) AndN(xs ...Ref) Ref {
 	r := True
 	for _, x := range xs {
 		r = f.And(r, x)
-	}
-	return r
-}
-
-// OrN returns the disjunction of all arguments (False for none).
-func (f *Factory) OrN(xs ...Ref) Ref {
-	r := False
-	for _, x := range xs {
-		r = f.Or(r, x)
 	}
 	return r
 }

@@ -28,27 +28,54 @@ func (n *Node) routes() {
 }
 
 // OwnerOf resolves a snapshot's owning member by rendezvous hashing:
-// the member whose sha256(id NUL name) scores highest. Deterministic for
-// a member set, independent of member order, and minimally disturbed by
+// the member with the highest hrwWeight(id, name). Deterministic for a
+// member set, independent of member order, and minimally disturbed by
 // membership changes — a dead member's snapshots redistribute across the
-// survivors without moving anything else (the same construction
-// sweep.PartitionClasses uses for class distribution). The zero Member
-// is returned for an empty view.
+// survivors without moving anything else. HeirOf and PartitionClasses
+// are built on it. The zero Member is returned for an empty view.
 func OwnerOf(members []Member, name string) Member {
 	var best Member
 	var bestScore [sha256.Size]byte
 	for _, m := range members {
-		h := sha256.New()
-		h.Write([]byte(m.ID))
-		h.Write([]byte{0})
-		h.Write([]byte(name))
-		var score [sha256.Size]byte
-		h.Sum(score[:0])
+		score := hrwWeight(m.ID, name)
 		if best.ID == "" || bytes.Compare(score[:], bestScore[:]) > 0 {
 			best, bestScore = m, score
 		}
 	}
 	return best
+}
+
+// hrwWeight is the rendezvous weight sha256(member NUL subject). The NUL
+// separator keeps ("ab","c") and ("a","bc") from colliding.
+func hrwWeight(member, subject string) [sha256.Size]byte {
+	h := sha256.New()
+	h.Write([]byte(member))
+	h.Write([]byte{0})
+	h.Write([]byte(subject))
+	var sum [sha256.Size]byte
+	h.Sum(sum[:0])
+	return sum
+}
+
+// PartitionClasses deals sweep equivalence classes across member IDs:
+// each class goes to OwnerOf(members, class), so class placement has the
+// same order independence and minimal disturbance as snapshot ownership.
+// Each member's list preserves the input class order. Empty inputs yield
+// an empty map.
+func PartitionClasses(classIDs, members []string) map[string][]string {
+	out := make(map[string][]string, len(members))
+	if len(members) == 0 {
+		return out
+	}
+	view := make([]Member, len(members))
+	for i, id := range members {
+		view[i] = Member{ID: id}
+	}
+	for _, id := range classIDs {
+		owner := OwnerOf(view, id).ID
+		out[owner] = append(out[owner], id)
+	}
+	return out
 }
 
 // HeirOf resolves the member that inherits a snapshot if its current

@@ -95,7 +95,7 @@ func (n *Node) serveClusterSweep(w http.ResponseWriter, r *http.Request, name st
 		memberIDs = append(memberIDs, m.ID)
 		addrs[m.ID] = m.Addr
 	}
-	parts := sweep.PartitionClasses(ids, memberIDs)
+	parts := PartitionClasses(ids, memberIDs)
 
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)

@@ -11,7 +11,6 @@ import (
 	"context"
 	"fmt"
 	"sort"
-	"sync"
 
 	"repro/internal/acl"
 	"repro/internal/bdd"
@@ -139,8 +138,9 @@ const WaypointBits = 2
 // Construction of a single graph is deliberately serial: every edge label
 // is a BDD op against one shared factory, and the factory's hash-consed
 // unique table and operation caches are unsynchronized (see bdd.Factory).
-// Parallel analyses therefore replicate the whole graph — one factory per
-// worker — via BuildReplicas instead of sharing one.
+// A graph and the analysis over it therefore own one factory; work that
+// runs in parallel builds a separate graph per worker rather than sharing
+// one.
 func New(dp *dataplane.Result) *Graph {
 	return NewContext(context.Background(), dp)
 }
@@ -159,70 +159,6 @@ func NewContext(ctx context.Context, dp *dataplane.Result) *Graph {
 	g.build(ctx)
 	g.index()
 	return g
-}
-
-// BuildReplicas builds n independent copies of the dataflow graph, each
-// with its own encoder and BDD factory. Replicas back fan-out query
-// execution (e.g. reach.QueryPool): BDD refs never cross factories, so
-// per-worker graphs are the only safe way to run queries concurrently.
-//
-// One base graph is constructed from the data plane; the remaining n-1
-// are migration-based clones (see Clone). A clone is one memoized
-// structural copy of the base factory's live nodes — it skips all of
-// construction's BDD operations (ACL compilation, FIB-trie set algebra,
-// NAT relation building), which dominate build time. Clones only read the
-// base graph, so they run in parallel without locks.
-func BuildReplicas(dp *dataplane.Result, n int) []*Graph {
-	if n < 1 {
-		n = 1
-	}
-	out := make([]*Graph, n)
-	out[0] = New(dp)
-	var wg sync.WaitGroup
-	wg.Add(n - 1)
-	for i := 1; i < n; i++ {
-		go func(i int) {
-			defer wg.Done()
-			out[i] = out[0].Clone()
-		}(i)
-	}
-	wg.Wait()
-	return out
-}
-
-// Clone returns an independent replica of the graph: identical structure
-// and node ids, a fresh encoder and BDD factory, and every edge BDD
-// (label, raw label, transformation relation) migrated across in one
-// memoized pass. Shared subgraphs are inserted into the new factory
-// exactly once, so a clone costs O(distinct live BDD nodes) table
-// insertions instead of re-running graph construction. Immutable
-// per-edge metadata (zone id pointers, waypoint bit lists) is shared
-// with the receiver; neither side may mutate it.
-func (g *Graph) Clone() *Graph {
-	enc := g.Enc.CloneEmpty()
-	m := bdd.NewMigrator(g.Enc.F, enc.F)
-	ng := &Graph{
-		Enc:       enc,
-		Nodes:     append([]Node(nil), g.Nodes...),
-		Edges:     make([]Edge, len(g.Edges)),
-		Cancelled: g.Cancelled,
-		ids:       make(map[string]int, len(g.ids)),
-		dp:        g.dp,
-	}
-	for k, v := range g.ids {
-		ng.ids[k] = v
-	}
-	for i := range g.Edges {
-		e := g.Edges[i]
-		e.Label = m.Migrate(e.Label)
-		e.Raw = m.Migrate(e.Raw)
-		if e.Tr != nil {
-			e.Tr = enc.AdoptTransform(m.Migrate(e.Tr.Rel()))
-		}
-		ng.Edges[i] = e
-	}
-	ng.index()
-	return ng
 }
 
 // NewWithEnc builds the graph reusing an existing encoder (for tests that

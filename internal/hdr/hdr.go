@@ -300,17 +300,6 @@ func NewEnc(extBits int) *Enc {
 	return e
 }
 
-// CloneEmpty returns a fresh encoder with the same layout (identical
-// variable numbering) but its own, empty BDD factory. BDDs migrate
-// soundly between an encoder and its clones via bdd.Migrator because the
-// variable meaning at every level is the same.
-func (e *Enc) CloneEmpty() *Enc { return NewEnc(e.L.extBits) }
-
-// AdoptTransform wraps a relation BDD that already lives in e's factory
-// (typically the result of migrating another encoder's Transform.Rel())
-// as a Transform bound to e.
-func (e *Enc) AdoptTransform(rel bdd.Ref) *Transform { return &Transform{e: e, rel: rel} }
-
 // FieldEq returns the set of packets whose field f equals v.
 func (e *Enc) FieldEq(f Field, v uint32) bdd.Ref {
 	key := fieldVal{f, v}
@@ -441,9 +430,6 @@ type Transform struct {
 func (e *Enc) NewTransform() *Transform {
 	return &Transform{e: e, rel: e.allIdent}
 }
-
-// Rel returns the underlying relation BDD.
-func (t *Transform) Rel() bdd.Ref { return t.rel }
 
 // replaceField swaps field f's identity constraint for out.
 func (t *Transform) replaceField(f Field, out bdd.Ref) *Transform {

@@ -104,10 +104,10 @@ type bodyFacts struct {
 type Program struct {
 	Pkgs []*Package
 
-	funcs    map[string]*funcNode         // funcID → declared function
-	litFacts map[*ast.FuncLit]*bodyFacts  // literal body → facts
-	filePkg  map[string]*Package          // filename → owning package
-	order    []string                     // sorted funcIDs, for deterministic fixpoints
+	funcs    map[string]*funcNode        // funcID → declared function
+	litFacts map[*ast.FuncLit]*bodyFacts // literal body → facts
+	filePkg  map[string]*Package         // filename → owning package
+	order    []string                    // sorted funcIDs, for deterministic fixpoints
 
 	ioChain  map[string][]string // funcID → witness call chain ending at an I/O name
 	mayRecv  map[string]bool     // funcID → body (or callee) receives from a channel
@@ -829,16 +829,6 @@ func (prog *Program) factsIn(p *Package, fn func(*bodyFacts)) {
 	sort.Slice(lits, func(i, j int) bool { return lits[i].Pos() < lits[j].Pos() })
 	for _, lit := range lits {
 		fn(prog.litFacts[lit])
-	}
-}
-
-// funcsIn calls fn for every declared function in package p in
-// sorted-ID order.
-func (prog *Program) funcsIn(p *Package, fn func(*funcNode)) {
-	for _, id := range prog.order {
-		if n := prog.funcs[id]; n.pkg == p {
-			fn(n)
-		}
 	}
 }
 

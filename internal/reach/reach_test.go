@@ -382,69 +382,3 @@ func TestDetectLoops(t *testing.T) {
 		t.Errorf("loop-free network reported loops: %v", l)
 	}
 }
-
-// TestCloneReplicaEquivalence checks that a migration-based graph clone
-// answers queries identically to a from-scratch build, and that its refs
-// live in a genuinely separate factory.
-func TestCloneReplicaEquivalence(t *testing.T) {
-	dp := dataplane.Run(testnet.ECMPWithBrokenBranch(), dataplane.Options{})
-	if !dp.Converged {
-		t.Fatalf("dataplane did not converge: %v", dp.Warnings)
-	}
-	base := fwdgraph.New(dp)
-	clone := base.Clone()
-	if clone.Enc == base.Enc || clone.Enc.F == base.Enc.F {
-		t.Fatal("clone shares the base encoder/factory")
-	}
-	if len(clone.Nodes) != len(base.Nodes) || len(clone.Edges) != len(base.Edges) {
-		t.Fatalf("clone structure differs: %d/%d nodes, %d/%d edges",
-			len(clone.Nodes), len(base.Nodes), len(clone.Edges), len(base.Edges))
-	}
-	av := New(base).MultipathConsistency(base.Enc.FieldEq(hdr.Protocol, hdr.ProtoTCP))
-	cv := New(clone).MultipathConsistency(clone.Enc.FieldEq(hdr.Protocol, hdr.ProtoTCP))
-	if len(av) != len(cv) {
-		t.Fatalf("violation counts diverge: base %d clone %d", len(av), len(cv))
-	}
-	for i := range av {
-		if av[i].Source != cv[i].Source || av[i].Example != cv[i].Example {
-			t.Errorf("violation %d diverges: base %+v clone %+v", i, av[i], cv[i])
-		}
-	}
-}
-
-// TestQueryPoolGatherMatchesSerial checks the batched rendezvous: pooled
-// multipath consistency with sets rebased into the primary factory must
-// match the serial analysis source-for-source, set-for-set.
-func TestQueryPoolGatherMatchesSerial(t *testing.T) {
-	dp := dataplane.Run(testnet.ECMPWithBrokenBranch(), dataplane.Options{})
-	if !dp.Converged {
-		t.Fatalf("dataplane did not converge: %v", dp.Warnings)
-	}
-	serial := New(fwdgraph.New(dp))
-	want := serial.MultipathConsistency(serial.Enc.FieldEq(hdr.Protocol, hdr.ProtoTCP))
-
-	pool := NewQueryPool(dp, 3)
-	got := pool.MultipathConsistencySets(func(enc *hdr.Enc) bdd.Ref {
-		return enc.FieldEq(hdr.Protocol, hdr.ProtoTCP)
-	})
-	if len(got) != len(want) {
-		t.Fatalf("violation counts diverge: serial %d pooled %d", len(want), len(got))
-	}
-	prim := pool.Primary()
-	for i := range want {
-		if want[i].Source != got[i].Source {
-			t.Errorf("violation %d source diverges: %v vs %v", i, want[i].Source, got[i].Source)
-		}
-		if want[i].Example != got[i].Example {
-			t.Errorf("violation %d example diverges: %v vs %v", i, want[i].Example, got[i].Example)
-		}
-		// The rebased set must denote the same packets: counts match and
-		// the witness satisfies it in the primary factory.
-		if sc, pc := serial.Enc.F.SatCount(want[i].Packets), prim.Enc.F.SatCount(got[i].Packets); sc != pc {
-			t.Errorf("violation %d set sizes diverge: %v vs %v", i, sc, pc)
-		}
-		if prim.Enc.F.And(got[i].Packets, prim.Enc.PacketBDD(got[i].Example)) == bdd.False {
-			t.Errorf("violation %d example not in rebased set", i)
-		}
-	}
-}

@@ -356,15 +356,6 @@ func fnv1a(seed uint64, b []byte) uint64 {
 	return h
 }
 
-func fnv1aString(seed uint64, s string) uint64 {
-	h := seed
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= fnvPrime
-	}
-	return h
-}
-
 // encodeU32s writes vals as 4-byte big-endian groups into buf (reused when
 // large enough, so short paths/sets stay on the stack).
 func encodeU32s(buf []byte, vals []uint32) []byte {

@@ -444,3 +444,69 @@ func TestSweepSpecValidation(t *testing.T) {
 		t.Errorf("default spec enumerated %d, want %d", p.Enumerated(), wantElems)
 	}
 }
+
+// TestExecuteClassesPartitionedMatchesExecute is the distributed sweep's
+// correctness core in-process: splitting a plan's classes across two
+// executors and assembling the shipped ClassResults must yield exactly
+// Execute's result.
+func TestExecuteClassesPartitionedMatchesExecute(t *testing.T) {
+	texts := fabricTexts(t, "dc")
+	base := core.LoadTextWith(pipeline.New(pipeline.Config{}), texts)
+	srcs, dst := monitored(t, base, "dc-p01-tor01", "dc-p02-tor01")
+	spec := Spec{K: 1, Links: true, Sources: srcs, DstIPs: []ip4.Prefix{dst}, Workers: 2}
+
+	plan, err := NewPlan(base, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := plan.Execute(context.Background(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	ids := plan.ClassIDs()
+	half := len(ids) / 2
+	var merged []ClassResult
+	emitted := 0
+	for _, part := range [][]string{ids[:half], ids[half:]} {
+		merged = append(merged, plan.ExecuteClasses(context.Background(), part, func(ClassResult) { emitted++ })...)
+	}
+	if emitted != len(plan.ClassIDs()) {
+		t.Fatalf("emit saw %d classes, want %d", emitted, len(plan.ClassIDs()))
+	}
+	got := plan.Assemble(merged)
+
+	wb, _ := json.Marshal(want)
+	gb, _ := json.Marshal(got)
+	if string(wb) != string(gb) {
+		t.Fatalf("partitioned result differs from Execute:\nwant %s\ngot  %s", wb, gb)
+	}
+
+	// ClassResults survive the wire: a JSON round trip assembles the same.
+	enc, _ := json.Marshal(merged)
+	var wired []ClassResult
+	if err := json.Unmarshal(enc, &wired); err != nil {
+		t.Fatal(err)
+	}
+	rb, _ := json.Marshal(plan.Assemble(wired))
+	if string(rb) != string(wb) {
+		t.Fatal("JSON round-tripped ClassResults assemble differently")
+	}
+
+	// Unknown and baseline class IDs are skipped, not executed or degraded.
+	if extra := plan.ExecuteClasses(context.Background(), []string{"", "no-such-class"}, nil); len(extra) != 0 {
+		t.Fatalf("foreign classes produced outcomes: %v", extra)
+	}
+
+	// Assembling with a hole degrades exactly the missing class's members.
+	holed := plan.Assemble(merged[1:])
+	if !holed.Degraded {
+		t.Fatal("missing class did not degrade the result")
+	}
+	missing := merged[0].Class
+	for i, v := range holed.Verdicts {
+		if v.Class == missing && (!v.Degraded || v.Executed) {
+			t.Errorf("verdict %d of lost class %s: %+v", i, missing, v)
+		}
+	}
+}
