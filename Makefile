@@ -90,13 +90,16 @@ soak:
 cluster-chaos:
 	$(GO) test -race -run TestClusterChaos -count=1 ./internal/cluster/
 
-# Short native-fuzzing pass over the vendor parsers: any input must yield
-# a device model, never a panic. Crashers land in testdata/fuzz/ and
-# reproduce with plain `go test`.
+# Short native-fuzzing pass over the vendor parsers (any input must yield
+# a device model, never a panic) and the HTTP sweep body (never a panic,
+# never more workers than GOMAXPROCS). Crashers land in testdata/fuzz/
+# and reproduce with plain `go test`. The server target runs alone
+# (-run) so the package's end-to-end tests do not precede it.
 FUZZTIME ?= 20s
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzParse -fuzztime=$(FUZZTIME) ./internal/vendors/cisco/
 	$(GO) test -fuzz=FuzzParse -fuzztime=$(FUZZTIME) ./internal/vendors/juniper/
+	$(GO) test -run '^FuzzParseSweepBody$$' -fuzz='^FuzzParseSweepBody$$' -fuzztime=$(FUZZTIME) ./internal/server/
 
 cover:
 	$(GO) test -coverprofile=cover.out $(COVER_PKGS)

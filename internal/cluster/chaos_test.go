@@ -292,22 +292,10 @@ func TestClusterChaosKillCoordinator(t *testing.T) {
 	// (detection window + view-propagation slack): the extra factor
 	// covers waiting out the dead coordinator's last lease grant.
 	budget := 2 * (ccfg.SuspectAfter + 2*hb)
-	promoteDeadline := t0.Add(budget)
-	var coord *testNode
-	for coord == nil {
-		if time.Now().After(promoteDeadline) {
-			t.Fatalf("no member promoted within %v: m2=%+v m3=%+v",
-				budget, n2.n.Metrics(), n3.n.Metrics())
-		}
-		m2m, m3m := n2.n.Metrics(), n3.n.Metrics()
-		switch {
-		case m2m.Role == cluster.RoleCoordinator && m2m.Members == 2 && m3m.Members == 2:
-			coord = n2
-		case m3m.Role == cluster.RoleCoordinator && m3m.Members == 2 && m2m.Members == 2:
-			coord = n3
-		default:
-			time.Sleep(20 * time.Millisecond)
-		}
+	coord, _ := awaitSurvivorsHealed(n2, n3, t0.Add(budget), 20*time.Millisecond)
+	if coord == nil {
+		t.Fatalf("no member promoted within %v: m2=%+v m3=%+v",
+			budget, n2.n.Metrics(), n3.n.Metrics())
 	}
 	t.Logf("coordinator failover: %s promoted, views healed in %v (budget %v)",
 		coord.id, time.Since(t0), budget)

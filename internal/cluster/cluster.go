@@ -379,8 +379,6 @@ type nodeCounters struct {
 	membersFailed     atomic.Int64
 	rehydrations      atomic.Int64
 	manifestPuts      atomic.Int64
-	sweepClassesIn    atomic.Int64
-	sweepFallback     atomic.Int64
 
 	// Coordinator failover (promote.go).
 	promotions     atomic.Int64

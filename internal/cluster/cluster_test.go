@@ -11,7 +11,6 @@ import (
 	"sort"
 	"strings"
 	"testing"
-	"testing/quick"
 	"time"
 
 	"repro/internal/cluster"
@@ -190,75 +189,6 @@ func TestOwnerOfProperties(t *testing.T) {
 	}
 	if got := cluster.OwnerOf(nil, "s"); got.ID != "" {
 		t.Fatalf("empty view produced owner %+v", got)
-	}
-}
-
-func TestPartitionClassesProperties(t *testing.T) {
-	classes := make([]string, 40)
-	for i := range classes {
-		classes[i] = fmt.Sprintf("link(c-x%d,c-y%d)", i, i)
-	}
-	members := []string{"m1", "m2", "m3"}
-
-	parts := cluster.PartitionClasses(classes, members)
-	// Coverage and disjointness: every class lands on exactly one member.
-	seen := make(map[string]string)
-	for m, ids := range parts {
-		for _, id := range ids {
-			if prev, dup := seen[id]; dup {
-				t.Fatalf("class %s assigned to both %s and %s", id, prev, m)
-			}
-			seen[id] = m
-		}
-	}
-	if len(seen) != len(classes) {
-		t.Fatalf("assigned %d classes, want %d", len(seen), len(classes))
-	}
-
-	// Member-order independence.
-	again := cluster.PartitionClasses(classes, []string{"m3", "m1", "m2"})
-	for m := range parts {
-		a, _ := json.Marshal(parts[m])
-		b, _ := json.Marshal(again[m])
-		if string(a) != string(b) {
-			t.Fatalf("member order changed %s's partition:\n%s\n%s", m, a, b)
-		}
-	}
-
-	// Minimal disturbance: dropping m2 moves only m2's classes.
-	survivor := cluster.PartitionClasses(classes, []string{"m1", "m3"})
-	reassigned := make(map[string]string)
-	for m, ids := range survivor {
-		for _, id := range ids {
-			reassigned[id] = m
-		}
-	}
-	for id, m := range seen {
-		if m != "m2" && reassigned[id] != m {
-			t.Errorf("class %s moved from surviving member %s to %s", id, m, reassigned[id])
-		}
-	}
-
-	if got := cluster.PartitionClasses(classes, nil); len(got) != 0 {
-		t.Errorf("no members: %v", got)
-	}
-
-	// A class lands exactly where a snapshot of the same name is owned,
-	// for any member set.
-	sameAsOwner := func(ids []string, name string) bool {
-		got := cluster.PartitionClasses([]string{name}, ids)
-		if len(ids) == 0 {
-			return len(got) == 0
-		}
-		view := make([]cluster.Member, len(ids))
-		for i, id := range ids {
-			view[i] = cluster.Member{ID: id, Addr: "addr-" + id}
-		}
-		owner := cluster.OwnerOf(view, name).ID
-		return len(got) == 1 && len(got[owner]) == 1 && got[owner][0] == name
-	}
-	if err := quick.Check(sameAsOwner, nil); err != nil {
-		t.Fatal(err)
 	}
 }
 

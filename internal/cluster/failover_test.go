@@ -51,22 +51,10 @@ func TestCoordinatorFailoverEndToEnd(t *testing.T) {
 	n1.ts.CloseClientConnections()
 	n1.n.Kill()
 
-	// One survivor promotes; both converge on a 2-member view.
-	deadline := time.Now().Add(5 * time.Second)
-	var coord, follower *testNode
-	for coord == nil {
-		if time.Now().After(deadline) {
-			t.Fatalf("no survivor promoted: m2=%+v m3=%+v", n2.n.Metrics(), n3.n.Metrics())
-		}
-		m2m, m3m := n2.n.Metrics(), n3.n.Metrics()
-		switch {
-		case m2m.Role == cluster.RoleCoordinator && m2m.Members == 2 && m3m.Members == 2:
-			coord, follower = n2, n3
-		case m3m.Role == cluster.RoleCoordinator && m3m.Members == 2 && m2m.Members == 2:
-			coord, follower = n3, n2
-		default:
-			time.Sleep(5 * time.Millisecond)
-		}
+	// One survivor promotes; both converge on the view {m2, m3}.
+	coord, follower := awaitSurvivorsHealed(n2, n3, time.Now().Add(5*time.Second), 5*time.Millisecond)
+	if coord == nil {
+		t.Fatalf("no survivor promoted: m2=%+v m3=%+v", n2.n.Metrics(), n3.n.Metrics())
 	}
 	cm := coord.n.Metrics()
 	if cm.Epoch <= epoch0 {
@@ -102,6 +90,30 @@ func TestCoordinatorFailoverEndToEnd(t *testing.T) {
 	// record fallback in Start.
 	n4 := startNode(t, "m4", n1.ts.URL, server.Config{CacheDir: dir, Seed: 4}, fastCfg(hb))
 	waitMembers(t, n4, 3, 2*time.Second)
+}
+
+// awaitSurvivorsHealed polls until one of a and b coordinates and both
+// views hold exactly {a, b}, returning the coordinator and the follower,
+// or nils once deadline passes. Member counts are not enough: a follower
+// that never heartbeated still holds its join-time view, which can have
+// two members and still list the dead coordinator.
+func awaitSurvivorsHealed(a, b *testNode, deadline time.Time, poll time.Duration) (coord, follower *testNode) {
+	holdsExactly := func(n *testNode) bool {
+		ms := n.n.View().Members
+		return len(ms) == 2 && (ms[0].ID == a.id && ms[1].ID == b.id || ms[0].ID == b.id && ms[1].ID == a.id)
+	}
+	for time.Now().Before(deadline) {
+		if holdsExactly(a) && holdsExactly(b) {
+			switch {
+			case a.n.Metrics().Role == cluster.RoleCoordinator:
+				return a, b
+			case b.n.Metrics().Role == cluster.RoleCoordinator:
+				return b, a
+			}
+		}
+		time.Sleep(poll)
+	}
+	return nil, nil
 }
 
 // TestHeirReplicationAcrossSplitCaches runs a 2-member cluster whose

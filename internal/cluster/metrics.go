@@ -22,8 +22,6 @@ type Metrics struct {
 	MembersFailed     int64 `json:"members_failed"`
 	Rehydrations      int64 `json:"rehydrations"`
 	ManifestPuts      int64 `json:"manifest_puts"`
-	SweepClassesIn    int64 `json:"sweep_classes_in"`
-	SweepFallback     int64 `json:"sweep_fallback"`
 
 	// Coordinator failover.
 	LeaseHeld      bool  `json:"lease_held"`
@@ -94,8 +92,6 @@ func (n *Node) Metrics() Metrics {
 	m.MembersFailed = n.m.membersFailed.Load()
 	m.Rehydrations = n.m.rehydrations.Load()
 	m.ManifestPuts = n.m.manifestPuts.Load()
-	m.SweepClassesIn = n.m.sweepClassesIn.Load()
-	m.SweepFallback = n.m.sweepFallback.Load()
 	m.Promotions = n.m.promotions.Load()
 	m.Demotions = n.m.demotions.Load()
 	m.CoordAdoptions = n.m.coordAdoptions.Load()

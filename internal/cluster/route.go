@@ -6,11 +6,9 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
-	"strconv"
 	"strings"
 
 	"repro/internal/faults"
-	"repro/internal/server"
 )
 
 // routes wires the node's mux: cluster control endpoints first, then the
@@ -21,7 +19,6 @@ func (n *Node) routes() {
 	n.mux.HandleFunc("POST /cluster/leave", n.handleLeave)
 	n.mux.HandleFunc("GET /cluster/members", n.handleMembers)
 	n.mux.HandleFunc("POST /cluster/drain", n.handleClusterDrain)
-	n.mux.HandleFunc("POST /cluster/sweep-exec/{name}", n.handleSweepExec)
 	n.mux.HandleFunc("GET /cluster/replicate", n.handleReplicaList)
 	n.mux.HandleFunc("GET /cluster/artifact/{key}", n.handleArtifact)
 	n.mux.HandleFunc("/", n.route)
@@ -31,8 +28,8 @@ func (n *Node) routes() {
 // the member with the highest hrwWeight(id, name). Deterministic for a
 // member set, independent of member order, and minimally disturbed by
 // membership changes — a dead member's snapshots redistribute across the
-// survivors without moving anything else. HeirOf and PartitionClasses
-// are built on it. The zero Member is returned for an empty view.
+// survivors without moving anything else. HeirOf is built on it. The
+// zero Member is returned for an empty view.
 func OwnerOf(members []Member, name string) Member {
 	var best Member
 	var bestScore [sha256.Size]byte
@@ -55,27 +52,6 @@ func hrwWeight(member, subject string) [sha256.Size]byte {
 	var sum [sha256.Size]byte
 	h.Sum(sum[:0])
 	return sum
-}
-
-// PartitionClasses deals sweep equivalence classes across member IDs:
-// each class goes to OwnerOf(members, class), so class placement has the
-// same order independence and minimal disturbance as snapshot ownership.
-// Each member's list preserves the input class order. Empty inputs yield
-// an empty map.
-func PartitionClasses(classIDs, members []string) map[string][]string {
-	out := make(map[string][]string, len(members))
-	if len(members) == 0 {
-		return out
-	}
-	view := make([]Member, len(members))
-	for i, id := range members {
-		view[i] = Member{ID: id}
-	}
-	for _, id := range classIDs {
-		owner := OwnerOf(view, id).ID
-		out[owner] = append(out[owner], id)
-	}
-	return out
 }
 
 // HeirOf resolves the member that inherits a snapshot if its current
@@ -167,12 +143,6 @@ func (n *Node) serveLocal(w http.ResponseWriter, r *http.Request, name, rest str
 	if !isLoad && !n.inner.HasSnapshot(name) {
 		n.rehydrate(r.Context(), name)
 	}
-	if rest == "/sweep" && r.Method == http.MethodPost {
-		if view := n.View(); len(view.Members) > 1 && n.inner.HasSnapshot(name) {
-			n.serveClusterSweep(w, r, name, body, view)
-			return
-		}
-	}
 	rec := &statusRecorder{ResponseWriter: w}
 	n.inner.Handler().ServeHTTP(rec, r)
 	if rec.status != http.StatusOK {
@@ -241,20 +211,4 @@ func (s *statusRecorder) Flush() {
 	if f, ok := s.ResponseWriter.(http.Flusher); ok {
 		f.Flush()
 	}
-}
-
-// writeShedErr relays an admission rejection (429/503 + Retry-After)
-// from the wrapped server onto the cluster-internal wire.
-func writeShedErr(w http.ResponseWriter, err error) bool {
-	se, ok := err.(*server.ShedError)
-	if !ok {
-		return false
-	}
-	secs := int(se.RetryAfter.Seconds())
-	if secs < 1 {
-		secs = 1
-	}
-	w.Header().Set("Retry-After", strconv.Itoa(secs))
-	writeClusterError(w, se.Status, se.Reason)
-	return true
 }

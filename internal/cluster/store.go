@@ -3,7 +3,6 @@ package cluster
 import (
 	"context"
 	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"time"
@@ -26,12 +25,6 @@ import (
 type manifest struct {
 	Name    string            `json:"name"`
 	Configs map[string]string `json:"configs"`
-	// Artifacts are the hex content-addressed keys of the snapshot's
-	// parse and data-plane artifacts at persist time — the heir
-	// replicator's shopping list when members do not share one cache
-	// directory. Informational for rehydration itself, which re-derives
-	// the same keys from the configs.
-	Artifacts []string `json:"artifacts,omitempty"`
 }
 
 // manifestKey derives the cache key for a snapshot's manifest. Unlike
@@ -55,15 +48,7 @@ func (n *Node) persistManifest(name string) {
 	if !ok {
 		return
 	}
-	var arts []string
-	if keys, ok := n.inner.SnapshotArtifactKeys(name); ok {
-		for _, k := range keys {
-			if !k.IsZero() {
-				arts = append(arts, hex.EncodeToString(k[:]))
-			}
-		}
-	}
-	buf, err := json.Marshal(manifest{Name: name, Configs: configs, Artifacts: arts})
+	buf, err := json.Marshal(manifest{Name: name, Configs: configs})
 	if err != nil {
 		return
 	}

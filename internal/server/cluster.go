@@ -2,7 +2,7 @@ package server
 
 // Cluster-facing hooks. The cluster layer (internal/cluster) wraps a
 // Server per member; these accessors expose exactly what routing,
-// failover rehydration, and distributed sweeps need without the server
+// failover rehydration, and heir replication need without the server
 // importing the cluster package or duplicating its containment logic.
 
 import (
@@ -93,11 +93,10 @@ func (s *Server) InstallSnapshot(ctx context.Context, name string, configs map[s
 	return nil
 }
 
-// Admit takes an execution slot for cluster-internal work (forwarded
-// class execution, failover rehydration), subject to the same bounded
-// queue and drain rules as HTTP requests. The release func must be called
-// exactly once when err is nil; a *ShedError carries the 429/503 +
-// Retry-After the caller should relay.
+// Admit takes an execution slot outside any HTTP request, subject to the
+// same bounded queue and drain rules as HTTP requests; while it is held,
+// requests that need a slot queue or are shed with 429/503. The release
+// func must be called exactly once when err is nil.
 func (s *Server) Admit(ctx context.Context) (release func(), err error) {
 	return s.acquire(ctx)
 }

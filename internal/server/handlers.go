@@ -535,7 +535,7 @@ func (s *Server) serveQuestion(w http.ResponseWriter, r *http.Request, q string,
 
 // rejectAdmission maps an acquire error onto the wire.
 func (s *Server) rejectAdmission(w http.ResponseWriter, err error) {
-	if se, ok := err.(*ShedError); ok {
+	if se, ok := err.(*shedError); ok {
 		writeShed(w, se.Status, se.RetryAfter, se.Reason)
 		return
 	}

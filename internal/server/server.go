@@ -259,24 +259,23 @@ func (s *Server) track() bool {
 	return true
 }
 
-// ShedError is an admission-control rejection. It is exported so the
-// cluster layer can map cluster-internal admission failures onto the same
-// 429/503 + Retry-After wire semantics the HTTP handlers use.
-type ShedError struct {
+// shedError is an admission-control rejection: the HTTP status and
+// Retry-After the handler writes.
+type shedError struct {
 	Status     int           // 429 or 503
 	RetryAfter time.Duration // suggested client backoff
 	Reason     string
 }
 
-func (e *ShedError) Error() string { return e.Reason }
+func (e *shedError) Error() string { return e.Reason }
 
 // acquire takes an execution slot, waiting in the bounded queue. On
-// rejection it returns a ShedError carrying the HTTP status and
+// rejection it returns a shedError carrying the HTTP status and
 // Retry-After. The release func must be called exactly once when non-nil.
 func (s *Server) acquire(ctx context.Context) (release func(), err error) {
 	if s.draining.Load() {
 		s.m.Shed503.Add(1)
-		return nil, &ShedError{Status: http.StatusServiceUnavailable,
+		return nil, &shedError{Status: http.StatusServiceUnavailable,
 			RetryAfter: time.Second, Reason: "server is draining"}
 	}
 	release = func() {
@@ -298,7 +297,7 @@ func (s *Server) acquire(ctx context.Context) (release func(), err error) {
 	if q > int64(s.cfg.MaxQueue) {
 		s.queued.Add(-1)
 		s.m.Shed429.Add(1)
-		return nil, &ShedError{Status: http.StatusTooManyRequests,
+		return nil, &shedError{Status: http.StatusTooManyRequests,
 			RetryAfter: s.cfg.QueueWait, Reason: "admission queue is full"}
 	}
 	timer := time.NewTimer(s.cfg.QueueWait)
@@ -311,12 +310,12 @@ func (s *Server) acquire(ctx context.Context) (release func(), err error) {
 	case <-timer.C:
 		s.queued.Add(-1)
 		s.m.Shed429.Add(1)
-		return nil, &ShedError{Status: http.StatusTooManyRequests,
+		return nil, &shedError{Status: http.StatusTooManyRequests,
 			RetryAfter: s.cfg.QueueWait, Reason: "timed out waiting for an execution slot"}
 	case <-s.drainCh:
 		s.queued.Add(-1)
 		s.m.Shed503.Add(1)
-		return nil, &ShedError{Status: http.StatusServiceUnavailable,
+		return nil, &shedError{Status: http.StatusServiceUnavailable,
 			RetryAfter: time.Second, Reason: "server is draining"}
 	case <-ctx.Done():
 		s.queued.Add(-1)

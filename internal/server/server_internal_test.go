@@ -1,6 +1,9 @@
 package server
 
 import (
+	"net/http"
+	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -91,6 +94,29 @@ func TestSnapshotForBaseCycle(t *testing.T) {
 			}
 		case <-time.After(30 * time.Second):
 			t.Fatalf("rebuild %q deadlocked on the base cycle", e.name)
+		}
+	}
+}
+
+// TestSweepBodyCapsWorkers: a request cannot ask for more sweep
+// workers than the server has cores, since each worker loads its own
+// copy of the snapshot under the request's one admission slot.
+func TestSweepBodyCapsWorkers(t *testing.T) {
+	for body, want := range map[string]int{
+		`{"workers":1000}`: runtime.GOMAXPROCS(0),
+		`{"workers":1}`:    1,
+		``:                 0, // the executor's default, GOMAXPROCS
+	} {
+		req, err := http.NewRequest(http.MethodPost, "/snapshots/s/sweep", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		spec, err := parseSweepBody(req)
+		if err != nil {
+			t.Fatalf("%q: %v", body, err)
+		}
+		if spec.Workers != want {
+			t.Errorf("%q: workers %d, want %d", body, spec.Workers, want)
 		}
 	}
 }

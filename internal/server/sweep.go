@@ -1,13 +1,12 @@
 package server
 
 import (
-	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"net/http"
-	"strings"
+	"runtime"
 
 	"repro/internal/diag"
 	"repro/internal/faults"
@@ -69,7 +68,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusNotFound, apiResponse{ExitCode: ExitUsage, Error: "no snapshot " + name})
 		return
 	}
-	spec, err := ParseSweepBody(r)
+	spec, err := parseSweepBody(r)
 	if err != nil {
 		s.m.ClientErrors.Add(1)
 		writeJSON(w, http.StatusBadRequest, apiResponse{ExitCode: ExitUsage, Error: err.Error()})
@@ -100,36 +99,63 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 
 	faults.Fire("server", "sweep")
 
-	po := s.planSweep(ctx, e, spec)
-	switch {
-	case po.snapErr != nil:
+	// Plan under anMu with the same context hygiene as runQuestion: bind
+	// the request context for the duration, unbind on the clean path, and
+	// discard the snapshot when the run poisoned it.
+	s.anMu.Lock()
+	snap, err := s.snapshotFor(e)
+	if err != nil {
+		s.anMu.Unlock()
 		e.br.record(s.cfg.BreakerThreshold, false)
 		s.m.ServerErrors.Add(1)
-		writeJSON(w, http.StatusInternalServerError, apiResponse{ExitCode: ExitError, Error: po.snapErr.Error()})
+		writeJSON(w, http.StatusInternalServerError, apiResponse{ExitCode: ExitError, Error: err.Error()})
 		return
-	case po.cancelled:
+	}
+	var plan *sweep.Plan
+	var planErr error
+	before := len(snap.Diags())
+	snap.WithContext(ctx)
+	panicDiag := diag.Capture(diag.StageQuestion, "sweep", func() {
+		snap.Analysis().WithContext(ctx)
+		plan, planErr = sweep.NewPlan(snap, spec)
+	})
+	snap.WithContext(nil)
+	cancelled := snap.Cancelled()
+	if !cancelled && panicDiag == nil {
+		snap.Analysis().WithContext(nil)
+	}
+	diags := snap.Diags()[before:]
+	s.anMu.Unlock()
+	if panicDiag != nil {
+		diags = append(diags, *panicDiag)
+	}
+	if cancelled || len(diags) > 0 {
+		e.dropSnap(snap)
+	}
+
+	switch {
+	case cancelled:
 		e.br.abort(s.cfg.BreakerThreshold)
 		s.m.Cancelled.Add(1)
 		writeJSON(w, http.StatusGatewayTimeout, apiResponse{Snapshot: name,
 			ExitCode: ExitCancelled, Error: "sweep planning cancelled by deadline"})
 		return
-	case po.panicked || len(po.diags) > 0:
-		if po.panicked {
+	case len(diags) > 0:
+		if panicDiag != nil {
 			s.m.PanicsRecovered.Add(1)
 		}
 		e.br.record(s.cfg.BreakerThreshold, false)
 		s.m.Degraded.Add(1)
 		writeJSON(w, http.StatusOK, apiResponse{Snapshot: name, ExitCode: ExitDegraded,
-			Diags: diagStrings(po.diags), Error: "sweep planning degraded the snapshot"})
+			Diags: diagStrings(diags), Error: "sweep planning degraded the snapshot"})
 		return
-	case po.planErr != nil:
+	case planErr != nil:
 		e.br.abort(s.cfg.BreakerThreshold)
 		s.m.ClientErrors.Add(1)
 		writeJSON(w, http.StatusBadRequest, apiResponse{Snapshot: name,
-			ExitCode: ExitUsage, Error: "sweep: " + po.planErr.Error()})
+			ExitCode: ExitUsage, Error: "sweep: " + planErr.Error()})
 		return
 	}
-	plan := po.plan
 
 	// Stream. From here on, status and headers are committed: outcomes
 	// (including cancellation) travel in the trailing summary line.
@@ -177,114 +203,19 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	emitLine(summary)
 }
 
-// sweepPlanOutcome is what planning a sweep under anMu produced. Exactly
-// one of the failure fields is meaningful; plan is non-nil only when all
-// are zero.
-type sweepPlanOutcome struct {
-	plan      *sweep.Plan
-	snapErr   error             // snapshot rebuild failed
-	cancelled bool              // context expired during planning
-	panicked  bool              // planning panicked (recovered; diag appended)
-	diags     []diag.Diagnostic // diagnostics planning added (degradation)
-	planErr   error             // spec rejected by the planner (client error)
-}
-
-// planSweep plans a failure sweep under anMu with the same context
-// hygiene as runQuestion: bind the request context for the duration,
-// unbind on the clean path, and discard the snapshot when the run
-// poisoned it. It is the shared core of handleSweep and PlanSweep; it
-// touches no breaker and writes no response.
-func (s *Server) planSweep(ctx context.Context, e *snapEntry, spec sweep.Spec) sweepPlanOutcome {
-	s.anMu.Lock()
-	snap, err := s.snapshotFor(e)
-	if err != nil {
-		s.anMu.Unlock()
-		return sweepPlanOutcome{snapErr: err}
-	}
-	var plan *sweep.Plan
-	var planErr error
-	before := len(snap.Diags())
-	snap.WithContext(ctx)
-	panicDiag := diag.Capture(diag.StageQuestion, "sweep", func() {
-		snap.Analysis().WithContext(ctx)
-		plan, planErr = sweep.NewPlan(snap, spec)
-	})
-	snap.WithContext(nil)
-	cancelled := snap.Cancelled()
-	if !cancelled && panicDiag == nil {
-		snap.Analysis().WithContext(nil)
-	}
-	newDiags := snap.Diags()[before:]
-	s.anMu.Unlock()
-
-	out := sweepPlanOutcome{cancelled: cancelled, diags: newDiags, planErr: planErr}
-	if panicDiag != nil {
-		out.panicked = true
-		out.diags = append(out.diags, *panicDiag)
-	}
-	if cancelled || out.panicked || len(out.diags) > 0 {
-		e.dropSnap(snap)
-		return out
-	}
-	if planErr != nil {
-		return out
-	}
-	out.plan = plan
-	return out
-}
-
-// Sentinel errors PlanSweep wraps its outcomes in, so the cluster layer
-// can map them onto wire statuses without parsing strings.
-var (
-	// ErrUnknownSnapshot reports a snapshot name this server doesn't hold.
-	ErrUnknownSnapshot = errors.New("unknown snapshot")
-	// ErrSweepDegraded reports that planning degraded the snapshot.
-	ErrSweepDegraded = errors.New("sweep planning degraded the snapshot")
-)
-
-// PlanSweep plans a failure sweep over a named snapshot on behalf of the
-// cluster layer (the owner planning a distributed sweep, or a member
-// replanning a forwarded class subset — NewPlan is deterministic, so both
-// sides derive identical class IDs). Unlike handleSweep it leaves the
-// snapshot's circuit breaker alone: the breaker guards the public HTTP
-// surface, and cluster-internal execution must not trip it.
-func (s *Server) PlanSweep(ctx context.Context, name string, spec sweep.Spec) (*sweep.Plan, error) {
-	e, ok := s.entry(name)
-	if !ok {
-		return nil, fmt.Errorf("%w: %s", ErrUnknownSnapshot, name)
-	}
-	po := s.planSweep(ctx, e, spec)
-	switch {
-	case po.snapErr != nil:
-		return nil, po.snapErr
-	case po.cancelled:
-		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("sweep planning cancelled: %w", err)
-		}
-		return nil, fmt.Errorf("sweep planning cancelled: %w", context.Canceled)
-	case po.panicked || len(po.diags) > 0:
-		if po.panicked {
-			s.m.PanicsRecovered.Add(1)
-		}
-		s.m.Degraded.Add(1)
-		return nil, fmt.Errorf("%w: %s", ErrSweepDegraded, strings.Join(diagStrings(po.diags), "; "))
-	case po.planErr != nil:
-		return nil, po.planErr
-	}
-	return po.plan, nil
-}
-
-// ParseSweepBody builds the sweep.Spec from the request body. An empty
-// body is valid and yields the default spec. Exported so the cluster
-// layer's sweep routing decodes forwarded bodies with the exact grammar
-// the local handler uses.
-func ParseSweepBody(r *http.Request) (sweep.Spec, error) {
+// parseSweepBody builds the sweep.Spec from the request body. An empty
+// body is valid and yields the default spec. Workers is capped at
+// GOMAXPROCS: each worker loads the whole snapshot into a private
+// pipeline, all under the request's one admission slot, and verdicts do
+// not depend on the worker count.
+func parseSweepBody(r *http.Request) (sweep.Spec, error) {
 	var body sweepBody
 	dec := json.NewDecoder(http.MaxBytesReader(nil, r.Body, maxBodyBytes))
 	if err := dec.Decode(&body); err != nil && !errors.Is(err, io.EOF) {
 		return sweep.Spec{}, fmt.Errorf("bad body: %v", err)
 	}
-	spec := sweep.Spec{K: body.K, Workers: body.Workers, MaxScenarios: body.MaxScenarios}
+	spec := sweep.Spec{K: body.K, Workers: min(body.Workers, runtime.GOMAXPROCS(0)),
+		MaxScenarios: body.MaxScenarios}
 	for _, kind := range body.Fail {
 		switch kind {
 		case "links":

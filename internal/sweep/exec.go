@@ -50,28 +50,11 @@ func (q *jobQueue) push(j classJob) {
 	q.mu.Unlock()
 }
 
-// outcome is one class's computed verdicts.
+// outcome is one equivalence class's computed verdicts.
 type outcome struct {
+	class    string
 	sources  []SourceVerdict
 	degraded bool
-}
-
-// ClassResult is one executed equivalence class's outcome. It is the unit
-// of work distribution: a cluster member executes a subset of a plan's
-// classes and ships the ClassResults back to the owner, which assembles
-// them with its own into the full Result.
-type ClassResult struct {
-	Class    string          `json:"class"`
-	Sources  []SourceVerdict `json:"sources"`
-	Degraded bool            `json:"degraded,omitempty"`
-}
-
-// ClassIDs returns the sorted non-baseline class IDs (a copy; the
-// baseline class "" needs no execution anywhere).
-func (p *Plan) ClassIDs() []string {
-	out := make([]string, len(p.classIDs))
-	copy(out, p.classIDs)
-	return out
 }
 
 // workerRT is one worker's private execution runtime: its own pipeline
@@ -120,11 +103,11 @@ func (w *workerRT) runClass(p *Plan, rep Scenario, id string) (out outcome, err 
 	faults.Fire("sweep", id)
 	snap := w.base.Apply(rep.overlay())
 	flows := snap.Reachability(p.params)
-	return outcome{sources: renderSources(p.sources, flows), degraded: snap.Degraded()}, nil
+	return outcome{class: id, sources: renderSources(p.sources, flows), degraded: snap.Degraded()}, nil
 }
 
 // verdictFor renders scenario idx's verdict from its class outcome; have
-// is false when the class never completed (cancellation, lost member).
+// is false when the class never completed (cancellation, a dead worker).
 func (p *Plan) verdictFor(idx int, out outcome, have bool) Verdict {
 	sc := p.scenarios[idx]
 	id := sc.ID()
@@ -141,40 +124,30 @@ func (p *Plan) verdictFor(idx int, out outcome, have bool) Verdict {
 	return v
 }
 
-// ExecuteClasses runs the named classes (a subset of ClassIDs) on the
-// worker pool and returns their outcomes sorted by class ID. emit, when
-// non-nil, receives each outcome as it completes (calls are serialized).
-// IDs without a representative in this plan are skipped. On cancellation
-// the completed outcomes are returned; missing classes are the caller's
-// to degrade (Assemble does).
-func (p *Plan) ExecuteClasses(ctx context.Context, ids []string, emit func(ClassResult)) []ClassResult {
+// executeClasses runs every class representative on the worker pool and
+// returns the outcomes sorted by class ID. emit, when non-nil, receives
+// each outcome as it completes (calls are serialized). On cancellation the
+// completed outcomes are returned; missing classes are the caller's to
+// degrade (assemble does).
+func (p *Plan) executeClasses(ctx context.Context, emit func(outcome)) []outcome {
 	var mu sync.Mutex // guards results and serializes emit
-	var results []ClassResult
-	deliver := func(id string, out outcome) {
-		cr := ClassResult{Class: id, Sources: out.sources, Degraded: out.degraded}
+	var results []outcome
+	deliver := func(out outcome) {
 		mu.Lock()
 		// Deferred so a panicking emit callback cannot leak the lock and
 		// wedge every other worker's deliver.
 		defer mu.Unlock()
-		results = append(results, cr)
+		results = append(results, out)
 		if emit != nil {
-			emit(cr)
+			emit(out)
 		}
 	}
 
 	q := &jobQueue{}
-	jobs := 0
-	for _, id := range ids {
-		if _, ok := p.classRep[id]; !ok {
-			continue // baseline or foreign class: nothing to execute
-		}
+	for _, id := range p.classIDs {
 		q.push(classJob{id: id})
-		jobs++
 	}
-	workers := p.spec.Workers
-	if workers > jobs {
-		workers = jobs
-	}
+	workers := min(p.spec.Workers, len(p.classIDs))
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -184,7 +157,7 @@ func (p *Plan) ExecuteClasses(ctx context.Context, ids []string, emit func(Class
 			// catches everything else (most plausibly a panicking emit
 			// callback reached through deliver). The worker dies quietly:
 			// classes it never delivered are missing from results, and
-			// Assemble degrades them — the same contract as cancellation.
+			// assemble degrades them — the same contract as cancellation.
 			// The process must survive either way.
 			defer func() { recover() }()
 			var rt *workerRT
@@ -201,7 +174,7 @@ func (p *Plan) ExecuteClasses(ctx context.Context, ids []string, emit func(Class
 							q.push(classJob{id: job.id, retried: true})
 							continue
 						}
-						deliver(job.id, outcome{degraded: true})
+						deliver(outcome{class: job.id, degraded: true})
 						continue
 					}
 					rt, served = nrt, 0
@@ -216,22 +189,22 @@ func (p *Plan) ExecuteClasses(ctx context.Context, ids []string, emit func(Class
 						q.push(classJob{id: job.id, retried: true})
 						continue
 					}
-					out = outcome{degraded: true}
+					out = outcome{class: job.id, degraded: true}
 				}
-				deliver(job.id, out)
+				deliver(out)
 			}
 		}()
 	}
 	wg.Wait()
-	sort.Slice(results, func(i, j int) bool { return results[i].Class < results[j].Class })
+	sort.Slice(results, func(i, j int) bool { return results[i].class < results[j].class })
 	return results
 }
 
-// Assemble builds the full Result from executed class outcomes (local,
-// remote, or mixed). The baseline class is synthesized from the plan;
-// classes with no outcome yield Degraded verdicts with no sources —
-// exactly the cancellation semantics of Execute.
-func (p *Plan) Assemble(results []ClassResult) *Result {
+// assemble builds the full Result from executed class outcomes. The
+// baseline class is synthesized from the plan; classes with no outcome
+// yield Degraded verdicts with no sources — exactly the cancellation
+// semantics of Execute.
+func (p *Plan) assemble(results []outcome) *Result {
 	res := &Result{
 		Enumerated: len(p.scenarios),
 		Classes:    p.Classes(),
@@ -245,8 +218,8 @@ func (p *Plan) Assemble(results []ClassResult) *Result {
 	// monitored flow, so the baseline verdicts are provably the scenario
 	// verdicts.
 	outcomes[""] = outcome{sources: p.baseline}
-	for _, cr := range results {
-		outcomes[cr.Class] = outcome{sources: cr.Sources, degraded: cr.Degraded}
+	for _, out := range results {
+		outcomes[out.class] = out
 	}
 
 	res.Verdicts = make([]Verdict, len(p.scenarios))
@@ -280,21 +253,20 @@ func (p *Plan) Execute(ctx context.Context, emit func(Verdict)) (*Result, error)
 		members[id] = append(members[id], i)
 	}
 	var mu sync.Mutex // serializes verdict emission
-	emitClass := func(cr ClassResult) {
+	emitClass := func(out outcome) {
 		if emit == nil {
 			return
 		}
-		out := outcome{sources: cr.Sources, degraded: cr.Degraded}
 		mu.Lock()
-		for _, idx := range members[cr.Class] {
+		for _, idx := range members[out.class] {
 			emit(p.verdictFor(idx, out, true))
 		}
 		mu.Unlock()
 	}
 
-	emitClass(ClassResult{Class: "", Sources: p.baseline})
-	results := p.ExecuteClasses(ctx, p.classIDs, emitClass)
-	return p.Assemble(results), ctx.Err()
+	emitClass(outcome{sources: p.baseline})
+	results := p.executeClasses(ctx, emitClass)
+	return p.assemble(results), ctx.Err()
 }
 
 // Run is the convenience wrapper: plan and execute in one call. The

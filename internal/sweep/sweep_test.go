@@ -356,8 +356,8 @@ func TestSweepWorkerKillRequeue(t *testing.T) {
 
 // TestSweepPanickingEmit: a panicking emit callback must not crash the
 // process, leak the results mutex (wedging every other worker), or hang
-// ExecuteClasses. The worker that hit the panic dies; classes it never
-// delivered degrade through Assemble exactly like cancellation.
+// executeClasses. The worker that hit the panic dies; classes it never
+// delivered degrade through assemble exactly like cancellation.
 func TestSweepPanickingEmit(t *testing.T) {
 	texts := fabricTexts(t, "pe")
 	base := core.LoadTextWith(pipeline.New(pipeline.Config{}), texts)
@@ -375,7 +375,7 @@ func TestSweepPanickingEmit(t *testing.T) {
 	// already recorded and the surviving worker drains the queue: the run
 	// completes whole.
 	fired := false
-	results := plan.ExecuteClasses(context.Background(), plan.classIDs, func(ClassResult) {
+	results := plan.executeClasses(context.Background(), func(outcome) {
 		if !fired {
 			fired = true
 			panic("emit failed once")
@@ -384,20 +384,20 @@ func TestSweepPanickingEmit(t *testing.T) {
 	if len(results) != len(plan.classIDs) {
 		t.Fatalf("one-shot emit panic: delivered %d of %d classes", len(results), len(plan.classIDs))
 	}
-	if res := plan.Assemble(results); res.Degraded {
+	if res := plan.assemble(results); res.Degraded {
 		t.Error("one-shot emit panic must not degrade a fully-delivered run")
 	}
 
 	// Emit always panics: with one worker the run dies after its first
 	// delivery. The missing classes must come back Degraded, not hang.
 	plan.spec.Workers = 1
-	results = plan.ExecuteClasses(context.Background(), plan.classIDs, func(ClassResult) {
+	results = plan.executeClasses(context.Background(), func(outcome) {
 		panic("emit always fails")
 	})
 	if len(results) != 1 {
 		t.Fatalf("always-panic emit: delivered %d classes, want 1", len(results))
 	}
-	if res := plan.Assemble(results); !res.Degraded {
+	if res := plan.assemble(results); !res.Degraded {
 		t.Error("undelivered classes must degrade the assembled result")
 	}
 }
@@ -442,71 +442,5 @@ func TestSweepSpecValidation(t *testing.T) {
 	wantElems := len(base.Net.DeviceNames()) + len(base.DataPlane().Topology.Links())
 	if p.Enumerated() != wantElems {
 		t.Errorf("default spec enumerated %d, want %d", p.Enumerated(), wantElems)
-	}
-}
-
-// TestExecuteClassesPartitionedMatchesExecute is the distributed sweep's
-// correctness core in-process: splitting a plan's classes across two
-// executors and assembling the shipped ClassResults must yield exactly
-// Execute's result.
-func TestExecuteClassesPartitionedMatchesExecute(t *testing.T) {
-	texts := fabricTexts(t, "dc")
-	base := core.LoadTextWith(pipeline.New(pipeline.Config{}), texts)
-	srcs, dst := monitored(t, base, "dc-p01-tor01", "dc-p02-tor01")
-	spec := Spec{K: 1, Links: true, Sources: srcs, DstIPs: []ip4.Prefix{dst}, Workers: 2}
-
-	plan, err := NewPlan(base, spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := plan.Execute(context.Background(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	ids := plan.ClassIDs()
-	half := len(ids) / 2
-	var merged []ClassResult
-	emitted := 0
-	for _, part := range [][]string{ids[:half], ids[half:]} {
-		merged = append(merged, plan.ExecuteClasses(context.Background(), part, func(ClassResult) { emitted++ })...)
-	}
-	if emitted != len(plan.ClassIDs()) {
-		t.Fatalf("emit saw %d classes, want %d", emitted, len(plan.ClassIDs()))
-	}
-	got := plan.Assemble(merged)
-
-	wb, _ := json.Marshal(want)
-	gb, _ := json.Marshal(got)
-	if string(wb) != string(gb) {
-		t.Fatalf("partitioned result differs from Execute:\nwant %s\ngot  %s", wb, gb)
-	}
-
-	// ClassResults survive the wire: a JSON round trip assembles the same.
-	enc, _ := json.Marshal(merged)
-	var wired []ClassResult
-	if err := json.Unmarshal(enc, &wired); err != nil {
-		t.Fatal(err)
-	}
-	rb, _ := json.Marshal(plan.Assemble(wired))
-	if string(rb) != string(wb) {
-		t.Fatal("JSON round-tripped ClassResults assemble differently")
-	}
-
-	// Unknown and baseline class IDs are skipped, not executed or degraded.
-	if extra := plan.ExecuteClasses(context.Background(), []string{"", "no-such-class"}, nil); len(extra) != 0 {
-		t.Fatalf("foreign classes produced outcomes: %v", extra)
-	}
-
-	// Assembling with a hole degrades exactly the missing class's members.
-	holed := plan.Assemble(merged[1:])
-	if !holed.Degraded {
-		t.Fatal("missing class did not degrade the result")
-	}
-	missing := merged[0].Class
-	for i, v := range holed.Verdicts {
-		if v.Class == missing && (!v.Degraded || v.Executed) {
-			t.Errorf("verdict %d of lost class %s: %+v", i, missing, v)
-		}
 	}
 }
