@@ -85,8 +85,8 @@ soak:
 # warm start from the shared cache); the other kills the coordinator
 # itself mid-question (lease-race promotion within twice the member
 # budget, strictly increasing epoch, then a second owner-kill answered
-# from pre-replicated artifacts with zero cold parses). The tests carry a
-# `race` build tag, so they exist only under the race detector.
+# from the shared cache directory with zero cold parses). The tests carry
+# a `race` build tag, so they exist only under the race detector.
 cluster-chaos:
 	$(GO) test -race -run TestClusterChaos -count=1 ./internal/cluster/
 

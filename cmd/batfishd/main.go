@@ -29,13 +29,12 @@
 // Cluster mode (-cluster-listen, optionally -cluster-join) runs several
 // batfishd processes as one service: snapshots are owned by rendezvous
 // hash, requests for another member's snapshot are forwarded
-// transparently, a heartbeat failure detector evicts dead members, and
-// with a shared -cache directory the inheriting member warm-starts from
-// the dead member's artifacts. With -failover (default on) the
-// coordinator itself fails over through a lease on the shared cache, and
-// with -replicate-heirs (default on) each member pre-fetches artifacts
-// for the snapshots it would inherit, so failover never pays a cold
-// parse. See the cluster quick start in README.md.
+// transparently, and a heartbeat failure detector evicts dead members.
+// Members with a -cache must all open the same directory (a member whose
+// cache names a different coordinator is refused at join): the inheriting
+// member warm-starts from the dead member's artifacts there, and the
+// coordinator itself fails over through a lease on it. See the cluster
+// quick start in README.md.
 package main
 
 import (
@@ -77,8 +76,6 @@ func main() {
 		clusterListen = flag.String("cluster-listen", "", "advertised base URL for cluster mode, e.g. http://10.0.0.5:8866 (enables clustering)")
 		memberID      = flag.String("member-id", "", "stable cluster member identity (default hostname-pid)")
 		heartbeat     = flag.Duration("heartbeat", 0, "cluster heartbeat interval (0 = default 1s); failure suspected after 2 intervals")
-		failover      = flag.Bool("failover", true, "lease-based coordinator failover over the shared -cache (cluster mode)")
-		replicate     = flag.Bool("replicate-heirs", true, "proactively replicate artifacts for snapshots this member is heir to (cluster mode)")
 	)
 	flag.Parse()
 
@@ -129,12 +126,10 @@ func main() {
 			id = fmt.Sprintf("%s-%d", host, os.Getpid())
 		}
 		node, err = cluster.NewNode(cluster.Config{
-			ID:                 id,
-			Server:             srv,
-			Heartbeat:          *heartbeat,
-			DisableFailover:    !*failover,
-			DisableReplication: !*replicate,
-			Logf:               func(format string, args ...any) { fmt.Fprintf(os.Stderr, format+"\n", args...) },
+			ID:        id,
+			Server:    srv,
+			Heartbeat: *heartbeat,
+			Logf:      func(format string, args ...any) { fmt.Fprintf(os.Stderr, format+"\n", args...) },
 		})
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "batfishd: %v\n", err)

@@ -181,8 +181,8 @@ func TestClusterChaosKillOwnerFailover(t *testing.T) {
 // promote within twice the member-failover budget, the epoch must
 // strictly increase, the retried answer must be byte-identical to a
 // single-process run, and a second owner-kill right after must rehydrate
-// from pre-replicated artifacts with zero cold parses — a parse-stage
-// panic fault is armed the whole time, so any cold parse fails the test.
+// from the shared cache with zero cold parses — a parse-stage panic fault
+// is armed the whole time, so any cold parse fails the test.
 func TestClusterChaosKillCoordinator(t *testing.T) {
 	if testing.Short() {
 		t.Skip("chaos suite skipped in -short")
@@ -212,11 +212,9 @@ func TestClusterChaosKillCoordinator(t *testing.T) {
 		t.Fatalf("reference answer empty: %v", refAns)
 	}
 
-	// 3-member cluster, shared cache, real heartbeat timings. The
-	// replicator runs every heartbeat so the heir is warm before chaos.
+	// 3-member cluster, shared cache, real heartbeat timings.
 	hb := 500 * time.Millisecond
-	ccfg := cluster.Config{Heartbeat: hb, SuspectAfter: 2 * hb, FailoverWait: 4 * hb,
-		ReplicateEvery: hb}
+	ccfg := cluster.Config{Heartbeat: hb, SuspectAfter: 2 * hb, FailoverWait: 4 * hb}
 	dir := t.TempDir()
 	n1 := startNode(t, "m1", "", scfg(1, dir), ccfg)
 	n2 := startNode(t, "m2", n1.ts.URL, scfg(2, dir), ccfg)
@@ -238,24 +236,11 @@ func TestClusterChaosKillCoordinator(t *testing.T) {
 		t.Fatalf("pre-chaos forwarded answer differs from single-process run")
 	}
 
-	// The heir must report itself fully warm before the kill: every
-	// artifact key of the coordinator's snapshot present locally.
-	deadline := time.Now().Add(15 * time.Second)
-	for {
-		rs := n3.n.Metrics().Replication
-		if rs.HeirSnapshots >= 1 && rs.Keys > 0 && rs.Lag == 0 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("heir never reported warm: %+v", rs)
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
 	epoch0 := n2.n.View().Epoch
 
 	// Arm the chaos: the coordinator's next question parks in a 1.5s
 	// sleep so the kill lands mid-flight, and from here on ANY parse —
-	// i.e. any cold rebuild that should have been replicated — panics.
+	// i.e. any cold rebuild that missed the shared cache — panics.
 	inj := faults.New().
 		Enable("cluster-serve", "m1", faults.Rule{Kind: faults.Sleep, Sleep: 1500 * time.Millisecond, Count: 1}).
 		Enable("parse", "*", faults.Rule{Kind: faults.Panic})
@@ -329,8 +314,8 @@ func TestClusterChaosKillCoordinator(t *testing.T) {
 
 	// Second failover: kill the snapshot's new owner (m3). The remaining
 	// member must converge to a 1-member view — promoting itself first if
-	// m3 had won the coordinator race — and answer from the artifacts the
-	// replicator pre-warmed, again without a single cold parse.
+	// m3 had won the coordinator race — and answer from the artifacts in
+	// the shared cache, again without a single cold parse.
 	n3.ts.Listener.Close()
 	n3.ts.CloseClientConnections()
 	n3.n.Kill()

@@ -17,9 +17,9 @@
 // backed by a renewable lease on the shared disk cache, and when members
 // lose contact with it past the suspicion window they race to acquire
 // that lease, the winner promoting itself with an epoch strictly past
-// any it has seen (promote.go). Each member also runs an anti-entropy
-// replicator that pre-fetches artifacts for the snapshots it is heir to,
-// so failover rehydration starts warm (replicate.go).
+// any it has seen (promote.go). Lease, coordinator record and manifests
+// all live in the one cache directory every member opens, so a member
+// whose cache does not hold the coordinator's record is refused at join.
 package cluster
 
 import (
@@ -106,19 +106,6 @@ type Config struct {
 	// Clock is the node's time source (default: the wall clock). Tests
 	// inject a fake to drive detection and failover without sleeping.
 	Clock Clock
-	// DisableFailover turns off lease-based coordinator failover. The
-	// zero value enables it — robustness by default — though it is inert
-	// without a disk cache to hold the lease.
-	DisableFailover bool
-	// DisableReplication turns off the anti-entropy heir replicator. The
-	// zero value enables it; inert without a disk cache.
-	DisableReplication bool
-	// ReplicateEvery is the heir replicator's round period (default
-	// 5×Heartbeat — replication is anti-entropy, not a hot path).
-	ReplicateEvery time.Duration
-	// ReplicateBurst bounds artifact fetches per replication round
-	// (default 64); presence probes against the local cache are unmetered.
-	ReplicateBurst int
 }
 
 func (c *Config) defaults() error {
@@ -152,12 +139,6 @@ func (c *Config) defaults() error {
 	if c.Clock == nil {
 		c.Clock = systemClock{}
 	}
-	if c.ReplicateEvery <= 0 {
-		c.ReplicateEvery = 5 * c.Heartbeat
-	}
-	if c.ReplicateBurst <= 0 {
-		c.ReplicateBurst = 64
-	}
 	return nil
 }
 
@@ -175,7 +156,7 @@ type Node struct {
 	view        View
 	lastSeen    map[string]time.Time // coordinator: member ID → last heartbeat
 	draining    bool
-	lease       *diskcache.Lease // coordinator: the held coordinator lease (nil when failover is off)
+	lease       *diskcache.Lease // coordinator: the held coordinator lease (nil without a disk tier)
 	renewFails  time.Time        // coordinator: start of the current lease-renew failure streak
 	lastContact time.Time        // member: last successful exchange with the coordinator
 	lastBeat    time.Time        // member: last heartbeat attempt (the loop ticks faster than it beats)
@@ -215,16 +196,17 @@ func (n *Node) Handler() http.Handler { return n.mux }
 // defers to it and comes up as a member. Otherwise it registers with the
 // coordinator at joinAddr and starts heartbeating; if that target turns
 // out dead or demoted, the coordinator record in the shared cache names
-// the live one to join instead. advertiseAddr is the base URL other
-// members reach this node at. The background loops stop when ctx is
-// cancelled, Kill is called, or Drain completes.
+// the live one to join instead. A member with a disk tier whose cache
+// does not name the coordinator it joined is refused (sharedCacheCheck).
+// advertiseAddr is the base URL other members reach this node at. The
+// background loops stop when ctx is cancelled, Kill is called, or Drain
+// completes.
 func (n *Node) Start(ctx context.Context, advertiseAddr, joinAddr string) error {
 	self := Member{ID: n.cfg.ID, Addr: advertiseAddr, Role: RoleMember}
 	if joinAddr == "" {
 		if addr, became := n.bootstrapCoordinator(self); became {
 			n.loops.Add(1)
 			go n.runLoop(ctx)
-			n.startReplicator(ctx)
 			n.cfg.Logf("cluster: %s coordinating at %s", self.ID, advertiseAddr)
 			return nil
 		} else {
@@ -257,12 +239,57 @@ func (n *Node) Start(ctx context.Context, advertiseAddr, joinAddr string) error 
 			return fmt.Errorf("cluster: join %s: %w", joinAddr, err)
 		}
 	}
+	if err := n.sharedCacheCheck(ctx, v, joinAddr, self); err != nil {
+		return err
+	}
 	n.setView(v)
 	n.loops.Add(1)
 	go n.runLoop(ctx)
-	n.startReplicator(ctx)
 	n.cfg.Logf("cluster: %s joined %s (epoch %d)", self.ID, joinAddr, v.Epoch)
 	return nil
+}
+
+// sharedCacheCheck refuses a join when this member has a disk tier but
+// the coordinator record in it does not name, by ID and address, the
+// coordinator it just joined: the member opened another cache directory,
+// so it shares neither lease nor manifests, and once the coordinator dies
+// it would win a lease nobody else races for. A coordinator that started
+// while an earlier lease was live writes its record only once it wins
+// that lease, so the record is re-read for up to one lease TTL first. The
+// refused member leaves again so the coordinator need not detect it.
+func (n *Node) sharedCacheCheck(ctx context.Context, v View, joinAddr string, self Member) error {
+	if n.inner.Disk() == nil {
+		return nil
+	}
+	coord := Member{Addr: joinAddr}
+	for _, m := range v.Members {
+		if m.Role == RoleCoordinator {
+			coord = m
+		}
+	}
+	rec, ok := n.readCoordRecord()
+	shared := func() bool { return ok && rec.ID == coord.ID && rec.Addr == coord.Addr }
+	for wait := n.leaseTTL(); !shared() && wait > 0 && ctx.Err() == nil; wait -= n.cfg.Heartbeat {
+		t := time.NewTimer(n.cfg.Heartbeat)
+		select {
+		case <-ctx.Done():
+			t.Stop()
+		case <-t.C:
+			rec, ok = n.readCoordRecord()
+		}
+	}
+	if shared() {
+		return nil
+	}
+	if _, err := n.postMember(ctx, joinAddr+"/cluster/leave", self); err != nil {
+		n.cfg.Logf("cluster: %s leave after refused join failed: %v", self.ID, err)
+	}
+	named := "no coordinator"
+	if ok {
+		named = fmt.Sprintf("coordinator %s at %s", rec.ID, rec.Addr)
+	}
+	return fmt.Errorf("cluster: %s joined coordinator %s at %s, but the cache of %s names %s: "+
+		"cluster members must open one shared cache directory", self.ID, coord.ID, coord.Addr, self.ID, named)
 }
 
 // Kill stops the node's background loops without leaving the cluster or
@@ -385,15 +412,4 @@ type nodeCounters struct {
 	demotions      atomic.Int64
 	coordAdoptions atomic.Int64
 	promoteStalled atomic.Int64
-
-	// Heir replication (replicate.go). The first five are counters; the
-	// last three are gauges rewritten after every replication round.
-	replRounds        atomic.Int64
-	replWarm          atomic.Int64
-	replFetched       atomic.Int64
-	replErrors        atomic.Int64
-	replStalled       atomic.Int64
-	replHeirSnapshots atomic.Int64
-	replKeys          atomic.Int64
-	replLag           atomic.Int64
 }

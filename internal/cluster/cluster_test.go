@@ -43,6 +43,16 @@ type testNode struct {
 // coordinator.
 func startNode(t *testing.T, id, join string, scfg server.Config, ccfg cluster.Config) *testNode {
 	t.Helper()
+	nd := newNode(t, id, scfg, ccfg)
+	if err := nd.n.Start(context.Background(), nd.ts.URL, join); err != nil {
+		t.Fatal(err)
+	}
+	return nd
+}
+
+// newNode builds a member and its listener without starting it.
+func newNode(t *testing.T, id string, scfg server.Config, ccfg cluster.Config) *testNode {
+	t.Helper()
 	if scfg.Seed == 0 {
 		scfg.Seed = 1
 	}
@@ -60,9 +70,6 @@ func startNode(t *testing.T, id, join string, scfg server.Config, ccfg cluster.C
 	ts := httptest.NewServer(n.Handler())
 	t.Cleanup(ts.Close)
 	t.Cleanup(n.Kill)
-	if err := n.Start(context.Background(), ts.URL, join); err != nil {
-		t.Fatal(err)
-	}
 	return &testNode{id: id, srv: srv, n: n, ts: ts}
 }
 
@@ -329,13 +336,30 @@ func TestForwardRelaysShedding(t *testing.T) {
 		t.Fatalf("load: %d %v", resp.StatusCode, body)
 	}
 
-	// Hold the owner's only execution slot; with a negative queue bound
-	// every waiter is shed with 429 + Retry-After = QueueWait.
-	release, err := n2.srv.Admit(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
+	// Park one question on the owner so it holds the only execution slot;
+	// with a negative queue bound every waiter is shed with 429 +
+	// Retry-After = QueueWait.
+	restore := faults.Activate(faults.New().Enable("server", "reachability",
+		faults.Rule{Kind: faults.Sleep, Sleep: time.Second, Count: 1}))
+	defer restore()
 	q := "/snapshots/" + name + "/reachability?" + srcQuery(texts)
+	parked := make(chan int, 1)
+	go func() {
+		resp, err := n2.ts.Client().Get(n2.ts.URL + q)
+		if err != nil {
+			parked <- -1
+			return
+		}
+		io.Copy(io.Discard, resp.Body) //nolint:errcheck // status is the assertion
+		resp.Body.Close()
+		parked <- resp.StatusCode
+	}()
+	for deadline := time.Now().Add(5 * time.Second); n2.srv.Metrics().InFlight != 1; {
+		if time.Now().After(deadline) {
+			t.Fatal("parked question never took the owner's slot")
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
 	resp, body = doJSON(t, c, http.MethodGet, n1.ts.URL+q, nil, nil)
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("shed relay got %d %v, want 429", resp.StatusCode, body)
@@ -346,7 +370,9 @@ func TestForwardRelaysShedding(t *testing.T) {
 	if got := resp.Header.Get("X-Batfish-Forwarded-By"); got != "m1" {
 		t.Fatalf("forwarded-by %q", got)
 	}
-	release()
+	if st := <-parked; st != http.StatusOK {
+		t.Fatalf("parked question: status %d", st)
+	}
 
 	// Drain the owner's server (not the node: it stays in the view, as a
 	// member mid-SIGTERM briefly does) — the 503 relays the same way.
@@ -460,5 +486,132 @@ func TestDrainHandsOffOwnershipAndWarmStart(t *testing.T) {
 	}
 	if d := n1.srv.Metrics().Disk; d.Hits == 0 {
 		t.Fatalf("heir rebuilt cold (no shared-cache hits): %+v", d)
+	}
+}
+
+// rawGet returns a GET's status and body bytes.
+func rawGet(t *testing.T, c *http.Client, url string) (int, []byte) {
+	t.Helper()
+	resp, err := c.Get(url)
+	if err != nil {
+		t.Fatalf("GET %s: %v", url, err)
+	}
+	defer resp.Body.Close()
+	b, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp.StatusCode, b
+}
+
+// TestEditAsForeignNameLeavesNoStaleCopy: an edit is served by the owner
+// of its base, but its "as" name may belong to another member. The
+// editing member keeps the new snapshot, so comparing the base against it
+// answers exactly as a standalone server does. That member then serves
+// the new name from its manifest, and a delete there must be final: the
+// editing member's copy answers neither a compare nor, once ownership of
+// the name moves to it, a request of its own.
+func TestEditAsForeignNameLeavesNoStaleCopy(t *testing.T) {
+	texts := smallFabric("ed")
+	hosts := make([]string, 0, len(texts))
+	for h := range texts {
+		hosts = append(hosts, h)
+	}
+	sort.Strings(hosts)
+	edit := map[string]string{hosts[0]: ""}
+
+	dir := t.TempDir()
+	hb := 50 * time.Millisecond
+	n1 := startNode(t, "m1", "", server.Config{CacheDir: dir}, fastCfg(hb))
+	n2 := startNode(t, "m2", n1.ts.URL, server.Config{CacheDir: dir, Seed: 2}, fastCfg(hb))
+	n3 := startNode(t, "m3", n1.ts.URL, server.Config{CacheDir: dir, Seed: 3}, fastCfg(hb))
+	v := waitMembers(t, n1, 3, 2*time.Second)
+
+	// A lives on m2; B on m3, falling to m2 once m3 leaves; C on m3.
+	a := ownedBy(t, v.Members, "m2", "")
+	b := ownedBy(t, v.Members, "m3", "m2")
+	c := ownedBy(t, v.Members, "m3", "m1")
+
+	ref, err := server.New(server.Config{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rts := httptest.NewServer(ref.Handler())
+	t.Cleanup(rts.Close)
+	hc := rts.Client()
+	for _, base := range []string{rts.URL, n1.ts.URL} {
+		if resp, body := doJSON(t, hc, http.MethodPut, base+"/snapshots/"+a,
+			map[string]any{"configs": texts}, nil); resp.StatusCode != http.StatusOK {
+			t.Fatalf("load %s: %d %v", a, resp.StatusCode, body)
+		}
+		for _, as := range []string{b, c} {
+			if resp, body := doJSON(t, hc, http.MethodPost, base+"/snapshots/"+a+"/edit",
+				map[string]any{"as": as, "changes": edit}, nil); resp.StatusCode != http.StatusOK {
+				t.Fatalf("edit %s as %s: %d %v", a, as, resp.StatusCode, body)
+			}
+		}
+	}
+	cl := n1.ts.Client()
+	wantStatus, want := rawGet(t, rts.Client(), rts.URL+"/snapshots/"+a+"/compare?with="+b)
+	gotStatus, got := rawGet(t, cl, n1.ts.URL+"/snapshots/"+a+"/compare?with="+b)
+	if wantStatus != http.StatusOK || gotStatus != wantStatus || !bytes.Equal(got, want) {
+		t.Fatalf("compare %s with %s through a non-owner: %d %s\nstandalone: %d %s",
+			a, b, gotStatus, got, wantStatus, want)
+	}
+	if resp, body := doJSON(t, cl, http.MethodGet, n1.ts.URL+"/snapshots/"+b+"/diagnostics",
+		nil, nil); resp.StatusCode != http.StatusOK || resp.Header.Get(cluster.HopHeader) != "m1" {
+		t.Fatalf("edited %s not served by its owner: %d %v", b, resp.StatusCode, body)
+	}
+	if !n3.srv.HasSnapshot(b) {
+		t.Fatalf("owner m3 did not rehydrate %s from its manifest", b)
+	}
+	for _, name := range []string{b, c} {
+		if resp, body := doJSON(t, cl, http.MethodDelete, n1.ts.URL+"/snapshots/"+name,
+			nil, nil); resp.StatusCode != http.StatusOK {
+			t.Fatalf("delete %s: %d %v", name, resp.StatusCode, body)
+		}
+	}
+
+	// m2 still holds C, but a compare against it answers as for any
+	// deleted snapshot.
+	if !n2.srv.HasSnapshot(c) {
+		t.Fatalf("m2 no longer holds its copy of %s; the check below is vacuous", c)
+	}
+	if resp, body := doJSON(t, cl, http.MethodGet, n1.ts.URL+"/snapshots/"+a+"/compare?with="+c,
+		nil, nil); resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("compare with deleted %s answers %d: %v", c, resp.StatusCode, body)
+	}
+
+	// m3 leaves; B's ownership moves to m2. The delete must hold.
+	if resp, _ := doJSON(t, n3.ts.Client(), http.MethodPost, n3.ts.URL+"/cluster/drain",
+		nil, nil); resp.StatusCode != http.StatusOK {
+		t.Fatalf("drain m3: %d", resp.StatusCode)
+	}
+	waitMembers(t, n1, 2, 2*time.Second)
+	if !n2.srv.HasSnapshot(b) {
+		t.Fatalf("m2 no longer holds its copy of %s; the check below is vacuous", b)
+	}
+	if resp, body := doJSON(t, cl, http.MethodGet, n1.ts.URL+"/snapshots/"+b+"/diagnostics",
+		nil, nil); resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("deleted %s answers %d after m3 left: %v", b, resp.StatusCode, body)
+	}
+	_, list := doJSON(t, n2.ts.Client(), http.MethodGet, n2.ts.URL+"/snapshots", nil, nil)
+	if names, _ := list["snapshots"].([]any); len(names) != 1 || names[0] != a {
+		t.Fatalf("m2 lists %v, want only %s", list["snapshots"], a)
+	}
+
+	// Loading B again clears its tombstone: the reloaded copy answers
+	// without being dropped and rehydrated.
+	if resp, body := doJSON(t, cl, http.MethodPut, n1.ts.URL+"/snapshots/"+b,
+		map[string]any{"configs": texts}, nil); resp.StatusCode != http.StatusOK {
+		t.Fatalf("reload %s: %d %v", b, resp.StatusCode, body)
+	}
+	before := n2.n.Metrics().Rehydrations
+	if resp, body := doJSON(t, cl, http.MethodGet, n1.ts.URL+"/snapshots/"+b+"/diagnostics",
+		nil, nil); resp.StatusCode != http.StatusOK {
+		t.Fatalf("reloaded %s answers %d: %v", b, resp.StatusCode, body)
+	}
+	if after := n2.n.Metrics().Rehydrations; after != before {
+		t.Fatalf("reloaded %s was dropped and rehydrated (%d → %d rehydrations)", b, before, after)
 	}
 }

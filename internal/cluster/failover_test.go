@@ -1,17 +1,17 @@
 package cluster_test
 
-// End-to-end coordinator failover and heir replication over real HTTP
-// listeners. These run in tier-1 (no race tag) on the small fabric with
-// test-fast heartbeats; the 204-device versions live in the chaos suite.
+// End-to-end coordinator failover over real HTTP listeners. These run in
+// tier-1 (no race tag) on the small fabric with test-fast heartbeats; the
+// 204-device versions live in the chaos suite.
 
 import (
+	"context"
 	"net/http"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/cluster"
-	"repro/internal/faults"
 	"repro/internal/server"
 )
 
@@ -116,93 +116,37 @@ func awaitSurvivorsHealed(a, b *testNode, deadline time.Time, poll time.Duration
 	return nil, nil
 }
 
-// TestHeirReplicationAcrossSplitCaches runs a 2-member cluster whose
-// members do NOT share a cache directory, so the anti-entropy replicator
-// must move manifest and artifact bytes over /cluster/artifact. Once the
-// heir reports zero lag, the owner (also the coordinator) is killed with
-// a parse-stage fault armed: the survivor must promote itself and answer
-// the dead owner's question from its own pre-replicated cache — zero
-// cold parses.
-func TestHeirReplicationAcrossSplitCaches(t *testing.T) {
-	texts := smallFabric("rp")
+// TestSplitCacheJoinRefused: members that open their own cache
+// directories cannot share the coordinator lease — with one directory per
+// member, killing the coordinator would leave every survivor
+// coordinating a 1-member view of its own. Start must refuse such a
+// member with an error naming both sides, and the refused member must not
+// linger in the coordinator's view. A private directory whose old record
+// names the coordinator's ID at another address is refused too.
+func TestSplitCacheJoinRefused(t *testing.T) {
 	hb := 50 * time.Millisecond
-	ccfg := fastCfg(hb)
-	ccfg.ReplicateEvery = hb // anti-entropy fast enough to observe
-	n1 := startNode(t, "m1", "", server.Config{CacheDir: t.TempDir()}, ccfg)
-	n2 := startNode(t, "m2", n1.ts.URL, server.Config{CacheDir: t.TempDir(), Seed: 2}, ccfg)
-	v := waitMembers(t, n1, 2, 2*time.Second)
-	name := ownedBy(t, v.Members, "m1", "m2")
-
-	c := n1.ts.Client()
-	resp, body := doJSON(t, c, http.MethodPut, n1.ts.URL+"/snapshots/"+name,
-		map[string]any{"configs": texts}, nil)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("load: %d %v", resp.StatusCode, body)
-	}
-	q := "/reachability?" + srcQuery(texts)
-	_, warm := doJSON(t, c, http.MethodGet, n1.ts.URL+"/snapshots/"+name+q, nil, nil)
-	want, _ := warm["text"].(string)
-	if want == "" {
-		t.Fatalf("warm answer empty: %v", warm)
-	}
-
-	// Wait for the heir to be fully warm: every artifact key fetched.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		rs := n2.n.Metrics().Replication
-		if rs.HeirSnapshots >= 1 && rs.Keys > 0 && rs.Lag == 0 && rs.Fetched > 0 {
-			break
+	n1 := startNode(t, "m1", "", server.Config{CacheDir: t.TempDir()}, fastCfg(hb))
+	stale := t.TempDir()
+	old := startNode(t, "m1", "", server.Config{CacheDir: stale}, fastCfg(hb))
+	old.n.Kill()
+	old.ts.Close()
+	dirs := map[string]string{"m2": t.TempDir(), "m3": t.TempDir(), "m4": stale}
+	for i, id := range []string{"m2", "m3", "m4"} {
+		nd := newNode(t, id, server.Config{CacheDir: dirs[id], Seed: int64(i + 2)}, fastCfg(hb))
+		err := nd.n.Start(context.Background(), nd.ts.URL, n1.ts.URL)
+		if err == nil {
+			t.Fatalf("%s joined m1 with a cache directory of its own", id)
 		}
-		if time.Now().After(deadline) {
-			t.Fatalf("heir never warmed: %+v", rs)
+		for _, want := range []string{id, "coordinator m1 at " + n1.ts.URL, "shared cache directory"} {
+			if !strings.Contains(err.Error(), want) {
+				t.Fatalf("refusal %q does not mention %q", err, want)
+			}
 		}
-		time.Sleep(5 * time.Millisecond)
-	}
-
-	// Replication lag is operator-visible on /cluster/members.
-	_, mb := doJSON(t, c, http.MethodGet, n2.ts.URL+"/cluster/members", nil, nil)
-	if _, ok := mb["replication"]; !ok {
-		t.Fatalf("/cluster/members missing replication status: %v", mb)
-	}
-
-	// Any cold parse from here on fails the test.
-	inj := faults.New().Enable("parse", "*", faults.Rule{Kind: faults.Panic})
-	restore := faults.Activate(inj)
-	defer restore()
-
-	n1.ts.Listener.Close()
-	n1.ts.CloseClientConnections()
-	n1.n.Kill()
-
-	// The sole survivor promotes itself (its own cache anchors its lease).
-	deadline = time.Now().Add(5 * time.Second)
-	for {
-		m := n2.n.Metrics()
-		if m.Role == cluster.RoleCoordinator && m.Members == 1 {
-			break
+		if id == "m4" && !strings.Contains(err.Error(), "names coordinator m1 at "+old.ts.URL) {
+			t.Fatalf("refusal %q does not name the stale record", err)
 		}
-		if time.Now().After(deadline) {
-			t.Fatalf("survivor never promoted: %+v", m)
-		}
-		time.Sleep(5 * time.Millisecond)
 	}
-
-	// The dead owner's snapshot answers from the heir's own cache: the
-	// manifest and every artifact were replicated before the crash.
-	_, after := doJSON(t, n2.ts.Client(), http.MethodGet, n2.ts.URL+"/snapshots/"+name+q, nil, nil)
-	if after["text"] != want {
-		t.Fatalf("post-failover answer differs:\n--- got ---\n%v\n--- want ---\n%s", after["text"], want)
-	}
-	m := n2.n.Metrics()
-	if m.Rehydrations != 1 {
-		t.Fatalf("rehydrations = %d, want 1", m.Rehydrations)
-	}
-	if d := n2.srv.Metrics().Disk; d.Hits == 0 {
-		t.Fatalf("heir rebuilt cold — no local cache hits: %+v", d)
-	}
-	for k, hits := range inj.Hits() {
-		if strings.HasPrefix(k, "parse/") {
-			t.Fatalf("cold parse reached the armed fault: %s fired %d times", k, hits)
-		}
+	if v := n1.n.View(); len(v.Members) != 1 {
+		t.Fatalf("refused members left in the coordinator's view: %+v", v)
 	}
 }

@@ -202,19 +202,9 @@ func (n *Node) handleLeave(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleMembers returns the view — authoritative on the coordinator, the
-// cached copy on members — plus this node's replication status (view
-// decoders ignore the extra field). Forwarders poll it while waiting for
-// failover; operators read the replication lag off it.
+// cached copy on members. Forwarders poll it while waiting for failover.
 func (n *Node) handleMembers(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "application/json")
-	resp := membersResponse{View: n.View(), Replication: n.replicationStatus()}
-	json.NewEncoder(w).Encode(resp) //nolint:errcheck // client went away
-}
-
-// membersResponse is the /cluster/members payload.
-type membersResponse struct {
-	View
-	Replication ReplicationStatus `json:"replication"`
+	writeViewJSON(w, n.View())
 }
 
 // handleClusterDrain drains this node (the HTTP twin of the SIGTERM

@@ -29,39 +29,6 @@ type Metrics struct {
 	Demotions      int64 `json:"demotions"`
 	CoordAdoptions int64 `json:"coord_adoptions"`
 	PromoteStalled int64 `json:"promote_stalled"`
-
-	// Heir replication.
-	Replication ReplicationStatus `json:"replication"`
-}
-
-// ReplicationStatus summarizes the heir replicator: what this node is
-// heir to, how warm it is (Lag is the number of artifact keys still
-// absent locally — zero means failover rehydration is fully warm), and
-// the work done getting there. Exposed in both /metrics and
-// /cluster/members.
-type ReplicationStatus struct {
-	HeirSnapshots int64 `json:"heir_snapshots"`
-	Keys          int64 `json:"keys"`
-	Lag           int64 `json:"lag"`
-	Warm          int64 `json:"warm"`
-	Fetched       int64 `json:"fetched"`
-	Rounds        int64 `json:"rounds"`
-	Errors        int64 `json:"errors"`
-	Stalled       int64 `json:"stalled"`
-}
-
-// replicationStatus snapshots the replicator's counters and gauges.
-func (n *Node) replicationStatus() ReplicationStatus {
-	return ReplicationStatus{
-		HeirSnapshots: n.m.replHeirSnapshots.Load(),
-		Keys:          n.m.replKeys.Load(),
-		Lag:           n.m.replLag.Load(),
-		Warm:          n.m.replWarm.Load(),
-		Fetched:       n.m.replFetched.Load(),
-		Rounds:        n.m.replRounds.Load(),
-		Errors:        n.m.replErrors.Load(),
-		Stalled:       n.m.replStalled.Load(),
-	}
 }
 
 // Metrics snapshots the node's counters and membership state.
@@ -96,6 +63,5 @@ func (n *Node) Metrics() Metrics {
 	m.Demotions = n.m.demotions.Load()
 	m.CoordAdoptions = n.m.coordAdoptions.Load()
 	m.PromoteStalled = n.m.promoteStalled.Load()
-	m.Replication = n.replicationStatus()
 	return m
 }

@@ -55,15 +55,11 @@ func (n *Node) leaseTTL() time.Duration { return n.cfg.SuspectAfter }
 
 // failoverEnabled reports whether this node takes part in the lease
 // protocol: failover needs a shared disk cache to anchor the lease.
-func (n *Node) failoverEnabled() bool {
-	return !n.cfg.DisableFailover && n.inner.Disk() != nil
-}
+func (n *Node) failoverEnabled() bool { return n.inner.Disk() != nil }
 
-// readCoordRecord loads the coordinator record from the shared cache.
+// readCoordRecord loads the coordinator record from the shared cache
+// (none without a disk tier: a nil cache always misses).
 func (n *Node) readCoordRecord() (coordRecord, bool) {
-	if !n.failoverEnabled() {
-		return coordRecord{}, false
-	}
 	buf, ok := n.inner.Disk().Get(coordRecordKey())
 	if !ok {
 		return coordRecord{}, false
@@ -79,9 +75,6 @@ func (n *Node) readCoordRecord() (coordRecord, bool) {
 // holder calls it, so the record always names a node that held the lease
 // when it wrote.
 func (n *Node) writeCoordRecord(epoch int64) {
-	if !n.failoverEnabled() {
-		return
-	}
 	n.mu.Lock()
 	rec := coordRecord{ID: n.self.ID, Addr: n.self.Addr, Epoch: epoch}
 	n.mu.Unlock()

@@ -6,7 +6,6 @@ package cluster
 // Advance calls — no real sleeps, no timing flake.
 
 import (
-	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
@@ -63,8 +62,7 @@ func TestDetectorEvictsOnFakeClock(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n, err := NewNode(Config{ID: "m1", Server: srv, Clock: fc,
-		DisableFailover: true, DisableReplication: true})
+	n, err := NewNode(Config{ID: "m1", Server: srv, Clock: fc})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +127,7 @@ func TestPromoteDemoteLifecycleDeterministic(t *testing.T) {
 		t.Fatal(err)
 	}
 	srv.Disk().SetClock(fc.Now)
-	n, err := NewNode(Config{ID: "m2", Server: srv, Clock: fc, DisableReplication: true})
+	n, err := NewNode(Config{ID: "m2", Server: srv, Clock: fc})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,10 +208,10 @@ func TestPromoteDemoteLifecycleDeterministic(t *testing.T) {
 	}
 }
 
-// TestFailoverFaultStages exercises the two chaos stall points: a
+// TestFailoverFaultStages exercises the chaos stall point: a
 // "cluster-promote" fault keeps a candidate out of the lease race (so
-// chaos tests can pick the winner), and a "cluster-replicate" fault
-// stalls a replication round. Both are counted, neither advances state.
+// chaos tests can pick the winner). The stall is counted and does not
+// advance state.
 func TestFailoverFaultStages(t *testing.T) {
 	fc := newFakeClock()
 	dir := t.TempDir()
@@ -236,8 +234,7 @@ func TestFailoverFaultStages(t *testing.T) {
 	n.mu.Unlock()
 
 	restore := faults.Activate(faults.New().
-		Enable("cluster-promote", "m2", faults.Rule{Kind: faults.Error, Count: 1}).
-		Enable("cluster-replicate", "m2", faults.Rule{Kind: faults.Error, Count: 1}))
+		Enable("cluster-promote", "m2", faults.Rule{Kind: faults.Error, Count: 1}))
 	defer restore()
 
 	// The stalled candidate sits out the race even with the lease free.
@@ -249,15 +246,5 @@ func TestFailoverFaultStages(t *testing.T) {
 	n.attemptFailover()
 	if m := n.Metrics(); m.Role != RoleCoordinator || m.Promotions != 1 {
 		t.Fatalf("post-stall promotion failed: %+v", m)
-	}
-
-	// A stalled replication round does no work and counts itself.
-	n.replicateRound(context.Background())
-	if m := n.Metrics(); m.Replication.Stalled != 1 || m.Replication.Rounds != 0 {
-		t.Fatalf("stalled round miscounted: %+v", m.Replication)
-	}
-	n.replicateRound(context.Background())
-	if m := n.Metrics(); m.Replication.Rounds != 1 {
-		t.Fatalf("post-stall round never ran: %+v", m.Replication)
 	}
 }

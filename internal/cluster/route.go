@@ -19,8 +19,6 @@ func (n *Node) routes() {
 	n.mux.HandleFunc("POST /cluster/leave", n.handleLeave)
 	n.mux.HandleFunc("GET /cluster/members", n.handleMembers)
 	n.mux.HandleFunc("POST /cluster/drain", n.handleClusterDrain)
-	n.mux.HandleFunc("GET /cluster/replicate", n.handleReplicaList)
-	n.mux.HandleFunc("GET /cluster/artifact/{key}", n.handleArtifact)
 	n.mux.HandleFunc("/", n.route)
 }
 
@@ -28,8 +26,8 @@ func (n *Node) routes() {
 // the member with the highest hrwWeight(id, name). Deterministic for a
 // member set, independent of member order, and minimally disturbed by
 // membership changes — a dead member's snapshots redistribute across the
-// survivors without moving anything else. HeirOf is built on it. The
-// zero Member is returned for an empty view.
+// survivors without moving anything else. The zero Member is returned
+// for an empty view.
 func OwnerOf(members []Member, name string) Member {
 	var best Member
 	var bestScore [sha256.Size]byte
@@ -52,21 +50,6 @@ func hrwWeight(member, subject string) [sha256.Size]byte {
 	var sum [sha256.Size]byte
 	h.Sum(sum[:0])
 	return sum
-}
-
-// HeirOf resolves the member that inherits a snapshot if its current
-// owner dies: the rendezvous winner among the remaining members. This is
-// who the replicator warms artifacts on. The zero Member is returned
-// when there is no second member.
-func HeirOf(members []Member, name string) Member {
-	owner := OwnerOf(members, name)
-	rest := make([]Member, 0, len(members))
-	for _, m := range members {
-		if m.ID != owner.ID {
-			rest = append(rest, m)
-		}
-	}
-	return OwnerOf(rest, name)
 }
 
 // snapshotPath splits a per-snapshot API path into the snapshot name and
@@ -133,15 +116,29 @@ func (n *Node) route(w http.ResponseWriter, r *http.Request) {
 // server, first rehydrating the snapshot from its shared-cache manifest
 // when this node inherited ownership without ever loading it. Successful
 // loads and edits persist manifests so the next heir can do the same;
-// deletes retire them.
+// deletes retire them. A copy of a name that a delete on another member
+// retired is dropped before it can answer (dropRetired).
 func (n *Node) serveLocal(w http.ResponseWriter, r *http.Request, name, rest string, body []byte) {
 	if err := faults.FireErr("cluster-serve", n.cfg.ID); err != nil {
 		writeClusterError(w, http.StatusInternalServerError, err.Error())
 		return
 	}
 	isLoad := rest == "" && (r.Method == http.MethodPut || r.Method == http.MethodPost)
-	if !isLoad && !n.inner.HasSnapshot(name) {
-		n.rehydrate(r.Context(), name)
+	as := ""
+	if rest == "/edit" && r.Method == http.MethodPost {
+		as = editTarget(body)
+	}
+	if isLoad {
+		n.unretire(name)
+	} else {
+		n.unretire(as) // an edit's target name is re-created
+		n.dropRetired(name)
+		if rest == "/compare" {
+			n.dropRetired(r.URL.Query().Get("with"))
+		}
+		if !n.inner.HasSnapshot(name) {
+			n.rehydrate(r.Context(), name)
+		}
 	}
 	rec := &statusRecorder{ResponseWriter: w}
 	n.inner.Handler().ServeHTTP(rec, r)
@@ -151,10 +148,8 @@ func (n *Node) serveLocal(w http.ResponseWriter, r *http.Request, name, rest str
 	switch {
 	case isLoad:
 		n.persistManifest(name)
-	case rest == "/edit" && r.Method == http.MethodPost:
-		if as := editTarget(body); as != "" {
-			n.persistManifest(as)
-		}
+	case as != "":
+		n.persistManifest(as)
 	case rest == "" && r.Method == http.MethodDelete:
 		n.retireManifest(name)
 	}

@@ -56,11 +56,37 @@ func (n *Node) persistManifest(name string) {
 	n.m.manifestPuts.Add(1)
 }
 
+// retiredKey derives the cache key of a deleted snapshot's tombstone,
+// which tells any other member still holding a copy (an edit runs on the
+// owner of its base, whatever its "as" name) that the copy is stale. A
+// missing manifest could not: eviction removes manifests too.
+func retiredKey(name string) [sha256.Size]byte {
+	return sha256.Sum256([]byte("cluster/retired/" + name))
+}
+
 // retireManifest removes a deleted snapshot's manifest so failover does
-// not resurrect it.
+// not resurrect it, and leaves its tombstone.
 func (n *Node) retireManifest(name string) {
 	if disk := n.inner.Disk(); disk != nil {
 		disk.Remove(manifestKey(name))
+		disk.Put(retiredKey(name), []byte(name))
+	}
+}
+
+// unretire clears the tombstone of a name a load or edit is about to
+// re-create, first, so no concurrent request takes the new copy for stale.
+func (n *Node) unretire(name string) {
+	if disk := n.inner.Disk(); name != "" && disk.Exists(retiredKey(name)) {
+		disk.Remove(retiredKey(name))
+	}
+}
+
+// dropRetired discards this member's copy of a name with a tombstone, so
+// the request that follows answers as for any deleted snapshot.
+func (n *Node) dropRetired(name string) {
+	if name != "" && n.inner.HasSnapshot(name) && n.inner.Disk().Exists(retiredKey(name)) {
+		n.inner.DropSnapshot(name)
+		n.cfg.Logf("cluster: %s dropped its copy of %s, deleted on another member", n.cfg.ID, name)
 	}
 }
 

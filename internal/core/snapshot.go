@@ -331,34 +331,6 @@ func (s *Snapshot) Pipeline() *pipeline.Pipeline { return s.pl }
 // DataPlane call).
 func (s *Snapshot) SetDataPlaneOptions(o dataplane.Options) { s.opts = o }
 
-// ArtifactKeys returns the content-addressed cache keys of this
-// snapshot's disk-persistable artifacts: one parse artifact per device
-// plus the data-plane artifact for the snapshot's current options. The
-// data-plane key derives from the parse keys and options alone, so it is
-// known before (or without) the simulation running — exactly what a
-// failover heir needs in order to pre-fetch a dead owner's work. Nil for
-// snapshots not bound to a pipeline.
-func (s *Snapshot) ArtifactKeys() []pipeline.Key {
-	if s == nil || s.pl == nil {
-		return nil
-	}
-	hosts := make([]string, 0, len(s.devKeys))
-	for h := range s.devKeys {
-		hosts = append(hosts, h)
-	}
-	sort.Strings(hosts)
-	keys := make([]pipeline.Key, 0, len(hosts)+1)
-	for _, h := range hosts {
-		if k := s.devKeys[h]; !k.IsZero() {
-			keys = append(keys, k)
-		}
-	}
-	if dk := pipeline.DataPlaneKey(s.Net, s.devKeys, s.opts); !dk.IsZero() {
-		keys = append(keys, dk)
-	}
-	return keys
-}
-
 // DataPlane computes (once) and returns the data plane.
 func (s *Snapshot) DataPlane() *dataplane.Result {
 	if s.dp == nil {

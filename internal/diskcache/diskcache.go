@@ -410,6 +410,16 @@ func (c *Cache) Has(key [sha256.Size]byte) bool {
 	return ok
 }
 
+// Exists stats key's file, so unlike Has it sees other processes' commits
+// and removals; it neither reads the entry nor counts a hit or miss.
+func (c *Cache) Exists(key [sha256.Size]byte) bool {
+	if c == nil {
+		return false
+	}
+	_, err := os.Stat(c.path(hex.EncodeToString(key[:])))
+	return err == nil
+}
+
 // dropLocked removes hexKey from the index and order without touching
 // the file.
 func (c *Cache) dropLocked(hexKey string) {

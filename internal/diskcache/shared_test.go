@@ -77,6 +77,34 @@ func TestTwoOpensShareOneDir(t *testing.T) {
 	}
 }
 
+// TestExistsSeesOtherHandles: Exists answers from the directory, not the
+// index, so one handle sees another's commit and removal (Has does not),
+// and probing never counts as a hit or miss.
+func TestExistsSeesOtherHandles(t *testing.T) {
+	dir := t.TempDir()
+	a := openT(t, dir, Options{MaxBytes: -1})
+	b := openT(t, dir, Options{MaxBytes: -1})
+	k := keyFor("tombstone")
+	if a.Exists(k) {
+		t.Fatal("Exists before any Put")
+	}
+	b.Put(k, []byte("x"))
+	if !a.Exists(k) || a.Has(k) {
+		t.Fatalf("after b.Put: a.Exists=%v a.Has=%v, want true false", a.Exists(k), a.Has(k))
+	}
+	a.Put(k, []byte("x"))
+	b.Remove(k)
+	if a.Exists(k) || !a.Has(k) {
+		t.Fatalf("after b.Remove: a.Exists=%v a.Has=%v, want false true", a.Exists(k), a.Has(k))
+	}
+	if st := a.Stats(); st.Hits != 0 || st.Misses != 0 {
+		t.Fatalf("Exists counted lookups: %+v", st)
+	}
+	if (*Cache)(nil).Exists(k) {
+		t.Fatal("nil cache Exists")
+	}
+}
+
 func TestLeaseAcquireContendRelease(t *testing.T) {
 	dir := t.TempDir()
 	a := openT(t, dir, Options{})

@@ -2,7 +2,7 @@ package lint
 
 import "strings"
 
-// GoroutineLeak enforces the cluster runLoop/replicator contract: a
+// GoroutineLeak enforces the contract of the cluster's runLoop: a
 // spawned goroutine that loops unboundedly must have a way to stop —
 // a receive on ctx.Done(), a stop channel, or at least some exit path
 // out of the loop. A `for {}` with no return/break/panic and no

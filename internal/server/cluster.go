@@ -1,9 +1,10 @@
 package server
 
 // Cluster-facing hooks. The cluster layer (internal/cluster) wraps a
-// Server per member; these accessors expose exactly what routing,
-// failover rehydration, and heir replication need without the server
-// importing the cluster package or duplicating its containment logic.
+// Server per member; these accessors expose exactly what ownership
+// routing and failover rehydration from the shared cache directory need,
+// without the server importing the cluster package or duplicating its
+// containment logic.
 
 import (
 	"context"
@@ -11,7 +12,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/diskcache"
-	"repro/internal/pipeline"
 )
 
 // Disk returns the server's persistent cache tier (nil when the server
@@ -44,29 +44,9 @@ func (s *Server) SnapshotSources(name string) (configs map[string]string, ok boo
 	return configs, true
 }
 
-// SnapshotNames returns the sorted names of the snapshots this server
-// currently holds.
-func (s *Server) SnapshotNames() []string { return s.names() }
-
-// SnapshotArtifactKeys returns the content-addressed keys of the named
-// snapshot's disk-persistable artifacts — the per-device parse artifacts
-// plus the data-plane artifact for its current options. This is what an
-// heir pre-replicates so failover rehydration never re-parses. ok is
-// false for unknown names and for entries whose live snapshot is torn
-// down pending a rebuild.
-func (s *Server) SnapshotArtifactKeys(name string) ([]pipeline.Key, bool) {
-	e, found := s.entry(name)
-	if !found {
-		return nil, false
-	}
-	e.mu.Lock()
-	snap := e.snap
-	e.mu.Unlock()
-	if snap == nil {
-		return nil, false
-	}
-	return snap.ArtifactKeys(), true
-}
+// DropSnapshot discards the named snapshot without the HTTP surface (no
+// admission, no request metrics): a copy deleted on another member.
+func (s *Server) DropSnapshot(name string) { s.deleteEntry(name) }
 
 // InstallSnapshot parses and publishes a snapshot from raw configs — the
 // handleLoad engine path without the HTTP surface. The cluster layer uses
@@ -91,12 +71,4 @@ func (s *Server) InstallSnapshot(ctx context.Context, name string, configs map[s
 	}
 	s.putEntry(&snapEntry{name: name, texts: texts, snap: snap})
 	return nil
-}
-
-// Admit takes an execution slot outside any HTTP request, subject to the
-// same bounded queue and drain rules as HTTP requests; while it is held,
-// requests that need a slot queue or are shed with 429/503. The release
-// func must be called exactly once when err is nil.
-func (s *Server) Admit(ctx context.Context) (release func(), err error) {
-	return s.acquire(ctx)
 }
