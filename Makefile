@@ -3,22 +3,10 @@
 # 200-device determinism test shrinks to an affordable size under the
 # race detector; TestParallelismMatchesSerial and the parallel engine
 # paths still run with the worker pool enabled, which is the point.
-#
-# gblint run cache (`make lint-fast`, used by `make check`): entries
-# live in .gblint-cache/ (gitignored). The key hashes the content of
-# every non-test .go file in the linted packages and their
-# module-internal import closure, plus the -checks list and the cache
-# format version — so any source edit, added/removed file, or check
-# change invalidates it. Invalidation is whole-module, not
-# per-package, because gblint's interprocedural checks cross package
-# boundaries: a callee edit changes the caller's lock-io-deep
-# findings, and the global lock-order graph can anchor a new cycle's
-# finding in an unchanged package. Stale entries are dead files;
-# `rm -rf .gblint-cache` is always safe and merely costs one rerun.
 
 GO ?= go
 
-.PHONY: build vet vet-extra fmt-check lint lint-fast test race soak cluster-chaos check bench benchjson bench-smoke bench-check cover fuzz-smoke loc
+.PHONY: build vet vet-extra fmt-check lint test race soak cluster-chaos check bench benchjson bench-smoke bench-check cover fuzz-smoke loc
 
 # Coverage floor for the caching/incremental layer. The pipeline and core
 # packages carry the correctness-critical cache keying and blast-radius
@@ -58,10 +46,6 @@ loc:
 # nonzero on any finding; suppressions require a written reason.
 lint:
 	$(GO) run ./cmd/gblint ./...
-
-# Memoized gblint (see header comment for cache location/invalidation).
-lint-fast:
-	$(GO) run ./cmd/gblint -cache .gblint-cache ./...
 
 test:
 	$(GO) test ./...
@@ -109,7 +93,7 @@ cover:
 		if (t+0 < min+0) { printf "coverage %.1f%% below floor %.1f%%\n", t, min; exit 1 } \
 		else { printf "coverage %.1f%% meets floor %.1f%%\n", t, min } }'
 
-check: vet vet-extra fmt-check lint-fast test race soak cluster-chaos fuzz-smoke bench-smoke bench-check
+check: vet vet-extra fmt-check lint test race soak cluster-chaos fuzz-smoke bench-smoke bench-check
 
 bench:
 	$(GO) test -bench . -benchmem -run '^$$' .

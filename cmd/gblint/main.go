@@ -3,24 +3,19 @@
 //
 // Usage:
 //
-//	gblint [-json] [-checks determinism,lock-io,...] [-cache dir] [-list] [packages...]
+//	gblint [-json] [-checks determinism,lock-io,...] [-list] [packages...]
 //
 // Packages are directory patterns relative to the module root:
 // "./..." (default), "./internal/...", or single directories like
 // "./internal/server". Exit codes: 0 clean, 1 findings reported,
 // 2 usage or load/type-check failure.
-//
-// -cache memoizes whole runs: when no file in the linted packages or
-// their module-internal import closure changed since the last run
-// with the same -checks, the stored findings replay without
-// type-checking (see internal/lint/cache.go for why invalidation is
-// whole-module). Only completed runs (exit 0 or 1) are stored.
 package main
 
 import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"repro/internal/lint"
@@ -30,12 +25,11 @@ func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-func run(args []string, stdout, stderr *os.File) int {
+func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("gblint", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	jsonOut := fs.Bool("json", false, "emit findings as a JSON array")
 	checks := fs.String("checks", "", "comma-separated subset of checks to run (default: all)")
-	cacheDir := fs.String("cache", "", "directory for the run cache (empty: no caching)")
 	list := fs.Bool("list", false, "list available checks and exit")
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -65,18 +59,6 @@ func run(args []string, stdout, stderr *os.File) int {
 		fmt.Fprintln(stderr, err)
 		return 2
 	}
-	key := ""
-	if *cacheDir != "" {
-		// A key failure (unreadable file, syntax error) is not fatal: the
-		// full run will report it properly, so just skip the cache.
-		if key, err = loader.RunKey(patterns, *checks); err == nil {
-			if findings, ok := lint.CacheGet(*cacheDir, key); ok {
-				return report(findings, *jsonOut, stdout, stderr)
-			}
-		} else {
-			key = ""
-		}
-	}
 	pkgs, err := loader.Packages(patterns)
 	if err != nil {
 		fmt.Fprintln(stderr, err)
@@ -95,19 +77,7 @@ func run(args []string, stdout, stderr *os.File) int {
 		return 2
 	}
 	findings := lint.Run(pkgs, analyzers)
-	if key != "" {
-		// Store only completed runs; exit-2 paths never reach here.
-		if err := lint.CachePut(*cacheDir, key, findings); err != nil {
-			fmt.Fprintf(stderr, "gblint: writing cache entry: %v\n", err)
-		}
-	}
-	return report(findings, *jsonOut, stdout, stderr)
-}
-
-// report prints the findings (fresh or replayed from cache) and maps
-// them to the exit code.
-func report(findings []lint.Finding, jsonOut bool, stdout, stderr *os.File) int {
-	if jsonOut {
+	if *jsonOut {
 		enc := json.NewEncoder(stdout)
 		enc.SetIndent("", "  ")
 		if findings == nil {
@@ -123,7 +93,7 @@ func report(findings []lint.Finding, jsonOut bool, stdout, stderr *os.File) int 
 		}
 	}
 	if len(findings) > 0 {
-		if !jsonOut {
+		if !*jsonOut {
 			fmt.Fprintf(stdout, "gblint: %d finding(s)\n", len(findings))
 		}
 		return 1

@@ -15,10 +15,6 @@ import (
 //   - diskcache lease operations (AcquireLease, Renew, Release): a
 //     dropped Release error leaves a lease file that every future
 //     acquirer must wait out.
-//   - diskcache Cache.Put: today Put returns no error (failures are
-//     absorbed into cache-miss behavior), so the entry is vacuous —
-//     it is on the list so that if Put ever grows an error result,
-//     existing call sites get flagged instead of silently dropping it.
 //   - gob Encoder.Encode: artifact serialization; a dropped encode
 //     error ships a truncated artifact.
 //   - http response Body.Close (non-deferred): a dropped close error
@@ -42,7 +38,7 @@ func (ErrDrop) Doc() string {
 // name.
 var errDropRules = map[string]map[string]map[string]bool{
 	"repro/internal/diskcache": {
-		"Cache": {"AcquireLease": true, "Put": true},
+		"Cache": {"AcquireLease": true},
 		"Lease": {"Renew": true, "Release": true},
 	},
 	"encoding/gob": {
@@ -85,7 +81,7 @@ func appendErrDrop(out []Finding, p *Package, call *ast.CallExpr, lhs []ast.Expr
 	}
 	errIdx := errorResultIndexes(sig)
 	if len(errIdx) == 0 {
-		return out // vacuous today (e.g. Cache.Put) — future-proofing only
+		return out
 	}
 	if lhs != nil {
 		for _, i := range errIdx {

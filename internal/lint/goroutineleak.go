@@ -18,16 +18,6 @@ import "strings"
 // own body.
 type GoroutineLeak struct{}
 
-// leakScope lists the packages whose goroutine spawns are gated: the
-// long-running service layers that actually hold goroutines for the
-// process lifetime.
-var leakScope = []string{
-	"repro/internal/server",
-	"repro/internal/pipeline",
-	"repro/internal/cluster",
-	"repro/internal/sweep",
-}
-
 func (GoroutineLeak) Name() string { return "goroutine-leak" }
 
 func (GoroutineLeak) Doc() string {
@@ -35,7 +25,7 @@ func (GoroutineLeak) Doc() string {
 }
 
 func (GoroutineLeak) Check(prog *Program, p *Package) []Finding {
-	if !inScope(p.Path, leakScope) {
+	if !inScope(p.Path, serviceScope) {
 		return nil
 	}
 	prog.ensureSummaries()

@@ -4,8 +4,9 @@
 //
 //   - determinism:  no iteration-order-dependent output, time.Now, or
 //     math/rand in the deterministic simulation packages (§4.1.2)
-//   - lock-io:      no file I/O, net calls, or channel sends while a
-//     sync.Mutex/RWMutex is held (the PR-4 diskcache bug class)
+//   - lock-io:      no file I/O, net calls, channel sends, or calls
+//     that reach I/O while a sync.Mutex/RWMutex is held (the PR-4
+//     diskcache bug class)
 //   - ctx-plumb:    exported functions that loop unboundedly or spawn
 //     goroutines must accept a context.Context
 //   - panic-safe:   goroutine literals in the long-running service and
@@ -92,7 +93,6 @@ func All() []Analyzer {
 		PanicSafe{},
 		InternWrite{},
 		LockOrder{},
-		LockIODeep{},
 		GoroutineLeak{},
 		ErrDrop{},
 	}
@@ -168,6 +168,16 @@ func sortFindings(out []Finding) {
 		}
 		return a.Message < b.Message
 	})
+}
+
+// serviceScope lists the long-running service layers that hold
+// goroutines for the process lifetime; panic-safe and goroutine-leak
+// gate their goroutine spawns.
+var serviceScope = []string{
+	"repro/internal/server",
+	"repro/internal/pipeline",
+	"repro/internal/cluster",
+	"repro/internal/sweep",
 }
 
 // inScope reports whether the package's import path is one of the given

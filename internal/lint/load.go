@@ -191,33 +191,6 @@ func (l *Loader) parseDir(dir string) ([]*ast.File, error) {
 // directory. Directories named testdata or vendor, hidden directories,
 // and directories without non-test Go files are skipped.
 func (l *Loader) Packages(patterns []string) ([]*Package, error) {
-	sorted, err := l.ResolveDirs(patterns)
-	if err != nil {
-		return nil, err
-	}
-	var pkgs []*Package
-	for _, d := range sorted {
-		rel, err := filepath.Rel(l.Root, d)
-		if err != nil {
-			return nil, err
-		}
-		path := l.Module
-		if rel != "." {
-			path = l.Module + "/" + filepath.ToSlash(rel)
-		}
-		p, err := l.LoadDir(d, path)
-		if err != nil {
-			return nil, err
-		}
-		pkgs = append(pkgs, p)
-	}
-	return pkgs, nil
-}
-
-// ResolveDirs expands the CLI patterns into the sorted package
-// directories they name, without parsing or type-checking anything.
-// The run cache uses this to compute content-hash keys cheaply.
-func (l *Loader) ResolveDirs(patterns []string) ([]string, error) {
 	dirs := map[string]bool{}
 	for _, pat := range patterns {
 		switch {
@@ -244,7 +217,23 @@ func (l *Loader) ResolveDirs(patterns []string) ([]string, error) {
 		sorted = append(sorted, d)
 	}
 	sort.Strings(sorted)
-	return sorted, nil
+	var pkgs []*Package
+	for _, d := range sorted {
+		rel, err := filepath.Rel(l.Root, d)
+		if err != nil {
+			return nil, err
+		}
+		path := l.Module
+		if rel != "." {
+			path = l.Module + "/" + filepath.ToSlash(rel)
+		}
+		p, err := l.LoadDir(d, path)
+		if err != nil {
+			return nil, err
+		}
+		pkgs = append(pkgs, p)
+	}
+	return pkgs, nil
 }
 
 // walk collects every package directory under base.

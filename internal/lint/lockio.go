@@ -8,29 +8,35 @@ import (
 
 // LockIO enforces the lock-discipline invariant distilled from the
 // PR-4 diskcache incident: disk latency must never serialize lock
-// holders. Within a single function body it flags file I/O (os.*,
-// io.*), network operations (net.*, net/http.*, os/exec.*), method
-// calls on os/net objects (*os.File, net.Conn, ...), and channel sends
-// that occur while a sync.Mutex or sync.RWMutex is held.
+// holders. It flags, while a sync.Mutex or sync.RWMutex is held:
 //
-// The held region is computed conservatively: from a Lock()/RLock()
-// call to the first matching Unlock()/RUnlock() on the same receiver
-// expression, or to the end of the function when the unlock is
-// deferred. Function literals inside the region are not scanned (they
-// usually run later, off the lock); each literal's own body is analyzed
-// separately. Since v2 the region computation lives in the shared
-// summary layer (summary.go): this check reads each body's collected
-// I/O and send sites with their held-lock sets. It stays deliberately
-// intra-procedural — a helper that does I/O internally is caught one
-// call deep by lock-io-deep instead. The diskcache directory flock is
-// excluded here: serializing I/O is the flock's entire purpose, so
-// only the lock-order check treats it as a lock.
+//   - file I/O (os.*, io.*), network operations (net.*, net/http.*,
+//     os/exec.*), and method calls on os/net objects (*os.File,
+//     net.Conn, ...) made directly in the body;
+//   - channel sends;
+//   - calls to module functions whose call-graph summary
+//     (transitively) reaches such I/O — `mu.Lock(); c.flush()` where
+//     flush writes a file. The message carries the witness chain down
+//     to the I/O operation so the reader does not have to re-derive it.
+//
+// Direct I/O is the depth-0 case of the third: both read the same
+// summary facts (summary.go), which record each body's I/O, send and
+// call sites with their held-lock sets. The held region is computed
+// conservatively: from a Lock()/RLock() call to the first matching
+// Unlock()/RUnlock() on the same receiver expression, or to the end of
+// the function when the unlock is deferred. Function literals inside
+// the region are not scanned (they usually run later, off the lock);
+// each literal's own body is analyzed separately. Calls whose callee is
+// dynamic (interface or func value) are invisible to the summaries —
+// that soundness gap is documented in DESIGN.md §7. The diskcache
+// directory flock is excluded: serializing I/O is the flock's entire
+// purpose, so only the lock-order check treats it as a lock.
 type LockIO struct{}
 
 func (LockIO) Name() string { return "lock-io" }
 
 func (LockIO) Doc() string {
-	return "file I/O, net calls, or channel sends while a sync mutex is held"
+	return "file I/O, net calls, channel sends, or calls reaching I/O while a sync mutex is held"
 }
 
 // lockIOPkgs are the packages whose direct calls count as I/O under a
@@ -92,6 +98,23 @@ func (LockIO) Check(prog *Program, p *Package) []Finding {
 				out = append(out, finding(p, "lock-io", s.pos,
 					"channel send while %s.%s is held (can block the lock on a slow receiver)",
 					h.expr, h.method))
+			}
+		}
+		for _, call := range facts.calls {
+			if len(call.held) == 0 {
+				continue
+			}
+			chain, ok := prog.ioChainOf(call.callee)
+			if !ok {
+				continue
+			}
+			for _, h := range call.held {
+				if h.pseudo {
+					continue
+				}
+				out = append(out, finding(p, "lock-io", call.pos,
+					"call to %s while %s.%s is held reaches I/O: %s (the PR-4 bug class, one call deep)",
+					displayName(call.callee), h.expr, h.method, strings.Join(chain, " -> ")))
 			}
 		}
 	})

@@ -15,14 +15,6 @@ import (
 // function's own definition site is where containment belongs.
 type PanicSafe struct{}
 
-// panicScope lists the packages that host long-lived goroutines.
-var panicScope = []string{
-	"repro/internal/server",
-	"repro/internal/pipeline",
-	"repro/internal/cluster",
-	"repro/internal/sweep",
-}
-
 // isolationHelpers maps package path → function names that are known
 // to contain panics on behalf of their caller.
 var isolationHelpers = map[string]map[string]bool{
@@ -40,7 +32,7 @@ func (PanicSafe) Doc() string {
 // body's facts, so iterating all bodies covers the same set the old
 // per-file walk did.
 func (PanicSafe) Check(prog *Program, p *Package) []Finding {
-	if !inScope(p.Path, panicScope) {
+	if !inScope(p.Path, serviceScope) {
 		return nil
 	}
 	var out []Finding

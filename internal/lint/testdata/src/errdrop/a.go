@@ -5,7 +5,6 @@
 package errdrop
 
 import (
-	"crypto/sha256"
 	"encoding/gob"
 	"net/http"
 	"time"
@@ -62,12 +61,6 @@ func checkedReleaseOK(l *diskcache.Lease) error {
 func boundEncodeOK(enc *gob.Encoder, v any) error {
 	err := enc.Encode(v)
 	return err
-}
-
-// Put is on the list but returns no error today: the entry is
-// future-proofing, so the call is vacuously clean.
-func putOK(c *diskcache.Cache, payload []byte) {
-	c.Put(sha256.Sum256(payload), payload)
 }
 
 func suppressedRelease(l *diskcache.Lease) {

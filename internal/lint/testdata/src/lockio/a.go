@@ -1,6 +1,7 @@
-// Golden corpus for the lock-io check: I/O, net calls, and channel
-// sends while a sync mutex is held. The check has no package scope, so
-// the synthetic import path only has to be unique.
+// Golden corpus for the lock-io check: direct I/O, net calls, and
+// channel sends while a sync mutex is held (calls that reach I/O are in
+// the lockiodeep corpus). The check has no package scope; the path only
+// must be unique.
 package lockio
 
 import (

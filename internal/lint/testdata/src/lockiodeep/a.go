@@ -1,7 +1,7 @@
-// Golden corpus for the lock-io-deep check: calls made under a held
-// sync mutex whose callee (transitively) reaches file or net I/O. The
-// direct-I/O-under-lock cases live in the lockio corpus; everything
-// here needs the call-graph summaries to see the I/O.
+// Lock-io corpus, call-graph cases: calls made under a held sync mutex
+// whose callee (transitively) reaches file or net I/O. The direct
+// I/O-under-lock cases live in the lockio corpus; everything here needs
+// the call-graph summaries to see the I/O.
 package lockiodeep
 
 import (
@@ -38,8 +38,8 @@ func (c *cache) bump(k string) {
 	c.data[k]++
 }
 
-// The PR-4 shape the intraprocedural lock-io check cannot see: the
-// I/O is one call away.
+// The PR-4 shape only the summaries can see: the I/O is one call
+// away.
 func (c *cache) putAndFlush(k string, v int) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -77,7 +77,7 @@ func (c *cache) flushOutsideLockOK(k string, v int) error {
 }
 
 // The flock pseudo-lock exists to serialize writers around exactly
-// this I/O, so calls under it are exempt (as in lock-io).
+// this I/O, so calls under it are exempt (as is direct I/O).
 func (c *cache) flushUnderFlockOK() error {
 	unlock := c.flockExclusive()
 	defer unlock()
@@ -87,6 +87,6 @@ func (c *cache) flushUnderFlockOK() error {
 func (c *cache) suppressedFlush() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	//gblint:ignore lock-io-deep corpus: startup-only path, the lock is uncontended by construction
+	//gblint:ignore lock-io corpus: startup-only path, the lock is uncontended by construction
 	return c.flush()
 }
