@@ -73,12 +73,12 @@ func changedDevices(before, after *Snapshot) map[string]bool {
 			modelChanged = append(modelChanged, name)
 		}
 	}
-	dp1, dp2 := before.DataPlane(), after.DataPlane()
 	for _, name := range before.Net.DeviceNames() {
-		if !changed[name] && dp1.NodeFingerprint(name) != dp2.NodeFingerprint(name) {
+		if !changed[name] && before.nodeFingerprint(name) != after.nodeFingerprint(name) {
 			changed[name] = true
 		}
 	}
+	dp1, dp2 := before.DataPlane(), after.DataPlane()
 	// Failure-scenario kinds contribute their endpoints explicitly: a pure
 	// link/node/session failure leaves every parse key identical, and a
 	// failed element whose routes were already unused can leave every
@@ -121,6 +121,21 @@ func changedDevices(before, after *Snapshot) map[string]bool {
 	return changed
 }
 
+// nodeFingerprint memoizes DataPlane().NodeFingerprint per device: one
+// Edit baseline is diffed against every snapshot derived from it, and its
+// data plane never changes.
+func (s *Snapshot) nodeFingerprint(name string) uint64 {
+	fp, ok := s.nodeFPs[name]
+	if !ok {
+		if s.nodeFPs == nil {
+			s.nodeFPs = make(map[string]uint64)
+		}
+		fp = s.DataPlane().NodeFingerprint(name)
+		s.nodeFPs[name] = fp
+	}
+	return fp
+}
+
 func sameTopoEdges(a, b []topo.Edge) bool {
 	if len(a) != len(b) {
 		return false
@@ -156,17 +171,25 @@ func (s *Snapshot) impactSets() (map[reach.SourceLoc]bdd.Ref, bool) {
 }
 
 // sinkSetsFor answers "what reaches each sink kind from src over hs",
-// memoized per snapshot. On an edited snapshot it reuses the baseline's
-// memoized answer for all flows outside the blast radius and re-runs only
-// the restricted remainder; the stitched result is byte-identical to a
-// full pass (see the file comment).
-func (s *Snapshot) sinkSetsFor(src reach.SourceLoc, hs bdd.Ref) (map[string]bdd.Ref, bool) {
+// memoized per snapshot. Given the shared all-pairs passes it reads the
+// answer off them. Otherwise, on an edited snapshot it reuses the
+// baseline's memoized answer for all flows outside the blast radius and
+// re-runs only the restricted remainder; the stitched result is
+// byte-identical to a full pass (see the file comment).
+func (s *Snapshot) sinkSetsFor(src reach.SourceLoc, hs bdd.Ref, ap *reach.AllPairs) (map[string]bdd.Ref, bool) {
 	if s.reachMemo == nil {
 		s.reachMemo = make(map[memoKey]map[string]bdd.Ref)
 	}
 	k := memoKey{src: src, hs: hs}
 	if v, ok := s.reachMemo[k]; ok {
 		return v, true
+	}
+	if ap != nil {
+		sinks, ok := ap.Sinks(src, hs)
+		if ok {
+			s.reachMemo[k] = sinks
+		}
+		return sinks, ok
 	}
 	an := s.Analysis()
 	if impact, ok := s.impactSets(); ok {

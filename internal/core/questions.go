@@ -231,20 +231,26 @@ type ReachabilityParams struct {
 // Reachability answers "what can each source deliver / what fails",
 // with default scoping and example selection.
 //
+// With the default sources, every source's sink sets are read off one
+// backward pass per sink kind (reach.AllPairs) instead of one forward
+// pass per source; see allPairs for when the forward path stays.
+//
 // Sources are independently guarded: a panic or budget trip while
 // analyzing one source records a question-stage diagnostic naming that
 // source's device and the remaining sources still produce results.
 func (s *Snapshot) Reachability(params ReachabilityParams) []FlowResult {
 	sources := params.Sources
+	var ap *reach.AllPairs
 	if len(sources) == 0 {
 		sources = s.HostFacing()
+		ap = s.allPairs()
 	}
 	var out []FlowResult
 	for _, src := range sources {
 		var fr FlowResult
 		var ok bool
 		if !s.guardQuestion(src.Device, func() {
-			fr, ok = s.reachOne(src, params)
+			fr, ok = s.reachOne(src, params, ap)
 		}) {
 			continue
 		}
@@ -255,8 +261,28 @@ func (s *Snapshot) Reachability(params ReachabilityParams) []FlowResult {
 	return out
 }
 
-// reachOne answers the reachability question for a single source.
-func (s *Snapshot) reachOne(src reach.SourceLoc, params ReachabilityParams) (FlowResult, bool) {
+// allPairsScope is the question-stage scope of the shared all-pairs pass.
+const allPairsScope = "all-pairs"
+
+// allPairs returns the analysis's shared backward passes, or nil when the
+// question is answered one forward pass per source: on graphs with NAT,
+// whose backward sets are pre-images rather than the post-transform sets
+// a forward pass reports; on a snapshot with a BDD node budget, so that a
+// budget trip costs one source and not the question; and when the pass
+// fails, which records its question-stage diagnostic.
+func (s *Snapshot) allPairs() (ap *reach.AllPairs) {
+	if s.bddBudget > 0 || reach.HasTransforms(s.Graph()) {
+		return nil
+	}
+	s.guardQuestion(allPairsScope, func() {
+		ap, _ = s.Analysis().AllPairs()
+	})
+	return ap
+}
+
+// reachOne answers the reachability question for a single source, from
+// the shared passes when ap is non-nil.
+func (s *Snapshot) reachOne(src reach.SourceLoc, params ReachabilityParams, ap *reach.AllPairs) (FlowResult, bool) {
 	an := s.Analysis()
 	enc := an.Enc
 	f := enc.F
@@ -285,7 +311,7 @@ func (s *Snapshot) reachOne(src reach.SourceLoc, params ReachabilityParams) (Flo
 	for _, dst := range params.DstIPs {
 		hs = f.And(hs, enc.Prefix(hdr.DstIP, dst))
 	}
-	sinks, ok := s.sinkSetsFor(src, hs)
+	sinks, ok := s.sinkSetsFor(src, hs, ap)
 	if !ok {
 		return FlowResult{}, false
 	}
@@ -315,8 +341,9 @@ func (s *Snapshot) reachOne(src reach.SourceLoc, params ReachabilityParams) (Flo
 }
 
 // MultipathConsistency runs the paper's benchmark verification query
-// (§6.1) over the default header space. A panic or budget trip inside the
-// query becomes a question-stage diagnostic and nil violations.
+// (§6.1) over the default header space, reading the same shared passes as
+// Reachability when the graph has no NAT. A panic or budget trip inside
+// the query becomes a question-stage diagnostic and nil violations.
 func (s *Snapshot) MultipathConsistency() (out []reach.MultipathViolation) {
 	s.guardQuestion("multipath-consistency", func() {
 		out = s.Analysis().MultipathConsistency(bdd.True)

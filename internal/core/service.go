@@ -75,7 +75,7 @@ func (s *Snapshot) serviceReachable(spec ServiceSpec) []ServiceReachableResult {
 	var out []ServiceReachableResult
 	for _, c := range clients {
 		hs := f.And(base, s.sourceScope(c))
-		sinks, ok := s.sinkSetsFor(c, hs)
+		sinks, ok := s.sinkSetsFor(c, hs, nil)
 		if !ok {
 			continue
 		}
@@ -128,7 +128,7 @@ func (s *Snapshot) serviceProtected(spec ServiceSpec) []ServiceExposure {
 		if allowed[src] {
 			continue
 		}
-		sinks, ok := s.sinkSetsFor(src, base)
+		sinks, ok := s.sinkSetsFor(src, base, nil)
 		if !ok {
 			continue
 		}

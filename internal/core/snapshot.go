@@ -72,6 +72,9 @@ type Snapshot struct {
 	// reachMemo caches per-(source, header-space) sink sets so repeated
 	// and incrementally-derived questions skip full forward passes.
 	reachMemo map[memoKey]map[string]bdd.Ref
+	// nodeFPs memoizes per-device data-plane fingerprints for
+	// changedDevices.
+	nodeFPs map[string]uint64
 	// impact caches the per-source blast radius vs baseline.
 	impact     map[reach.SourceLoc]bdd.Ref
 	impactDone bool

@@ -95,12 +95,19 @@ func (e *Edge) Apply(enc *hdr.Enc, set bdd.Ref) bdd.Ref {
 }
 
 // ApplyReverse computes the packet sets at the tail that can produce the
-// given set at the head — the "reverse BDD" step of paper §4.2.3. Waypoint
-// bits are not reversed exactly (reverse queries do not use waypoints).
+// given set at the head — the "reverse BDD" step of paper §4.2.3 — by
+// undoing Apply's steps in reverse order. The result is the exact
+// pre-image: a packet at the tail is in it iff Apply carries it into set.
+// A zone write keeps only the head packets carrying the written zone,
+// whose zone bits the tail may then hold with any value. Waypoint bits
+// are not reversed (reverse queries do not use waypoints).
 func (e *Edge) ApplyReverse(enc *hdr.Enc, set bdd.Ref) bdd.Ref {
 	f := enc.F
-	if e.ClearZone || e.ZoneSet != nil {
+	if e.ClearZone {
 		set = f.Exists(set, enc.ExtVarSet(0, ZoneBits))
+	}
+	if e.ZoneSet != nil {
+		set = f.AndExists(set, enc.ExtEq(0, ZoneBits, *e.ZoneSet), enc.ExtVarSet(0, ZoneBits))
 	}
 	if e.Tr != nil {
 		set = enc.ReverseApply(set, e.Tr)

@@ -7,7 +7,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/acl"
 	"repro/internal/bdd"
 	"repro/internal/config"
 	"repro/internal/dataplane"
@@ -23,23 +22,6 @@ func converged(t *testing.T, net *config.Network) *dataplane.Result {
 		t.Fatalf("dataplane did not converge: %v", dp.Warnings)
 	}
 	return dp
-}
-
-// firewallNAT is testnet.Firewall with a source-NAT rule (address pool
-// plus port translation) on the firewall's outside interface, so the
-// golden file covers transformation edges as well as zone edges.
-func firewallNAT() *config.Network {
-	net := testnet.Firewall()
-	fw := net.Devices["fw"]
-	inside := acl.NewLine(acl.Permit, "inside hosts")
-	inside.SrcIPs = []ip4.Prefix{ip4.MustParsePrefix("10.1.0.0/24")}
-	fw.ACLs["NAT_INSIDE"] = &acl.ACL{Name: "NAT_INSIDE", Lines: []acl.Line{inside}}
-	fw.NATRules = []config.NATRule{{
-		Kind: config.SourceNAT, Iface: "outside0", MatchACL: "NAT_INSIDE",
-		PoolLo: ip4.MustParseAddr("100.64.0.1"), PoolHi: ip4.MustParseAddr("100.64.0.4"),
-		PortLo: 40000, PortHi: 40999,
-	}}
-	return net
 }
 
 // dump renders a graph for golden comparison: the String summary, every
@@ -86,7 +68,9 @@ func dump(g *Graph) string {
 }
 
 // TestGoldenGraphs pins graph construction for the paper's Figure 2
-// network, the zone firewall, and the firewall with source NAT.
+// network, the zone firewall, and the firewall with source NAT on its
+// outside interface, so the golden file covers transformation edges as
+// well as zone edges.
 func TestGoldenGraphs(t *testing.T) {
 	cases := []struct {
 		name string
@@ -94,7 +78,7 @@ func TestGoldenGraphs(t *testing.T) {
 	}{
 		{"figure2", testnet.Figure2()},
 		{"firewall", testnet.Firewall()},
-		{"firewall-nat", firewallNAT()},
+		{"firewall-nat", testnet.FirewallNAT()},
 	}
 	var got strings.Builder
 	for _, tc := range cases {

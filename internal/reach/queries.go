@@ -126,16 +126,24 @@ type MultipathViolation struct {
 
 // MultipathConsistency checks every source location: a violation exists if
 // some packet from that source can reach both a success sink and a failure
-// sink (multipath divergence).
+// sink (multipath divergence). The sink sets come from AllPairs when the
+// graph allows it, else from one forward pass per source.
 func (a *Analysis) MultipathConsistency(hs bdd.Ref) []MultipathViolation {
 	f := a.Enc.F
+	sinksOf := func(src SourceLoc) (map[string]bdd.Ref, bool) {
+		res, ok := a.Reachability(src, hs)
+		return res.Sinks, ok
+	}
+	if ap, ok := a.AllPairs(); ok {
+		sinksOf = func(src SourceLoc) (map[string]bdd.Ref, bool) { return ap.Sinks(src, hs) }
+	}
 	var out []MultipathViolation
 	for _, src := range a.Sources() {
-		res, ok := a.Reachability(src, hs)
+		sinks, ok := sinksOf(src)
 		if !ok {
 			continue
 		}
-		success, failure := Partition(res.Sinks, f)
+		success, failure := Partition(sinks, f)
 		both := f.And(success, failure)
 		if both == bdd.False {
 			continue

@@ -3,8 +3,9 @@
 // every node, the set of packets that can reach it. On top of the core
 // forward fixed point it implements the paper's extensions and
 // optimizations — graph compression, backward propagation for
-// single-destination queries, waypoint tracking, multipath-consistency
-// checking, and bidirectional reachability through stateful devices.
+// single-destination and all-pairs queries, waypoint tracking,
+// multipath-consistency checking, and bidirectional reachability through
+// stateful devices.
 package reach
 
 import (
@@ -38,6 +39,9 @@ type Analysis struct {
 	// Cancelled latches when a fixed-point loop observed an expired
 	// context and returned an under-approximate result.
 	Cancelled bool
+
+	// allPairs memoises AllPairs once a pass completes uncancelled.
+	allPairs *AllPairs
 }
 
 // WithContext attaches a context checked periodically inside the
@@ -282,6 +286,79 @@ func (a *Analysis) Backward(sinks map[int]bdd.Ref) []bdd.Ref {
 		}
 	}
 	return sets
+}
+
+// AllPairs is the all-pairs reachability answer computed backward: per
+// sink kind, the packets that, present at a node, reach some sink of
+// that kind. One backward pass per kind, each seeded with every sink of
+// the kind over all headers, replaces one forward pass per source (paper
+// §4.2.3): a source's sink sets are then one conjunction per kind away.
+type AllPairs struct {
+	a     *Analysis
+	kinds []string    // sink kinds present in the graph, sorted
+	sets  [][]bdd.Ref // sets[k][node] for kinds[k]
+	ext0  bdd.Ref     // extension bits = 0, as on injected packets
+}
+
+// AllPairs runs, once per analysis, the backward pass of every sink kind.
+// ok is false when the graph rewrites headers (NAT): a backward set is
+// then a pre-image, not the post-transform set a forward pass reports at
+// the sink, so callers answer per source with Reachability. A pass cut
+// short by cancellation is not memoised and also reports ok=false.
+func (a *Analysis) AllPairs() (*AllPairs, bool) {
+	if a.allPairs != nil {
+		return a.allPairs, true
+	}
+	if a.Cancelled || HasTransforms(a.G) {
+		return nil, false
+	}
+	seeds := make(map[string]map[int]bdd.Ref)
+	for id := range a.G.Nodes {
+		n := &a.G.Nodes[id]
+		if n.Kind != fwdgraph.KindSink {
+			continue
+		}
+		if seeds[n.Extra] == nil {
+			seeds[n.Extra] = make(map[int]bdd.Ref)
+		}
+		seeds[n.Extra][id] = bdd.True
+	}
+	p := &AllPairs{a: a, ext0: bdd.True}
+	if bits := a.Enc.L.ExtBits(); bits > 0 {
+		p.ext0 = a.Enc.ExtEq(0, bits, 0)
+	}
+	for kind := range seeds {
+		p.kinds = append(p.kinds, kind)
+	}
+	sort.Strings(p.kinds)
+	for _, kind := range p.kinds {
+		p.sets = append(p.sets, a.Backward(seeds[kind]))
+		if a.Cancelled {
+			return nil, false
+		}
+	}
+	a.allPairs = p
+	return p, true
+}
+
+// Sinks returns, per sink kind, the packets injected at src within hs
+// that reach a sink of that kind, with extension bits erased: the Sinks
+// of Reachability(src, hs), read off the backward sets. ok is false when
+// src is not a source of the graph.
+func (p *AllPairs) Sinks(src SourceLoc, hs bdd.Ref) (map[string]bdd.Ref, bool) {
+	id, ok := p.a.G.Lookup(fwdgraph.SourceName(src.Device, src.Iface))
+	if !ok {
+		return nil, false
+	}
+	enc := p.a.Enc
+	hs = enc.F.And(hs, p.ext0)
+	out := make(map[string]bdd.Ref)
+	for k, kind := range p.kinds {
+		if set := enc.ClearExt(enc.F.And(p.sets[k][id], hs)); set != bdd.False {
+			out[kind] = set
+		}
+	}
+	return out, true
 }
 
 // SourceSets builds the default start map: every interface source node

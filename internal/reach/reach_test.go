@@ -184,21 +184,34 @@ func TestCompressionEquivalence(t *testing.T) {
 	}
 }
 
+// TestDestReachBackwardMatchesForward: backward propagation agrees with
+// one forward pass per source, for every destination. The zone firewall
+// is the regression case for ApplyReverse on zone-setting edges, which
+// used to drop the written zone, so fw's zone policy admitted every
+// ingress zone in reverse.
 func TestDestReachBackwardMatchesForward(t *testing.T) {
-	_, a := analyze(t, testnet.Line3())
-	hs := bdd.True
-	back := a.DestReachability("r3", hs)
-	fwd := a.DestReachabilityForward("r3", hs)
-	if len(back) == 0 {
-		t.Fatal("no sources reach r3")
-	}
-	if len(back) != len(fwd) {
-		t.Fatalf("source sets differ: %d vs %d", len(back), len(fwd))
-	}
-	for src, set := range back {
-		if fwd[src] != set {
-			t.Errorf("backward and forward disagree for %v", src)
-		}
+	for name, net := range map[string]*config.Network{
+		"line":     testnet.Line3(),
+		"firewall": testnet.Firewall(),
+	} {
+		t.Run(name, func(t *testing.T) {
+			_, a := analyze(t, net)
+			for _, dst := range net.DeviceNames() {
+				back := a.DestReachability(dst, bdd.True)
+				fwd := a.DestReachabilityForward(dst, bdd.True)
+				if len(fwd) == 0 {
+					t.Fatalf("no sources reach %s", dst)
+				}
+				if len(back) != len(fwd) {
+					t.Errorf("%s: source sets differ: %d backward vs %d forward", dst, len(back), len(fwd))
+				}
+				for src, set := range fwd {
+					if back[src] != set {
+						t.Errorf("%s from %v: backward and forward disagree", dst, src)
+					}
+				}
+			}
+		})
 	}
 }
 

@@ -235,6 +235,23 @@ func Firewall() *config.Network {
 	return net
 }
 
+// FirewallNAT is Firewall with a source-NAT rule (address pool plus port
+// translation) on the firewall's outside interface: the smallest network
+// whose forwarding graph rewrites headers.
+func FirewallNAT() *config.Network {
+	net := Firewall()
+	fw := net.Devices["fw"]
+	inside := acl.NewLine(acl.Permit, "inside hosts")
+	inside.SrcIPs = []ip4.Prefix{ip4.MustParsePrefix("10.1.0.0/24")}
+	fw.ACLs["NAT_INSIDE"] = &acl.ACL{Name: "NAT_INSIDE", Lines: []acl.Line{inside}}
+	fw.NATRules = []config.NATRule{{
+		Kind: config.SourceNAT, Iface: "outside0", MatchACL: "NAT_INSIDE",
+		PoolLo: ip4.MustParseAddr("100.64.0.1"), PoolHi: ip4.MustParseAddr("100.64.0.4"),
+		PortLo: 40000, PortHi: 40999,
+	}}
+	return net
+}
+
 // ECMPWithBrokenBranch is a Diamond where one branch's last hop filters
 // HTTP — the canonical multipath consistency violation.
 func ECMPWithBrokenBranch() *config.Network {
