@@ -53,7 +53,7 @@ test:
 race:
 	$(GO) test -race -short ./...
 	$(GO) test -race -run 'TestParallelismMatchesSerial|TestPoolConcurrentInterning' ./internal/dataplane/ ./internal/routing/
-	$(GO) test -race -run 'TestParallelParseDeterminism|TestIncrementalEquivalence' ./internal/pipeline/ ./internal/core/
+	$(GO) test -race -run 'TestParallelParseDeterminism|TestIncrementalEquivalence|TestScenarioIncrementalEquivalence|TestCompareWithSharedMatchesPerSource' ./internal/pipeline/ ./internal/core/
 	$(GO) test -race -run 'TestChaos|TestCancel' ./internal/faults/
 	$(GO) test -race -run 'TestSweepDeterminismAcrossWorkers|TestSweepWorkerKillRequeue' ./internal/sweep/
 

@@ -35,17 +35,18 @@
 // Snapshots run on a staged pipeline with a content-addressed artifact
 // store: loading two snapshots that share device configs reuses the
 // unchanged parsed models, and byte-identical snapshots dedupe all four
-// stages. The edit-and-re-verify loop is incremental — derive a candidate
-// change with Snapshot.Edit and diff it:
+// stages. In the edit-and-re-verify loop, derive a candidate change with
+// Snapshot.Edit, which re-parses only the edited configs, and diff it:
 //
 //	after := snap.Edit(map[string]string{"rtr1.cfg": newText})
 //	for _, d := range snap.CompareWith(after) {
 //		fmt.Printf("%s/%s broken=%v\n", d.Source.Device, d.Source.Iface, d.HasBroken)
 //	}
 //
-// Only flows that can touch the edited device are re-analyzed; results
-// are byte-identical to a full recomputation. CacheStats exposes the
-// store's hit/miss/eviction counters and per-stage wall times.
+// CompareWith reads every source's flows off one backward pass per sink
+// kind on each snapshot; results are byte-identical to comparing two
+// fresh loads. CacheStats exposes the store's hit/miss/eviction counters
+// and per-stage wall times.
 package batfish
 
 import (

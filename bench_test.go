@@ -592,9 +592,10 @@ func BenchmarkParallelism(b *testing.B) {
 // device-re-verify loop (the dominant operator workload per the config
 // test-coverage literature). "cold-full" loads both snapshots through a
 // caching-disabled pipeline and recomputes everything, which is the
-// pre-pipeline behavior; "incremental" edits a warm baseline so unchanged
-// parse artifacts are reused, unimpacted flows keep their memoized
-// answers, and CompareWith re-examines only the edit's blast radius. The
+// pre-pipeline behavior; "incremental" edits a warm baseline on a caching
+// pipeline, so unchanged parse artifacts are reused, the baseline's
+// shared backward passes stay memoized on its analysis, and the edited
+// snapshot's Reachability and CompareWith read its own passes. The
 // incremental variant reports a speedup-vs-cold metric plus the pipeline
 // cache/stage counters and the routing intern-pool counters for the
 // benchjson trajectory.
@@ -781,7 +782,7 @@ func BenchmarkServer(b *testing.B) {
 // dev-204 fabric with one pod-local monitored flow: blast-radius
 // equivalence classes prune the scenarios whose failed element cannot
 // touch the monitored cone (the spines and nine of the ten pods), and the
-// survivors run incrementally on a worker pool. The benchmark asserts the
+// survivors run on a worker pool. The benchmark asserts the
 // ISSUE 7 exit bars — ≥50% of scenarios pruned, ≥5x faster than naive
 // cold per-scenario re-analysis — and spot-checks sampled executed and
 // pruned verdicts against independent cold recomputations, reporting all

@@ -1,8 +1,11 @@
 package core
 
 import (
+	"reflect"
+	"strings"
 	"testing"
 
+	"repro/internal/acl"
 	"repro/internal/config"
 	"repro/internal/diag"
 	"repro/internal/faults"
@@ -12,6 +15,18 @@ import (
 	"repro/internal/reach"
 	"repro/internal/testnet"
 )
+
+// net2Texts returns the catalog's NET2 as hostname → config text.
+func net2Texts(t *testing.T) map[string]string {
+	t.Helper()
+	for _, spec := range netgen.Catalog() {
+		if spec.Name == "NET2" {
+			return textsOf(spec.Gen())
+		}
+	}
+	t.Fatal("no NET2 in the catalog")
+	return nil
+}
 
 func textsOf(gen *netgen.Snapshot) map[string]string {
 	texts := make(map[string]string, len(gen.Devices))
@@ -176,12 +191,7 @@ func TestReachabilityNATFallsBack(t *testing.T) {
 // snapshot, so each counts on a fresh factory; both count the example
 // picking as well.
 func TestAllPairsOpRatio(t *testing.T) {
-	var texts map[string]string
-	for _, spec := range netgen.Catalog() {
-		if spec.Name == "NET2" {
-			texts = textsOf(spec.Gen())
-		}
-	}
+	texts := net2Texts(t)
 	count := func(explicit bool) uint64 {
 		s := LoadTextWith(pipeline.Disabled(), texts)
 		var params ReachabilityParams
@@ -201,4 +211,178 @@ func TestAllPairsOpRatio(t *testing.T) {
 	if perSource < 10*shared {
 		t.Errorf("per-source forward took %d ops, under 10x the shared passes' %d", perSource, shared)
 	}
+}
+
+// firewallTexts renders testnet.Firewall, plus the client LAN of natLAN,
+// as IOS configurations; with nat it renders testnet.FirewallNAT's
+// source-NAT rule too, translating both client subnets as natLAN does.
+func firewallTexts(nat bool) map[string]string {
+	fw := `hostname fw
+zone security inside
+zone security outside
+interface inside0
+ ip address 10.1.0.1 255.255.255.0
+ zone-member security inside
+interface outside0
+ ip address 10.2.0.1 255.255.255.0
+ zone-member security outside
+ip access-list extended HTTP_OUT
+ permit tcp any any eq 80
+zone-pair security source inside destination outside acl HTTP_OUT
+`
+	if nat {
+		fw += `ip access-list extended NAT_INSIDE
+ permit ip 10.1.0.0 0.0.0.255 any
+ permit ip 10.3.0.0 0.0.0.255 any
+ip nat source list NAT_INSIDE pool 100.64.0.1 100.64.0.4 interface outside0 ports 40000 40999
+`
+	}
+	return map[string]string{
+		"client": `hostname client
+interface eth0
+ ip address 10.1.0.2 255.255.255.0
+interface lan0
+ ip address 10.3.0.1 255.255.255.0
+ip route 0.0.0.0 0.0.0.0 10.1.0.1
+end
+`,
+		"fw": fw + "end\n",
+		"server": `hostname server
+interface eth0
+ ip address 10.2.0.2 255.255.255.0
+ip route 0.0.0.0 0.0.0.0 10.2.0.1
+end
+`,
+	}
+}
+
+// httpsOnly is the firewall edit of the compare tests: the zone policy
+// admits TCP/443 instead of TCP/80, so HTTP breaks and HTTPS newly
+// arrives.
+func httpsOnly(text string) string {
+	return strings.Replace(text, "permit tcp any any eq 80", "permit tcp any any eq 443", 1)
+}
+
+// sameDiffs requires two comparisons to agree field by field. Refs are
+// compared directly, so both must come from one BDD factory.
+func sameDiffs(t *testing.T, got, want []DifferentialFlows) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%d diff rows, want %d", len(got), len(want))
+	}
+	for i := range got {
+		a, b := got[i], want[i]
+		if a.Source != b.Source {
+			t.Fatalf("row %d: source %v, want %v", i, a.Source, b.Source)
+		}
+		if a.Broken != b.Broken || a.NewlyArrive != b.NewlyArrive {
+			t.Errorf("%v: broken/newly-arriving sets differ", a.Source)
+		}
+		if a.HasBroken != b.HasBroken || a.BrokenEx != b.BrokenEx {
+			t.Errorf("%v: broken example %v, want %v", a.Source, a.BrokenEx, b.BrokenEx)
+		}
+	}
+}
+
+// TestCompareWithSharedMatchesPerSource: CompareWith read off the shared
+// backward passes equals the per-source forward compare, down to the BDD
+// refs. Each pair is compared three times on the same snapshots: through
+// the shared passes; with the question fault point armed at the shared
+// pass's scope, so both passes fail, leave their diagnostics and every
+// source is compared per source; and with a BDD node budget, which takes
+// the per-source path without attempting the passes. NET2 and the zoned
+// firewall are edited on one caching pipeline (one encoder); the
+// testnet.Firewall literals have no pipeline, so the compare rebuilds both
+// analyses on the first snapshot's encoder.
+func TestCompareWithSharedMatchesPerSource(t *testing.T) {
+	pl := pipeline.New(pipeline.Config{})
+	net2 := net2Texts(t)
+	const tor = "net2-p02-tor02"
+	net2Base := LoadTextWith(pl, net2)
+	fw := firewallTexts(false)
+	fwBase := LoadTextWith(pl, fw)
+	https := testnet.Firewall()
+	https.Devices["fw"].ACLs["HTTP_OUT"].Lines[0].DstPorts = []acl.PortRange{{Lo: 443, Hi: 443}}
+	cases := []struct {
+		name          string
+		before, after *Snapshot
+	}{
+		{"NET2-null-route", net2Base, net2Base.Edit(map[string]string{
+			tor: addRoute(t, net2[tor], "ip route 10.0.0.0 255.255.255.128 Null0")})},
+		{"firewall", fwBase, fwBase.Edit(map[string]string{"fw": httpsOnly(fw["fw"])})},
+		{"firewall-literal", &Snapshot{Net: testnet.Firewall()}, &Snapshot{Net: https}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			shared := c.before.CompareWith(c.after)
+			if len(shared) == 0 {
+				t.Fatal("the edit changed no flow")
+			}
+			if ds := c.before.Diags(); len(ds) > 0 {
+				t.Fatalf("diagnostics: %s", diag.Summary(ds))
+			}
+
+			restore := faults.Activate(faults.New().Enable("question", allPairsScope, faults.Rule{Kind: faults.Panic}))
+			failed := c.before.CompareWith(c.after)
+			ds := c.before.Diags()
+			if len(ds) != 2 || ds[0].Device != allPairsScope || ds[1].Device != allPairsScope {
+				restore()
+				t.Fatalf("want two %s diagnostics, got %s", allPairsScope, diag.Summary(ds))
+			}
+			c.before.SetBDDNodeBudget(1 << 30)
+			budgeted := c.before.CompareWith(c.after)
+			c.before.SetBDDNodeBudget(0)
+			restore()
+			if ds := c.before.Diags(); len(ds) != 2 {
+				t.Errorf("the budgeted compare attempted the shared passes: %s", diag.Summary(ds))
+			}
+			sameDiffs(t, failed, shared)
+			sameDiffs(t, budgeted, shared)
+		})
+	}
+
+	// On a graph with NAT the compare is per source by structure: the
+	// armed fault point never fires, and a same-pipeline edit compares as
+	// two cold caching-disabled loads do.
+	t.Run("firewall-nat", func(t *testing.T) {
+		texts := firewallTexts(true)
+		edited := firewallTexts(true)
+		edited["fw"] = httpsOnly(texts["fw"])
+		base := LoadTextWith(pl, texts)
+		want := natLAN().Devices["fw"]
+		if got := base.Net.Devices["fw"]; !reflect.DeepEqual(got.NATRules, want.NATRules) ||
+			!reflect.DeepEqual(got.ZonePolicies, want.ZonePolicies) {
+			t.Fatalf("fw renders NAT %+v and zones %+v, want %+v and %+v",
+				got.NATRules, got.ZonePolicies, want.NATRules, want.ZonePolicies)
+		}
+		if !reach.HasTransforms(base.Graph()) {
+			t.Fatal("the graph has no NAT edge")
+		}
+		restore := faults.Activate(faults.New().Enable("question", allPairsScope, faults.Rule{Kind: faults.Panic}))
+		got := base.CompareWith(base.Edit(map[string]string{"fw": edited["fw"]}))
+		restore()
+		if ds := base.Diags(); len(ds) > 0 {
+			t.Fatalf("the shared pass was attempted on a NAT graph: %s", diag.Summary(ds))
+		}
+		cold := LoadTextWith(pipeline.Disabled(), texts)
+		ref := cold.CompareWith(LoadTextWith(pipeline.Disabled(), edited))
+		if len(got) != len(ref) || len(ref) == 0 {
+			t.Fatalf("%d diff rows, want %d (and some)", len(got), len(ref))
+		}
+		f, rf := base.Graph().Enc.F, cold.Graph().Enc.F
+		broken := false
+		for i := range got {
+			a, b := got[i], ref[i]
+			if a.Source != b.Source || a.HasBroken != b.HasBroken || a.BrokenEx != b.BrokenEx {
+				t.Errorf("row %d: %v differs from the cold row %v", i, a.Source, b.Source)
+			}
+			if f.SatCount(a.Broken) != rf.SatCount(b.Broken) || f.SatCount(a.NewlyArrive) != rf.SatCount(b.NewlyArrive) {
+				t.Errorf("%v: broken/newly-arriving sets differ in size", a.Source)
+			}
+			broken = broken || a.HasBroken
+		}
+		if !broken {
+			t.Error("the edit broke no flow across the NAT firewall")
+		}
+	})
 }

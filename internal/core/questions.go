@@ -265,19 +265,57 @@ func (s *Snapshot) Reachability(params ReachabilityParams) []FlowResult {
 const allPairsScope = "all-pairs"
 
 // allPairs returns the analysis's shared backward passes, or nil when the
-// question is answered one forward pass per source: on graphs with NAT,
-// whose backward sets are pre-images rather than the post-transform sets
-// a forward pass reports; on a snapshot with a BDD node budget, so that a
-// budget trip costs one source and not the question; and when the pass
-// fails, which records its question-stage diagnostic.
-func (s *Snapshot) allPairs() (ap *reach.AllPairs) {
-	if s.bddBudget > 0 || reach.HasTransforms(s.Graph()) {
+// question is answered one forward pass per source: on a snapshot with a
+// BDD node budget, so that a budget trip costs one source and not the
+// question, and in the cases sharedPasses lists.
+func (s *Snapshot) allPairs() *reach.AllPairs {
+	if s.bddBudget > 0 {
+		return nil
+	}
+	return s.sharedPasses(s.Analysis())
+}
+
+// sharedPasses returns an's shared backward passes, or nil on graphs with
+// NAT, whose backward sets are pre-images rather than the post-transform
+// sets a forward pass reports, and when the pass fails, which records its
+// question-stage diagnostic on s.
+func (s *Snapshot) sharedPasses(an *reach.Analysis) (ap *reach.AllPairs) {
+	if reach.HasTransforms(an.G) {
 		return nil
 	}
 	s.guardQuestion(allPairsScope, func() {
-		ap, _ = s.Analysis().AllPairs()
+		ap, _ = an.AllPairs()
 	})
 	return ap
+}
+
+// sinkSetsFor answers "what reaches each sink kind from src over hs",
+// memoized per snapshot: read off the shared passes when ap is non-nil,
+// else one forward pass from src.
+func (s *Snapshot) sinkSetsFor(src reach.SourceLoc, hs bdd.Ref, ap *reach.AllPairs) (map[string]bdd.Ref, bool) {
+	k := memoKey{src: src, hs: hs}
+	if v, ok := s.reachMemo[k]; ok {
+		return v, true
+	}
+	sinks, ok := sinksOf(s.Analysis(), ap, src, hs)
+	if !ok {
+		return nil, false
+	}
+	if s.reachMemo == nil {
+		s.reachMemo = make(map[memoKey]map[string]bdd.Ref)
+	}
+	s.reachMemo[k] = sinks
+	return sinks, true
+}
+
+// sinksOf reads src's sink sets over hs off ap when it is non-nil, else
+// runs one forward pass of an from src.
+func sinksOf(an *reach.Analysis, ap *reach.AllPairs, src reach.SourceLoc, hs bdd.Ref) (map[string]bdd.Ref, bool) {
+	if ap != nil {
+		return ap.Sinks(src, hs)
+	}
+	res, ok := an.Reachability(src, hs)
+	return res.Sinks, ok
 }
 
 // reachOne answers the reachability question for a single source, from
@@ -364,10 +402,10 @@ type DifferentialFlows struct {
 
 // CompareWith diffs reachability against a modified snapshot. Both
 // snapshots are analyzed with the same BDD encoder so the sets are
-// directly comparable. When after was derived from s via Edit (same
-// caching pipeline, no NAT), the comparison is incremental: only sources
-// whose flows can touch a changed device are re-examined, restricted to
-// their blast radius — with results identical to the full comparison.
+// directly comparable: snapshots of one caching pipeline use their own
+// analyses, others a fresh pair built on this snapshot's encoder. Each
+// source's sink sets come from the analyses' shared backward passes,
+// under the rules Reachability follows with its default sources.
 func (s *Snapshot) CompareWith(after *Snapshot) (out []DifferentialFlows) {
 	s.guardQuestion("compare", func() {
 		out = s.compareWith(after)
@@ -376,9 +414,6 @@ func (s *Snapshot) CompareWith(after *Snapshot) (out []DifferentialFlows) {
 }
 
 func (s *Snapshot) compareWith(after *Snapshot) []DifferentialFlows {
-	if out, ok := s.compareIncremental(after); ok {
-		return out
-	}
 	g1 := s.Graph()
 	var a1, a2 *reach.Analysis
 	if g2 := after.Graph(); g2.Enc == g1.Enc {
@@ -392,17 +427,21 @@ func (s *Snapshot) compareWith(after *Snapshot) []DifferentialFlows {
 		a1 = reach.New(g1)
 		a2 = reach.New(g2)
 	}
+	var ap1, ap2 *reach.AllPairs
+	if s.bddBudget == 0 && after.bddBudget == 0 {
+		ap1, ap2 = s.sharedPasses(a1), s.sharedPasses(a2)
+	}
 	enc := g1.Enc
 	f := enc.F
 	var out []DifferentialFlows
 	for _, src := range a1.Sources() {
-		r1, ok1 := a1.Reachability(src, bdd.True)
-		r2, ok2 := a2.Reachability(src, bdd.True)
+		k1, ok1 := sinksOf(a1, ap1, src, bdd.True)
+		k2, ok2 := sinksOf(a2, ap2, src, bdd.True)
 		if !ok1 || !ok2 {
 			continue
 		}
-		s1, _ := reach.Partition(r1.Sinks, f)
-		s2, _ := reach.Partition(r2.Sinks, f)
+		s1, _ := reach.Partition(k1, f)
+		s2, _ := reach.Partition(k2, f)
 		broken := f.Diff(s1, s2)
 		newly := f.Diff(s2, s1)
 		if broken == bdd.False && newly == bdd.False {

@@ -14,8 +14,7 @@ import (
 // sessions — and Apply derives a new Snapshot from it. Pure-failure
 // scenarios (no config edits) share the baseline's parse artifacts
 // outright: only the simulation and the stages below it rerun, under
-// scenario-aware content-addressed keys, and the question layer answers
-// incrementally against the baseline exactly as it does for Edit.
+// scenario-aware content-addressed keys.
 type Scenario struct {
 	// ConfigEdits maps device name to replacement text; an empty string
 	// removes the device file (the original Edit semantics).
@@ -70,8 +69,7 @@ func (sc Scenario) ID() string {
 }
 
 // Apply derives a new snapshot with the scenario overlaid. The result
-// shares this snapshot's pipeline and options and records this snapshot
-// as its baseline for incremental re-analysis. Pure-failure scenarios
+// shares this snapshot's pipeline and options. Pure-failure scenarios
 // skip the parse stage entirely — the parsed network, device keys, and
 // parse diagnostics are shared with the baseline — while scenarios with
 // config edits go through the same overlay-parse path as Edit. Failure
@@ -101,8 +99,6 @@ func (s *Snapshot) Apply(sc Scenario) *Snapshot {
 	}
 	ns.opts = s.opts
 	ns.opts.Suppress = s.opts.Suppress.Merge(sc.suppression())
-	ns.baseline = s
-	ns.scenario = &sc
 	ns.bddBudget = s.bddBudget
 	return ns
 }

@@ -53,13 +53,6 @@ type Snapshot struct {
 	pl      *pipeline.Pipeline
 	texts   map[string]string       // source texts (name → config), for Edit
 	devKeys map[string]pipeline.Key // hostname → parse-artifact key
-	// baseline is the snapshot this one was derived from via Edit or
-	// Apply; the question layer uses it for incremental re-analysis.
-	baseline *Snapshot
-	// scenario is the overlay that derived this snapshot from baseline
-	// (nil for freshly loaded snapshots). Failure kinds contribute their
-	// endpoints to the changed-device set.
-	scenario *Scenario
 
 	opts  dataplane.Options
 	dp    *dataplane.Result
@@ -70,15 +63,8 @@ type Snapshot struct {
 	tr    *traceroute.Engine
 
 	// reachMemo caches per-(source, header-space) sink sets so repeated
-	// and incrementally-derived questions skip full forward passes.
+	// questions skip recomputing them.
 	reachMemo map[memoKey]map[string]bdd.Ref
-	// nodeFPs memoizes per-device data-plane fingerprints for
-	// changedDevices.
-	nodeFPs map[string]uint64
-	// impact caches the per-source blast radius vs baseline.
-	impact     map[reach.SourceLoc]bdd.Ref
-	impactDone bool
-	impactOK   bool
 
 	// ctx governs every stage this snapshot runs; nil means Background.
 	ctx context.Context
@@ -314,17 +300,13 @@ func LoadGeneratedWithContext(ctx context.Context, pl *pipeline.Pipeline, snap *
 // Edit derives a new snapshot by overlaying config changes (name → new
 // text; an empty string removes the device file). It is the config-edit
 // special case of Apply: the result shares this snapshot's pipeline and
-// options and records this snapshot as its baseline, enabling incremental
-// re-analysis — questions on the edited snapshot recompute only flows
-// whose trajectory can touch a changed device and reuse the baseline's
-// answers for the rest.
+// options, so unchanged devices reuse their parsed models and the stages
+// below parse recompute under content-addressed keys. The edited snapshot
+// is independent of this one: its questions answer exactly as on a fresh
+// load of the merged texts.
 func (s *Snapshot) Edit(changes map[string]string) *Snapshot {
 	return s.Apply(Scenario{ConfigEdits: changes})
 }
-
-// Baseline returns the snapshot this one was derived from via Edit or
-// Apply (nil for freshly loaded snapshots).
-func (s *Snapshot) Baseline() *Snapshot { return s.baseline }
 
 // Pipeline returns the pipeline this snapshot is bound to (nil for
 // directly constructed Snapshot literals).

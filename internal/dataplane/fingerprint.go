@@ -23,8 +23,7 @@ func (f *fpHash) mixStr(s string) {
 // control- and forwarding-plane state: every VRF's per-protocol RIB state
 // plus the resolved FIB entries, in sorted VRF order. Unknown devices hash
 // to a fixed value, so two data planes agree on a device exactly when its
-// state is identical. The incremental CompareWith in internal/core diffs
-// these per-node hashes to find devices whose forwarding changed.
+// state is identical. Fingerprint folds these per-node hashes into one.
 func (r *Result) NodeFingerprint(name string) uint64 {
 	f := fpHash{h: fnvFPOffset}
 	ns := r.Nodes[name]

@@ -16,7 +16,7 @@
 //
 // Graphs built by one enabled Pipeline share a single header-space
 // encoder, so analyses from different snapshots are directly comparable
-// (the incremental CompareWith in internal/core depends on this). The
+// (CompareWith in internal/core diffs them without rebuilding). The
 // shared BDD factory is unsynchronized and append-only: queries against
 // snapshots of the same Pipeline must not run concurrently with each
 // other, and the factory's node table grows monotonically over the

@@ -6,9 +6,9 @@ import (
 )
 
 // HasTransforms reports whether any edge in the graph rewrites packet
-// headers (NAT). Header rewriting breaks the correspondence between
-// source-space and sink-space packet sets that the incremental CompareWith
-// in internal/core relies on, so callers use this to gate that path.
+// headers (NAT). A backward set on such a graph is a pre-image, not the
+// post-transform set a forward pass reports at a sink, so AllPairs and
+// its callers in internal/core answer one forward pass per source.
 func HasTransforms(g *fwdgraph.Graph) bool {
 	for i := range g.Edges {
 		if g.Edges[i].Tr != nil {
@@ -28,7 +28,9 @@ func HasTransforms(g *fwdgraph.Graph) bool {
 // source's impact set provably never visits a changed device, so its
 // forwarding outcome is unaffected by the edit (unchanged nodes keep
 // identical transfer functions). Sources with an empty impact set are
-// omitted entirely.
+// omitted entirely. It is the backward reference that
+// TestImpactConeDuality checks ImpactCone, the sweep's one forward pass,
+// against.
 func ImpactSets(g *fwdgraph.Graph, changed map[string]bool) map[SourceLoc]bdd.Ref {
 	a := NewWithOptions(g, Options{Compress: false})
 	f := a.Enc.F

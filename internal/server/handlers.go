@@ -245,15 +245,6 @@ func (s *Server) handleEdit(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusBadRequest, apiResponse{ExitCode: ExitUsage, Error: `"as" must name a distinct snapshot`})
 		return
 	}
-	if s.inBaseChain(name, body.As) {
-		// Replacing an ancestor of the edit target would make the base
-		// chain circular (edit A as B, then edit B as A), poisoning every
-		// future rebuild of either snapshot.
-		s.m.ClientErrors.Add(1)
-		writeJSON(w, http.StatusBadRequest, apiResponse{ExitCode: ExitUsage,
-			Error: fmt.Sprintf("%q is in %q's base chain; the edit would create a cycle", body.As, name)})
-		return
-	}
 	ctx, cancel, err := s.reqContext(r)
 	if err != nil {
 		s.m.ClientErrors.Add(1)
@@ -274,14 +265,7 @@ func (s *Server) handleEdit(w http.ResponseWriter, r *http.Request) {
 	// the response fields are read there too, before putEntry publishes
 	// the new snapshot to other requests.
 	s.anMu.Lock()
-	base, err := s.snapshotFor(e)
-	if err != nil {
-		s.anMu.Unlock()
-		s.m.ServerErrors.Add(1)
-		writeJSON(w, http.StatusInternalServerError, apiResponse{ExitCode: ExitError, Error: err.Error()})
-		return
-	}
-	ns := base.Edit(body.Changes)
+	ns := s.snapshotFor(e).Edit(body.Changes)
 	resp := apiResponse{
 		Snapshot:    body.As,
 		ExitCode:    ExitOK,
@@ -304,11 +288,7 @@ func (s *Server) handleEdit(w http.ResponseWriter, r *http.Request) {
 			texts[k] = v
 		}
 	}
-	changes := make(map[string]string, len(body.Changes))
-	for k, v := range body.Changes {
-		changes[k] = v
-	}
-	s.putEntry(&snapEntry{name: body.As, texts: texts, base: name, changes: changes, snap: ns})
+	s.putEntry(&snapEntry{name: body.As, texts: texts, snap: ns})
 	if len(resp.Diags) > 0 {
 		resp.ExitCode = ExitDegraded
 		s.m.Degraded.Add(1)
@@ -337,13 +317,7 @@ func (s *Server) handleDiagnostics(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.anMu.Lock()
-	snap, err := s.snapshotFor(e)
-	if err != nil {
-		s.anMu.Unlock()
-		s.m.ServerErrors.Add(1)
-		writeJSON(w, http.StatusInternalServerError, apiResponse{ExitCode: ExitError, Error: err.Error()})
-		return
-	}
+	snap := s.snapshotFor(e)
 	quarantined := snap.Quarantined()
 	diags := diagStrings(snap.Diags())
 	s.anMu.Unlock()
@@ -451,14 +425,8 @@ func (s *Server) handleCompare(w http.ResponseWriter, r *http.Request) {
 	s.serveQuestion(w, r, "compare", func(snap *core.Snapshot) {
 		// Resolve the candidate inside the question body so its (possible)
 		// rebuild and the CompareWith mutations of its memoized artifacts
-		// both happen under anMu. snapshotFor cannot fail today (rebuilds
-		// bottom out in LoadTextWith); if it ever does, the panic is
-		// contained by the question guard and degrades the answer.
-		after, err := s.snapshotFor(we)
-		if err != nil {
-			panic(fmt.Sprintf("rebuild %q: %v", withName, err))
-		}
-		text = RenderDiffs(snap.CompareWith(after))
+		// both happen under anMu.
+		text = RenderDiffs(snap.CompareWith(s.snapshotFor(we)))
 	}, &text)
 }
 

@@ -51,6 +51,7 @@ import (
 	"repro/internal/diag"
 	"repro/internal/diskcache"
 	"repro/internal/pipeline"
+	"repro/internal/reach"
 )
 
 // Config tunes a Server. Zero values take the documented defaults.
@@ -129,11 +130,9 @@ func (c *Config) defaults() {
 type snapEntry struct {
 	name string
 
-	mu      sync.Mutex
-	texts   map[string]string // full source set (base texts + edits applied)
-	base    string            // entry this one was edited from ("" for roots)
-	changes map[string]string // the Edit overlay relative to base
-	snap    *core.Snapshot    // current live snapshot; nil forces rebuild
+	mu    sync.Mutex
+	texts map[string]string // full source set (base texts + edits applied)
+	snap  *core.Snapshot    // current live snapshot; nil forces rebuild
 
 	br breaker
 }
@@ -372,75 +371,20 @@ func (s *Server) names() []string {
 // snapshotFor returns the entry's live snapshot, rebuilding it from the
 // retained sources when it is missing or has been poisoned by a past
 // request (cancellation latches inside stage artifacts; question-stage
-// diagnostics accumulate). Rebuilds re-parse through the pipeline, so
-// every clean cached artifact — in memory or on disk — is reused; only
-// analyses private to the old snapshot recompute. Edited snapshots
-// rebuild against their base entry, preserving the baseline link that
-// makes CompareWith incremental.
+// diagnostics accumulate). Rebuilds re-parse the entry's merged texts
+// through the pipeline, so every clean cached artifact — in memory or on
+// disk — is reused; only analyses private to the old snapshot recompute.
 //
 // Callers must hold anMu: both the Cancelled fast path and a rebuild
 // read/write snapshot internals that questions mutate, and a published
 // snapshot may be touched by any request. Lock order is anMu → e.mu.
-func (s *Server) snapshotFor(e *snapEntry) (*core.Snapshot, error) {
-	return s.snapshotForChain(e, nil)
-}
-
-// snapshotForChain is snapshotFor with cycle protection: visited holds
-// the entry names already locked on this rebuild path. handleEdit
-// rejects edits that would put the new name in its target's base-chain
-// ancestry, but two racing edits can still weave a cycle past that
-// check, so a revisited base rebuilds standalone from the entry's
-// merged texts instead of recursing — recursing would re-lock a mutex
-// this goroutine already holds and deadlock the server.
-func (s *Server) snapshotForChain(e *snapEntry, visited map[string]bool) (*core.Snapshot, error) {
+func (s *Server) snapshotFor(e *snapEntry) *core.Snapshot {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if e.snap != nil && !e.snap.Cancelled() {
-		return e.snap, nil
-	}
-	if e.base == "" {
+	if e.snap == nil || e.snap.Cancelled() {
 		e.snap = core.LoadTextWith(s.pl, e.texts)
-		return e.snap, nil
 	}
-	if visited == nil {
-		visited = make(map[string]bool)
-	}
-	visited[e.name] = true
-	be, ok := s.entry(e.base)
-	if !ok || visited[be.name] {
-		// Base deleted, or a base cycle: rebuild standalone from the
-		// merged texts (which always reproduce the snapshot exactly; only
-		// the incremental-compare baseline link is lost).
-		e.snap = core.LoadTextWith(s.pl, e.texts)
-		return e.snap, nil
-	}
-	bs, err := s.snapshotForChain(be, visited)
-	if err != nil {
-		return nil, err
-	}
-	e.snap = bs.Edit(e.changes)
-	return e.snap, nil
-}
-
-// inBaseChain reports whether ancestor appears in name's base-chain
-// ancestry (name itself included). Used by handleEdit to refuse edits
-// that would create a base cycle.
-func (s *Server) inBaseChain(name, ancestor string) bool {
-	seen := make(map[string]bool)
-	for cur := name; cur != "" && !seen[cur]; {
-		if cur == ancestor {
-			return true
-		}
-		seen[cur] = true
-		e, ok := s.entry(cur)
-		if !ok {
-			return false
-		}
-		e.mu.Lock()
-		cur = e.base
-		e.mu.Unlock()
-	}
-	return false
+	return e.snap
 }
 
 // transient reports whether the diagnostics describe a failure worth
@@ -497,12 +441,8 @@ func (s *Server) runQuestion(ctx context.Context, e *snapEntry, q string, fn fun
 	for attempt := 1; ; attempt++ {
 		res.attempts = attempt
 		s.anMu.Lock()
-		snap, err := s.snapshotFor(e)
-		if err != nil {
-			s.anMu.Unlock()
-			res.diags = []diag.Diagnostic{{Stage: diag.StageQuestion, Kind: diag.KindError, Message: err.Error()}}
-			return res
-		}
+		snap := s.snapshotFor(e)
+		var an *reach.Analysis
 		before := len(snap.Diags())
 		snap.WithContext(ctx)
 		panicDiag := diag.Capture(diag.StageQuestion, q, func() {
@@ -512,7 +452,7 @@ func (s *Server) runQuestion(ctx context.Context, e *snapEntry, q string, fn fun
 			// context. Rebind so this request's deadline reaches the BDD
 			// fixed points too. Inside Capture because a first call may
 			// build data plane and graph, which can trip budgets.
-			snap.Analysis().WithContext(ctx)
+			an = snap.Analysis().WithContext(ctx)
 			fn(snap)
 		})
 		snap.WithContext(nil)
@@ -521,7 +461,7 @@ func (s *Server) runQuestion(ctx context.Context, e *snapEntry, q string, fn fun
 			// Unbind the request context from the (private) analysis so
 			// it cannot poison later requests; a poisoned run discards
 			// the whole snapshot below instead.
-			snap.Analysis().WithContext(nil)
+			an.WithContext(nil)
 		}
 		after := snap.Diags()
 		s.anMu.Unlock()

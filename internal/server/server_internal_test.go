@@ -6,8 +6,6 @@ import (
 	"strings"
 	"testing"
 	"time"
-
-	"repro/internal/netgen"
 )
 
 // TestBreakerAbortReleasesProbe covers the neutral probe release: a
@@ -56,45 +54,6 @@ func TestBreakerAbortReleasesProbe(t *testing.T) {
 	b.record(th, false)
 	if st, _ := b.snapshotState(); st != "open" {
 		t.Fatalf("state = %s, want open: abort reset the failure count", st)
-	}
-}
-
-// TestSnapshotForBaseCycle is the backstop for racing edits that weave a
-// base cycle past handleEdit's ancestry check: rebuilding either entry
-// must terminate (standalone from merged texts) instead of re-locking an
-// entry mutex already held on the rebuild path and deadlocking.
-func TestSnapshotForBaseCycle(t *testing.T) {
-	s, err := New(Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	fab := netgen.Fabric(netgen.FabricParams{Name: "cy", Spines: 1, Pods: 1,
-		AggPerPod: 1, TorPerPod: 1, HostNetsPerTor: 1})
-	texts := make(map[string]string, len(fab.Devices))
-	for _, d := range fab.Devices {
-		texts[d.Hostname] = d.Text
-	}
-	a := &snapEntry{name: "a", texts: texts, base: "b", changes: map[string]string{}}
-	b := &snapEntry{name: "b", texts: texts, base: "a", changes: map[string]string{}}
-	s.putEntry(a)
-	s.putEntry(b)
-
-	for _, e := range []*snapEntry{a, b} {
-		done := make(chan error, 1)
-		go func() {
-			s.anMu.Lock()
-			defer s.anMu.Unlock()
-			_, err := s.snapshotFor(e)
-			done <- err
-		}()
-		select {
-		case err := <-done:
-			if err != nil {
-				t.Fatalf("rebuild %q: %v", e.name, err)
-			}
-		case <-time.After(30 * time.Second):
-			t.Fatalf("rebuild %q deadlocked on the base cycle", e.name)
-		}
 	}
 }
 

@@ -462,48 +462,52 @@ func TestCircuitBreaker(t *testing.T) {
 	}
 }
 
-// TestEditCycleRejected: an edit whose "as" name sits in the target's
-// base-chain ancestry would make every future rebuild circular, so the
-// server must refuse it as a usage error.
-func TestEditCycleRejected(t *testing.T) {
+// TestEditReplacesAncestor: an entry holds its merged texts and no link
+// to the snapshot it was edited from, so an edit may be published under
+// the name of its own ancestor. After "edit a as b" and "edit b as a",
+// a answers reachability exactly as a fresh load of its merged texts.
+func TestEditReplacesAncestor(t *testing.T) {
 	_, ts := newServer(t, server.Config{})
 	tc := newTestClient(t, ts)
 	texts := smallFabric()
 	tc.load("a", texts)
 
-	var dev string
-	for d := range texts {
-		dev = d
-		break
+	const dev = "sm-p02-tor02"
+	unused := "ip route 10.99.0.0 255.255.255.0 Null0"
+	broken := "ip route 10.0.0.0 255.255.255.128 Null0"
+	edit := func(from, as, text string) {
+		t.Helper()
+		resp, ar := tc.do(http.MethodPost, "/snapshots/"+from+"/edit",
+			map[string]any{"as": as, "changes": map[string]string{dev: text}})
+		if resp.StatusCode != http.StatusOK || ar.ExitCode != server.ExitOK {
+			t.Fatalf("edit %s as %s: %d exit %d %s", from, as, resp.StatusCode, ar.ExitCode, ar.Error)
+		}
 	}
-	edit := func(from, as string) (*http.Response, apiResp) {
-		return tc.do(http.MethodPost, "/snapshots/"+from+"/edit",
-			map[string]any{"as": as, "changes": map[string]string{
-				dev: addRoute(t, texts[dev], "ip route 10.99.0.0 255.255.255.0 Null0")}})
+	once := addRoute(t, texts[dev], unused)
+	edit("a", "b", once)
+	twice := addRoute(t, once, broken)
+	edit("b", "a", twice)
+
+	merged := make(map[string]string, len(texts))
+	for k, v := range texts {
+		merged[k] = v
 	}
-	if resp, ar := edit("a", "b"); resp.StatusCode != http.StatusOK {
-		t.Fatalf("edit a as b: %d %s", resp.StatusCode, ar.Error)
-	}
-	// Direct cycle: b's base is a.
-	if resp, ar := edit("b", "a"); resp.StatusCode != http.StatusBadRequest || ar.ExitCode != server.ExitUsage {
-		t.Fatalf("edit b as a accepted: %d exit %d %s", resp.StatusCode, ar.ExitCode, ar.Error)
-	}
-	// Transitive cycle: c → b → a, then a as an ancestor again.
-	if resp, ar := edit("b", "c"); resp.StatusCode != http.StatusOK {
-		t.Fatalf("edit b as c: %d %s", resp.StatusCode, ar.Error)
-	}
-	if resp, ar := edit("c", "a"); resp.StatusCode != http.StatusBadRequest || ar.ExitCode != server.ExitUsage {
-		t.Fatalf("edit c as a accepted: %d exit %d %s", resp.StatusCode, ar.ExitCode, ar.Error)
-	}
-	// Replacing a non-ancestor is still allowed, and both snapshots answer.
-	if resp, ar := edit("a", "c"); resp.StatusCode != http.StatusOK {
-		t.Fatalf("edit a as c (replace non-ancestor): %d %s", resp.StatusCode, ar.Error)
-	}
-	for _, name := range []string{"b", "c"} {
+	merged[dev] = twice
+	tc.load("fresh", merged)
+	reach := func(name string) string {
+		t.Helper()
 		resp, ar := tc.do(http.MethodGet, "/snapshots/"+name+"/reachability", nil)
 		if resp.StatusCode != http.StatusOK || ar.ExitCode != server.ExitOK {
-			t.Errorf("question on %s after edits: %d exit %d %v", name, resp.StatusCode, ar.ExitCode, ar.Diags)
+			t.Fatalf("reachability on %s: %d exit %d %v", name, resp.StatusCode, ar.ExitCode, ar.Diags)
 		}
+		return ar.Text
+	}
+	got, want := reach("a"), reach("fresh")
+	if got != want {
+		t.Errorf("a after editing onto its ancestor answers\n%s\nwant the fresh load's\n%s", got, want)
+	}
+	if got == reach("b") {
+		t.Error("the null route changed no reachability answer")
 	}
 }
 

@@ -11,6 +11,7 @@ import (
 	"repro/internal/diag"
 	"repro/internal/faults"
 	"repro/internal/ip4"
+	"repro/internal/reach"
 	"repro/internal/sweep"
 )
 
@@ -103,26 +104,20 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	// the request context for the duration, unbind on the clean path, and
 	// discard the snapshot when the run poisoned it.
 	s.anMu.Lock()
-	snap, err := s.snapshotFor(e)
-	if err != nil {
-		s.anMu.Unlock()
-		e.br.record(s.cfg.BreakerThreshold, false)
-		s.m.ServerErrors.Add(1)
-		writeJSON(w, http.StatusInternalServerError, apiResponse{ExitCode: ExitError, Error: err.Error()})
-		return
-	}
+	snap := s.snapshotFor(e)
 	var plan *sweep.Plan
 	var planErr error
+	var an *reach.Analysis
 	before := len(snap.Diags())
 	snap.WithContext(ctx)
 	panicDiag := diag.Capture(diag.StageQuestion, "sweep", func() {
-		snap.Analysis().WithContext(ctx)
+		an = snap.Analysis().WithContext(ctx)
 		plan, planErr = sweep.NewPlan(snap, spec)
 	})
 	snap.WithContext(nil)
 	cancelled := snap.Cancelled()
 	if !cancelled && panicDiag == nil {
-		snap.Analysis().WithContext(nil)
+		an.WithContext(nil)
 	}
 	diags := snap.Diags()[before:]
 	s.anMu.Unlock()

@@ -15,7 +15,7 @@ import (
 // answers before it is rebuilt. Each Apply grows the worker's BDD factory
 // (scenario-specific node tables are never freed), so recycling the
 // pipeline periodically keeps a long sweep's memory flat at the cost of
-// re-warming the baseline.
+// re-parsing the base snapshot and re-checking its baseline.
 const classesPerRuntime = 16
 
 // classJob is one equivalence-class representative awaiting execution.
@@ -58,9 +58,10 @@ type outcome struct {
 }
 
 // workerRT is one worker's private execution runtime: its own pipeline
-// (BDD factories are unsynchronized), its own base snapshot rebuilt from
-// the plan's texts, and a warmed baseline reachability memo so every
-// scenario answers incrementally.
+// (BDD factories are unsynchronized) and its own base snapshot rebuilt
+// from the plan's texts, whose parsed model every scenario shares. The
+// base answers the plan's question once when the runtime is built, to
+// refuse a degraded baseline; each scenario then answers on its own.
 type workerRT struct {
 	base *core.Snapshot
 }

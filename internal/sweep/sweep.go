@@ -1,13 +1,13 @@
 // Package sweep is the k-failure scenario sweep engine: the flagship
-// heavy-traffic workload the cache/incremental/parallel layers exist for
+// heavy-traffic workload the cache and parallel layers exist for
 // (ROADMAP "failure-scenario sweeps", Plankton in PAPERS.md). It
 // enumerates every k=1 and k=2 link/node/session failure over a base
 // snapshot, partitions the scenarios into equivalence classes using the
-// blast-radius machinery of reach.ImpactSets — a failure no monitored
+// monitored-traffic cone of reach.ImpactCone — a failure no monitored
 // flow can touch cannot change any monitored verdict, so one
 // representative per class runs and the rest are stamped — and executes
 // the surviving representatives across a worker pool, each worker
-// answering incrementally against its own warmed baseline.
+// applying them to its own private copy of the base snapshot.
 //
 // Soundness of the class pruning (see DESIGN §8 for the proof sketch and
 // the non-monotone-policy caveat): the monitored-traffic cone is the set
@@ -320,7 +320,7 @@ func NewPlan(base *core.Snapshot, spec Spec) (*Plan, error) {
 		return false
 	}
 
-	// Baseline verdicts (also warms the base snapshot's memo).
+	// Baseline verdicts.
 	flows := base.Reachability(p.params)
 	p.baseline = renderSources(p.sources, flows)
 	p.baseDelivered = make(map[reach.SourceLoc]bool, len(p.baseline))

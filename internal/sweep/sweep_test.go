@@ -56,9 +56,9 @@ func monitored(t testing.TB, base *core.Snapshot, srcTor, dstTor string) ([]reac
 }
 
 // coldVerdicts recomputes one scenario from scratch: fresh disabled
-// pipeline (no cache, no incremental path, its own BDD factory), full
-// parse and simulation. This is the ground truth the sweep's pruned and
-// incremental answers are checked against.
+// pipeline (no cache, its own BDD factory), full parse and simulation.
+// This is the ground truth the sweep's pruned and executed answers are
+// checked against.
 func coldVerdicts(t testing.TB, texts map[string]string, sc Scenario, srcs []reach.SourceLoc, dst ip4.Prefix) []SourceVerdict {
 	t.Helper()
 	base := core.LoadTextWith(pipeline.Disabled(), texts)
