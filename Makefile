@@ -104,12 +104,13 @@ benchjson:
 	$(GO) test -bench . -benchmem -run '^$$' . | $(GO) run ./cmd/benchjson -diff
 
 # bench-smoke: one-iteration pass over the floor-gated benchmarks — the
-# parallel fabric simulation and the route-interning pair. Proves they
-# still build, run, and emit their metrics without paying for a full
-# `-bench .` sweep; timing floors are bench-check's job, on the committed
-# snapshot, where the numbers came from enough iterations to be stable.
+# parallel fabric simulation and the route-interning pair — and the NET2
+# graph-build layer benchmark. Proves they still build, run, and emit
+# their metrics without paying for a full `-bench .` sweep; timing floors
+# are bench-check's job, on the committed snapshot, where the numbers came
+# from enough iterations to be stable.
 bench-smoke:
-	$(GO) test -bench 'BenchmarkParallelism|BenchmarkIntern' -benchmem -benchtime 1x -run '^$$' .
+	$(GO) test -bench 'BenchmarkParallelism|BenchmarkIntern|BenchmarkGraphBuild' -benchmem -benchtime 1x -run '^$$' .
 
 # bench-check: the perf-regression gate. Reads the newest committed
 # BENCH_*.json and fails if the dev-204 sched-speedup at 8 workers is

@@ -85,6 +85,34 @@ func BenchmarkFigure2GraphBuild(b *testing.B) {
 	}
 }
 
+// BenchmarkGraphBuild: the forwarding-graph layer alone on NET2. The data
+// plane is computed once; each op builds the graph on a fresh encoder made
+// outside the timer, so no op reads another's BDD caches. bdd-ops and
+// bdd-nodes are the factory's apply ops and allocated nodes per build.
+func BenchmarkGraphBuild(b *testing.B) {
+	net, _ := netgen.Catalog()[1].Gen().Parse() // NET2
+	dp := dataplane.Run(net, dataplane.Options{})
+	if !dp.Converged {
+		b.Fatal("no convergence")
+	}
+	var ops, nodes int
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		enc := hdr.NewEnc(fwdgraph.ZoneBits + fwdgraph.WaypointBits)
+		ops0, nodes0 := enc.F.OpCount(), enc.F.Size()
+		b.StartTimer()
+		g := fwdgraph.NewWithEnc(dp, enc)
+		if len(g.Edges) == 0 {
+			b.Fatal("empty graph")
+		}
+		ops += int(enc.F.OpCount() - ops0)
+		nodes += enc.F.Size() - nodes0
+	}
+	b.ReportMetric(float64(ops)/float64(b.N), "bdd-ops")
+	b.ReportMetric(float64(nodes)/float64(b.N), "bdd-nodes")
+}
+
 // ---------------------------------------------------------------------------
 // E3 / Figure 3: current vs original Batfish — parsing, data plane
 // generation (imperative vs Datalog), and data plane verification

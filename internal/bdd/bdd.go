@@ -22,11 +22,12 @@
 // their own.
 //
 // Panic policy: this package panics only on violated library invariants —
-// an invalid variable count, a variable index out of range, or a
-// non-order-preserving Replace renaming. These are caller bugs, never
-// reachable from user configuration input, and are deliberately kept as
-// panics (the failure-containment layer in internal/core recovers them at
-// stage boundaries as a backstop). The one recoverable panic is
+// an invalid variable count, a variable index out of range, a Node whose
+// children do not lie below its variable, or a non-order-preserving
+// Replace renaming. These are caller bugs, never reachable from user
+// configuration input, and are deliberately kept as panics (the
+// failure-containment layer in internal/core recovers them at stage
+// boundaries as a backstop). The one recoverable panic is
 // BudgetError, raised when an explicitly configured node budget is
 // exceeded; see SetNodeBudget.
 package bdd
@@ -259,6 +260,20 @@ func (f *Factory) Var(v int) Ref {
 func (f *Factory) NVar(v int) Ref {
 	f.checkVar(v)
 	return f.mk(int32(v), True, False)
+}
+
+// Node returns the canonical BDD "if variable v then high else low"
+// without an apply: low and high must both lie strictly below v in the
+// variable order (terminals lie below every variable), so a caller that
+// already knows the decision structure — a prefix trie over MSB-first
+// address bits, say — builds it one node per test. Node panics on a
+// variable out of range or a child at or above v.
+func (f *Factory) Node(v int, low, high Ref) Ref {
+	f.checkVar(v)
+	if int32(v) >= f.nodes[low].level || int32(v) >= f.nodes[high].level {
+		panic(fmt.Sprintf("bdd: Node(%d) over children at levels %d and %d", v, f.nodes[low].level, f.nodes[high].level))
+	}
+	return f.mk(int32(v), low, high)
 }
 
 func (f *Factory) checkVar(v int) {

@@ -605,3 +605,43 @@ func TestSwapVarsSemantics(t *testing.T) {
 		}
 	}
 }
+
+// TestNodeCanonical: Node applies both reduction rules, so it agrees with
+// ITE over the same variable and never allocates a redundant test, and it
+// refuses a variable that does not lie above both children.
+func TestNodeCanonical(t *testing.T) {
+	f := NewFactory(4)
+	lo, hi := f.Var(2), f.And(f.Var(1), f.NVar(3))
+	if got := f.Node(1, lo, lo); got != lo {
+		t.Errorf("Node(v, x, x) = %d, want x = %d", got, lo)
+	}
+	n := f.Node(0, lo, hi)
+	if n != f.Node(0, lo, hi) {
+		t.Error("equal triples gave different Refs")
+	}
+	if want := f.ITE(f.Var(0), hi, lo); n != want {
+		t.Errorf("Node(0, lo, hi) = %d, ITE gives %d", n, want)
+	}
+	if f.Node(3, False, True) != f.Var(3) || f.Node(3, True, False) != f.NVar(3) {
+		t.Error("Node over terminals differs from Var/NVar")
+	}
+	for _, tc := range []struct {
+		name      string
+		v         int
+		low, high Ref
+	}{
+		{"same level as low", 2, lo, True},
+		{"below high", 2, False, hi},
+		{"out of range", 4, False, True},
+		{"negative", -1, False, True},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: Node(%d) did not panic", tc.name, tc.v)
+				}
+			}()
+			f.Node(tc.v, tc.low, tc.high)
+		}()
+	}
+}

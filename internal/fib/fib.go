@@ -1,8 +1,9 @@
 // Package fib builds and queries forwarding tables. The FIB is the bridge
 // between the control plane (package dataplane, which computes main-RIB
 // routes) and the data plane analyses: the traceroute engine looks up
-// concrete packets here, and the forwarding-graph builder walks the trie to
-// emit disjoint longest-prefix-match packet sets as BDD edge labels
+// concrete packets here, and the forwarding-graph builder reads the trie
+// as a decision diagram over the destination bits, building each next
+// hop's longest-prefix-match packet set node by node as a BDD edge label
 // (paper §4.2.1: "edge constraints ... encode the semantics of
 // longest-prefix matching").
 package fib

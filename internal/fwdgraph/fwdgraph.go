@@ -163,7 +163,7 @@ func NewContext(ctx context.Context, dp *dataplane.Result) *Graph {
 		ids: make(map[string]int),
 		dp:  dp,
 	}
-	g.build(ctx)
+	g.build(ctx, lpmSets)
 	g.index()
 	return g
 }
@@ -178,7 +178,7 @@ func NewWithEnc(dp *dataplane.Result, enc *hdr.Enc) *Graph {
 // NewContext.
 func NewWithEncContext(ctx context.Context, dp *dataplane.Result, enc *hdr.Enc) *Graph {
 	g := &Graph{Enc: enc, ids: make(map[string]int), dp: dp}
-	g.build(ctx)
+	g.build(ctx, lpmSets)
 	g.index()
 	return g
 }
@@ -258,7 +258,12 @@ func zoneIDs(d *config.Device) map[string]uint32 {
 	return ids
 }
 
-func (g *Graph) build(ctx context.Context) {
+// lpmFunc computes a VRF's per-next-hop destination sets (see lpmSets).
+// build takes it as a parameter so that tests can run a reference
+// computation through the same graph construction.
+type lpmFunc func(enc *hdr.Enc, t *fib.FIB, own bdd.Ref) map[fib.NextHop]bdd.Ref
+
+func (g *Graph) build(ctx context.Context, lpm lpmFunc) {
 	aclCache := make(map[string]bdd.Ref)
 	net := g.dp.Network
 	down := g.dp.DownSet()
@@ -273,28 +278,40 @@ func (g *Graph) build(ctx context.Context) {
 			continue
 		}
 		d := net.Devices[name]
-		g.buildDevice(d, aclCache)
+		g.buildDevice(d, aclCache, lpm)
 	}
 }
 
-func (g *Graph) buildDevice(d *config.Device, aclCache map[string]bdd.Ref) {
+// deviceIPs returns the packets addressed to one of the device's active
+// interfaces: the packets it accepts.
+func deviceIPs(enc *hdr.Enc, d *config.Device) bdd.Ref {
+	own := bdd.False
+	for _, in := range d.InterfaceNames() {
+		if i := d.Interfaces[in]; i.Active {
+			own = enc.F.Or(own, ifaceIPs(enc, i))
+		}
+	}
+	return own
+}
+
+// ifaceIPs returns the packets addressed to one of the interface's
+// addresses.
+func ifaceIPs(enc *hdr.Enc, i *config.Interface) bdd.Ref {
+	r := bdd.False
+	for _, p := range i.Addresses {
+		r = enc.F.Or(r, enc.FieldEq(hdr.DstIP, uint32(p.Addr)))
+	}
+	return r
+}
+
+func (g *Graph) buildDevice(d *config.Device, aclCache map[string]bdd.Ref, lpm lpmFunc) {
 	enc := g.Enc
 	f := enc.F
 	name := d.Hostname
 	zids := zoneIDs(d)
 	zoned := len(zids) > 0
 
-	// Own-IP set: packets accepted by this device.
-	ownIPs := bdd.False
-	for _, in := range d.InterfaceNames() {
-		i := d.Interfaces[in]
-		if !i.Active {
-			continue
-		}
-		for _, p := range i.Addresses {
-			ownIPs = f.Or(ownIPs, enc.FieldEq(hdr.DstIP, uint32(p.Addr)))
-		}
-	}
+	ownIPs := deviceIPs(enc, d)
 	acceptSink := g.node(KindSink, SinkName(SinkAccepted, name), name, SinkAccepted)
 
 	// Per-VRF forwarding nodes + FIB-derived egress structure.
@@ -310,17 +327,8 @@ func (g *Graph) buildDevice(d *config.Device, aclCache map[string]bdd.Ref) {
 			g.edge(fwd, acceptSink, ownIPs)
 		}
 
-		// Disjoint LPM dst sets per forwarding action.
-		perNH := make(map[fib.NextHop]bdd.Ref)
-		g.disjointSets(vs.FIB.Root(), bdd.True, func(entry *fib.Entry, set bdd.Ref) {
-			set = f.Diff(set, ownIPs)
-			if set == bdd.False {
-				return
-			}
-			for _, nh := range entry.NextHops {
-				perNH[nh] = f.Or(perNH[nh], set)
-			}
-		})
+		// LPM dst sets per forwarding action.
+		perNH := lpm(enc, vs.FIB, ownIPs)
 
 		// No-route sink: everything with no FIB match (minus own IPs).
 		matched := bdd.False
@@ -463,18 +471,15 @@ func (g *Graph) buildEgress(d *config.Device, vrfName string, fwd int, ifName st
 	// Split to neighbors / hosts / outside by destination.
 	// Neighbor-owned IPs on this link, for connected-route delivery.
 	neighborEdges := g.dp.Topology.EdgesFrom(name, ifName)
-	linkOwn := bdd.False // IPs owned by neighbors on this link
-	for _, ed := range neighborEdges {
-		ri := g.dp.Network.Devices[ed.Node2].Interfaces[ed.Iface2]
-		if ri == nil {
-			continue
-		}
-		for _, p := range ri.Addresses {
-			linkOwn = f.Or(linkOwn, enc.FieldEq(hdr.DstIP, uint32(p.Addr)))
+	neighborOwn := make([]bdd.Ref, len(neighborEdges)) // per edge, False if no such interface
+	linkOwn := bdd.False                               // IPs owned by neighbors on this link
+	for k, ed := range neighborEdges {
+		if ri := g.dp.Network.Devices[ed.Node2].Interfaces[ed.Iface2]; ri != nil {
+			neighborOwn[k] = ifaceIPs(enc, ri)
+			linkOwn = f.Or(linkOwn, neighborOwn[k])
 		}
 	}
 
-	covered := bdd.False
 	for _, nh := range nhs {
 		set := perNH[nh]
 		var target string
@@ -484,21 +489,10 @@ func (g *Graph) buildEgress(d *config.Device, vrfName string, fwd int, ifName st
 		}
 		if target == "" && nh.IP == 0 {
 			// Connected route: split by who owns the destination.
-			for _, ed := range neighborEdges {
-				ri := g.dp.Network.Devices[ed.Node2].Interfaces[ed.Iface2]
-				if ri == nil {
-					continue
+			for k, ed := range neighborEdges {
+				if part := f.And(set, neighborOwn[k]); part != bdd.False {
+					g.deliverEdge(out, ed.Node2, ed.Iface2, part)
 				}
-				ownSet := bdd.False
-				for _, p := range ri.Addresses {
-					ownSet = f.Or(ownSet, enc.FieldEq(hdr.DstIP, uint32(p.Addr)))
-				}
-				part := f.And(set, ownSet)
-				if part == bdd.False {
-					continue
-				}
-				g.deliverEdge(out, ed.Node2, ed.Iface2, part)
-				covered = f.Or(covered, part)
 			}
 			// Rest of the connected set: hosts on the subnet.
 			rest := f.Diff(set, linkOwn)
@@ -512,20 +506,16 @@ func (g *Graph) buildEgress(d *config.Device, vrfName string, fwd int, ifName st
 				if exit != bdd.False {
 					g.edge(out, g.node(KindSink, SinkName(SinkExitsNetwork, name), name, SinkExitsNetwork), exit)
 				}
-				covered = f.Or(covered, rest)
 			}
 			continue
 		}
 		if target == "" {
 			// Next hop IP known but no neighbor: exits the network.
 			g.edge(out, g.node(KindSink, SinkName(SinkExitsNetwork, name), name, SinkExitsNetwork), set)
-			covered = f.Or(covered, set)
 			continue
 		}
 		g.deliverEdge(out, target, targetIface, set)
-		covered = f.Or(covered, set)
 	}
-	_ = covered
 }
 
 // deliverEdge connects an egress node to the neighbor's preIn, clearing
@@ -658,29 +648,93 @@ func (g *Graph) natTransform(d *config.Device, kind config.NATKind, iface string
 	return tr
 }
 
-// disjointSets walks the FIB trie emitting, for each entry, the exact
-// packet set it matches under longest-prefix-match: the entry's prefix
-// minus every longer matching prefix below it.
-func (g *Graph) disjointSets(n *fib.Node, _ bdd.Ref, emit func(*fib.Entry, bdd.Ref)) {
-	g.walkTrie(n, emit)
+// lpmSets returns, for every next hop of the FIB, the destinations whose
+// longest-prefix match carries it, minus own; next hops left with no
+// destination are omitted. Each set comes from one structural pass over the
+// path-compressed trie (lpmSet), and own is subtracted once per next hop.
+func lpmSets(enc *hdr.Enc, t *fib.FIB, own bdd.Ref) map[fib.NextHop]bdd.Ref {
+	perNH := make(map[fib.NextHop]bdd.Ref)
+	for _, nh := range nextHops(t.Root()) {
+		if set := enc.F.Diff(lpmSet(enc, t.Root(), nh, false), own); set != bdd.False {
+			perNH[nh] = set
+		}
+	}
+	return perNH
 }
 
-// walkTrie returns the union of prefixes covered by entries at or below n.
-func (g *Graph) walkTrie(n *fib.Node, emit func(*fib.Entry, bdd.Ref)) bdd.Ref {
-	if n == nil {
-		return bdd.False
+// nextHops returns the distinct next hops of the entries at or below n,
+// in trie preorder.
+func nextHops(n *fib.Node) []fib.NextHop {
+	var out []fib.NextHop
+	seen := make(map[fib.NextHop]bool)
+	var walk func(*fib.Node)
+	walk = func(n *fib.Node) {
+		if n == nil {
+			return
+		}
+		if n.Entry != nil {
+			for _, nh := range n.Entry.NextHops {
+				if !seen[nh] {
+					seen[nh] = true
+					out = append(out, nh)
+				}
+			}
+		}
+		walk(n.Children[0])
+		walk(n.Children[1])
 	}
-	f := g.Enc.F
-	below := f.Or(g.walkTrie(n.Children[0], emit), g.walkTrie(n.Children[1], emit))
-	if n.Entry == nil {
-		return below
+	walk(n)
+	return out
+}
+
+// lpmSet returns {dst under n's prefix : LPM(dst) carries nh} as a BDD over
+// the destination bits from n's prefix length on. inherited reports
+// whether the nearest entry above n carries nh.
+//
+// The trie is itself a decision diagram over those bits: destination bit i
+// is a hdr variable that increases with i (MSB first), so the set is built
+// bottom-up with one Node per trie bit and no apply. At each node the
+// nearest entry decides the leaf (True if it carries nh); a missing child
+// takes the leaf, and a compressed edge becomes a chain of nodes along the
+// child's address bits whose off-path branches take the leaf.
+func lpmSet(enc *hdr.Enc, n *fib.Node, nh fib.NextHop, inherited bool) bdd.Ref {
+	if n.Entry != nil {
+		inherited = carries(n.Entry, nh)
 	}
-	self := g.Enc.Prefix(hdr.DstIP, n.Prefix)
-	set := f.Diff(self, below)
-	if set != bdd.False {
-		emit(n.Entry, set)
+	leaf := bdd.False
+	if inherited {
+		leaf = bdd.True
 	}
-	return self
+	if n.Prefix.Len == 32 {
+		return leaf
+	}
+	f := enc.F
+	var sub [2]bdd.Ref
+	for b, c := range n.Children {
+		sub[b] = leaf
+		if c == nil {
+			continue
+		}
+		r := lpmSet(enc, c, nh, inherited)
+		for i := int(c.Prefix.Len) - 1; i > int(n.Prefix.Len) && r != leaf; i-- {
+			if v := enc.L.Var(hdr.DstIP, i); c.Prefix.Addr.Bit(i) {
+				r = f.Node(v, leaf, r)
+			} else {
+				r = f.Node(v, r, leaf)
+			}
+		}
+		sub[b] = r
+	}
+	return f.Node(enc.L.Var(hdr.DstIP, int(n.Prefix.Len)), sub[0], sub[1])
+}
+
+func carries(e *fib.Entry, nh fib.NextHop) bool {
+	for _, x := range e.NextHops {
+		if x == nh {
+			return true
+		}
+	}
+	return false
 }
 
 // Device returns the configuration of a device by hostname (nil if
