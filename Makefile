@@ -75,15 +75,18 @@ cluster-chaos:
 	$(GO) test -race -run TestClusterChaos -count=1 ./internal/cluster/
 
 # Short native-fuzzing pass over the vendor parsers (any input must yield
-# a device model, never a panic) and the HTTP sweep body (never a panic,
-# never more workers than GOMAXPROCS). Crashers land in testdata/fuzz/
-# and reproduce with plain `go test`. The server target runs alone
-# (-run) so the package's end-to-end tests do not precede it.
+# a device model, never a panic), the HTTP sweep body (never a panic,
+# never more workers than GOMAXPROCS) and the data-plane artifact decoder
+# (an error or a usable result, never a panic). Crashers land in
+# testdata/fuzz/ and reproduce with plain `go test`. The server and
+# dataplane targets run alone (-run) so their packages' other tests do
+# not precede them.
 FUZZTIME ?= 20s
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzParse -fuzztime=$(FUZZTIME) ./internal/vendors/cisco/
 	$(GO) test -fuzz=FuzzParse -fuzztime=$(FUZZTIME) ./internal/vendors/juniper/
 	$(GO) test -run '^FuzzParseSweepBody$$' -fuzz='^FuzzParseSweepBody$$' -fuzztime=$(FUZZTIME) ./internal/server/
+	$(GO) test -run '^FuzzUnmarshalResult$$' -fuzz='^FuzzUnmarshalResult$$' -fuzztime=$(FUZZTIME) ./internal/dataplane/
 
 cover:
 	$(GO) test -coverprofile=cover.out $(COVER_PKGS)
@@ -105,12 +108,12 @@ benchjson:
 
 # bench-smoke: one-iteration pass over the floor-gated benchmarks — the
 # parallel fabric simulation and the route-interning pair — and the NET2
-# graph-build layer benchmark. Proves they still build, run, and emit
+# graph-build and data-plane artifact layer benchmarks. Proves they still build, run, and emit
 # their metrics without paying for a full `-bench .` sweep; timing floors
 # are bench-check's job, on the committed snapshot, where the numbers came
 # from enough iterations to be stable.
 bench-smoke:
-	$(GO) test -bench 'BenchmarkParallelism|BenchmarkIntern|BenchmarkGraphBuild' -benchmem -benchtime 1x -run '^$$' .
+	$(GO) test -bench 'BenchmarkParallelism|BenchmarkIntern|BenchmarkGraphBuild|BenchmarkDataPlaneArtifact' -benchmem -benchtime 1x -run '^$$' .
 
 # bench-check: the perf-regression gate. Reads the newest committed
 # BENCH_*.json and fails if the dev-204 sched-speedup at 8 workers is

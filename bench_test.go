@@ -14,6 +14,7 @@ import (
 	"runtime"
 	"sort"
 	"strings"
+	"syscall"
 	"testing"
 	"time"
 
@@ -803,6 +804,62 @@ func BenchmarkServer(b *testing.B) {
 		b.ReportMetric(coldNs/1e6, "server-cold-start-ms")
 		b.ReportMetric(warmNs/1e6, "server-warm-start-ms")
 	})
+}
+
+// BenchmarkDataPlaneArtifact is the disk tier's data-plane layer: one
+// UnmarshalResult per op of a converged result's artifact, on the
+// service-mix fabric (34 devices) and NET2. It reports the artifact size
+// and decode-over-run — decode CPU over the CPU of one serial
+// dataplane.Run on the same net, the ratio a disk hit must keep well
+// below 1 to be worth reading.
+func BenchmarkDataPlaneArtifact(b *testing.B) {
+	for _, tc := range []struct {
+		name string
+		snap func() *netgen.Snapshot
+	}{
+		{"service", func() *netgen.Snapshot {
+			return netgen.Fabric(netgen.FabricParams{Name: "sv", Spines: 2, Pods: 4,
+				AggPerPod: 2, TorPerPod: 6, HostNetsPerTor: 1, Multipath: true})
+		}},
+		{"NET2", netgen.Catalog()[1].Gen},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			net, _ := tc.snap().Parse()
+			serial := dataplane.Options{Parallelism: 1}
+			const runs = 3
+			cpu0 := processCPU(b)
+			for i := 0; i < runs; i++ {
+				dataplane.Run(net, serial)
+			}
+			runCPU := (processCPU(b) - cpu0) / runs
+			dp := dataplane.Run(net, serial)
+			art, err := dataplane.MarshalResult(dp)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			cpu0 = processCPU(b)
+			for i := 0; i < b.N; i++ {
+				if _, err := dataplane.UnmarshalResult(art, net); err != nil {
+					b.Fatal(err)
+				}
+			}
+			decodeCPU := (processCPU(b) - cpu0) / time.Duration(b.N)
+			b.StopTimer()
+			b.ReportMetric(float64(len(art)), "artifact-bytes")
+			b.ReportMetric(float64(decodeCPU)/float64(runCPU), "decode-over-run")
+		})
+	}
+}
+
+// processCPU returns the process's user plus system CPU time so far.
+func processCPU(b *testing.B) time.Duration {
+	var ru syscall.Rusage
+	if err := syscall.Getrusage(syscall.RUSAGE_SELF, &ru); err != nil {
+		b.Fatal(err)
+	}
+	return time.Duration(ru.Utime.Nano() + ru.Stime.Nano())
 }
 
 // ---------------------------------------------------------------------------

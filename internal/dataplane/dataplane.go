@@ -112,8 +112,8 @@ type NodeState struct {
 	// clock is the node's logical clock (§4.1.2). Clocks are per node, not
 	// engine-global: the BGP comparator only ever compares arrival times of
 	// routes within one node's own RIBs, so node-local counters preserve
-	// tie-breaking exactly while making the drawn values — which are gob-
-	// encoded into persisted artifacts — deterministic for every worker
+	// tie-breaking exactly while making the drawn values — which persisted
+	// artifacts record — deterministic for every worker
 	// count and schedule interleaving (and keeping a hot shared cache line
 	// out of every parallel merge).
 	clock routing.Clock
@@ -382,13 +382,17 @@ func New(net *config.Network, opts Options) *Engine {
 	return e
 }
 
+// newVRFState builds a VRF's RIBs. Only the OSPF and BGP RIBs record
+// deltas: neighbors pull those, while nothing ever takes a delta from the
+// connected, static or main RIB, so recording one would only keep their
+// change history alive for as long as the result is cached.
 func (e *Engine) newVRFState(name string, clock *routing.Clock) *VRFState {
 	vs := &VRFState{
 		Name:          name,
-		ConnRIB:       routing.NewRIB(routing.ConnectedComparator, clock),
-		StatRIB:       routing.NewRIB(routing.MainComparator, clock),
+		ConnRIB:       routing.NewRIBWithoutDelta(routing.ConnectedComparator, clock),
+		StatRIB:       routing.NewRIBWithoutDelta(routing.MainComparator, clock),
 		OSPFRIB:       routing.NewRIB(routing.OSPFComparator, clock),
-		Main:          routing.NewRIB(routing.MainComparator, clock),
+		Main:          routing.NewRIBWithoutDelta(routing.MainComparator, clock),
 		bgpOriginated: make(map[routing.Key]bool),
 		ospfExternal:  make(map[routing.Key]bool),
 	}

@@ -2,7 +2,6 @@ package dataplane
 
 import (
 	"bytes"
-	"encoding/gob"
 	"runtime"
 	"testing"
 
@@ -56,14 +55,12 @@ func TestParallelDeterminism(t *testing.T) {
 }
 
 // TestArtifactStateBytesIdenticalAcrossWorkers is a stricter determinism
-// check than Fingerprint: the persisted *computed state* — every route
+// check than Fingerprint: the complete persisted artifact — every route
 // including its logical-clock draw, FIB entries, sessions, warnings, and
 // iteration counts — must be byte-identical whatever the worker count.
 // Per-node clocks make clock values a function of each node's own merge
 // sequence, not of cross-node scheduling, which is what lets the fused
-// parallel schedule reproduce the serial state exactly. The input
-// Network is excluded from the comparison: it is identical by
-// construction but gob serializes its maps in random iteration order.
+// parallel schedule reproduce the serial state exactly.
 func TestArtifactStateBytesIdenticalAcrossWorkers(t *testing.T) {
 	snap := netgen.Random(netgen.RandomParams{Name: "artr", Nodes: 24, Degree: 4,
 		LansPerNode: 2, Seed: 11})
@@ -71,7 +68,7 @@ func TestArtifactStateBytesIdenticalAcrossWorkers(t *testing.T) {
 	if len(warns) > 0 {
 		t.Fatalf("parse warnings: %v", warns[:min(3, len(warns))])
 	}
-	stateBytes := func(par int) []byte {
+	artifact := func(par int) []byte {
 		r := Run(net, Options{Parallelism: par, Schedule: ScheduleColored})
 		if !r.Converged {
 			t.Fatalf("no convergence at parallelism %d", par)
@@ -80,21 +77,12 @@ func TestArtifactStateBytesIdenticalAcrossWorkers(t *testing.T) {
 		if err != nil {
 			t.Fatalf("marshal at parallelism %d: %v", par, err)
 		}
-		var p persistResult
-		if err := gob.NewDecoder(bytes.NewReader(b)).Decode(&p); err != nil {
-			t.Fatalf("decode at parallelism %d: %v", par, err)
-		}
-		p.Network = nil // input, not computed state; gob maps are unordered
-		var out bytes.Buffer
-		if err := gob.NewEncoder(&out).Encode(&p); err != nil {
-			t.Fatalf("re-encode at parallelism %d: %v", par, err)
-		}
-		return out.Bytes()
+		return b
 	}
-	want := stateBytes(1)
+	want := artifact(1)
 	for _, par := range []int{2, 4, 8} {
-		if got := stateBytes(par); !bytes.Equal(got, want) {
-			t.Errorf("state bytes at parallelism %d differ from serial (%d vs %d bytes)",
+		if got := artifact(par); !bytes.Equal(got, want) {
+			t.Errorf("artifact bytes at parallelism %d differ from serial (%d vs %d bytes)",
 				par, len(got), len(want))
 		}
 	}

@@ -157,7 +157,7 @@ func TestSuppressionPersistRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("MarshalResult: %v", err)
 	}
-	got, err := UnmarshalResult(b)
+	got, err := UnmarshalResult(b, r.Network)
 	if err != nil {
 		t.Fatalf("UnmarshalResult: %v", err)
 	}

@@ -9,8 +9,11 @@
 package fib
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
+	"strings"
 
 	"repro/internal/ip4"
 	"repro/internal/routing"
@@ -72,12 +75,13 @@ func (f *FIB) Len() int { return f.n }
 // Add inserts or replaces the entry for e.Prefix.
 func (f *FIB) Add(e Entry) {
 	e.Prefix = e.Prefix.Canonical()
-	sort.Slice(e.NextHops, func(i, j int) bool {
-		a, b := e.NextHops[i], e.NextHops[j]
-		if a.Iface != b.Iface {
-			return a.Iface < b.Iface
+	// slices.SortFunc runs the same pdqsort as sort.Slice without its
+	// reflective swapper's allocation; Add runs once per FIB entry.
+	slices.SortFunc(e.NextHops, func(a, b NextHop) int {
+		if c := strings.Compare(a.Iface, b.Iface); c != 0 {
+			return c
 		}
-		return a.IP < b.IP
+		return cmp.Compare(a.IP, b.IP)
 	})
 	n := f.insert(f.root, e.Prefix)
 	if n.Entry == nil {

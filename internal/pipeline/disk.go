@@ -3,7 +3,11 @@ package pipeline
 // Disk-tier integration: a Pipeline configured with a diskcache.Cache
 // gains a persistent second tier under the in-memory Store for the two
 // stages whose artifacts serialize cleanly — parse (vendor-independent
-// device models) and dataplane (converged simulation results). Lookups
+// device models, gob-encoded) and dataplane (converged simulation
+// results, in the columnar format of dataplane.MarshalResult). A
+// data-plane artifact carries no network: its key hashes every device
+// model, so the decode re-links it to the network the caller parsed for
+// that key, and costs a fraction of the simulation it replaces. Lookups
 // fall through memory → disk → compute; computes write through to both
 // tiers; entries evicted from memory demote to disk via the Store's
 // eviction callback instead of vanishing. Graph and analysis artifacts
@@ -85,8 +89,9 @@ func (p *Pipeline) diskPutParsed(k Key, art parsed) {
 }
 
 // diskGetDataPlane reads and decodes a data-plane artifact from the disk
-// tier, promoting it into the memory tier on success.
-func (p *Pipeline) diskGetDataPlane(k Key) (*dataplane.Result, bool) {
+// tier, re-linked to net (the network k was derived from), promoting it
+// into the memory tier on success.
+func (p *Pipeline) diskGetDataPlane(k Key, net *config.Network) (*dataplane.Result, bool) {
 	if p.disk == nil {
 		return nil, false
 	}
@@ -94,7 +99,7 @@ func (p *Pipeline) diskGetDataPlane(k Key) (*dataplane.Result, bool) {
 	if !ok {
 		return nil, false
 	}
-	res, err := dataplane.UnmarshalResult(b)
+	res, err := dataplane.UnmarshalResult(b, net)
 	if err != nil {
 		return nil, false
 	}

@@ -2,6 +2,7 @@ package pipeline
 
 import (
 	"fmt"
+	"os"
 	"sync"
 	"testing"
 
@@ -52,6 +53,9 @@ func TestWarmRestartServesFromDisk(t *testing.T) {
 	if dpk2 != dpk1 {
 		t.Errorf("dataplane key changed across restart")
 	}
+	if dp2.Network != net2 {
+		t.Error("rehydrated data plane is not linked to the network parsed for it")
+	}
 	for name := range dp1.Nodes {
 		if dp2.NodeFingerprint(name) != dp1.NodeFingerprint(name) {
 			t.Errorf("node %s fingerprint differs after rehydration", name)
@@ -65,6 +69,31 @@ func TestWarmRestartServesFromDisk(t *testing.T) {
 	_, _ = p2.DataPlane(net2, keys2, dataplane.Options{})
 	if p2.DiskStats().Hits != before {
 		t.Error("memory-resident artifact read disk again")
+	}
+}
+
+// TestOldDataPlaneArtifactRecomputes: a data-plane entry in an older
+// artifact format reads as a miss, and the stage recomputes.
+func TestOldDataPlaneArtifactRecomputes(t *testing.T) {
+	dir := t.TempDir()
+	texts := testTexts()
+	p1 := New(Config{Disk: openDisk(t, dir)})
+	net1, _, keys1 := p1.Parse(texts)
+	dp1, dpk := p1.DataPlane(net1, keys1, dataplane.Options{})
+	old, err := os.ReadFile("../dataplane/testdata/artifact_v2_figure2.gob")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p1.disk.Put(dpk, old)
+
+	p2 := New(Config{Disk: openDisk(t, dir)})
+	net2, _, keys2 := p2.Parse(texts)
+	dp2, _ := p2.DataPlane(net2, keys2, dataplane.Options{})
+	if st := p2.Stats(); st.DataPlane.DiskHits != 0 || st.DataPlane.ColdRuns != 1 {
+		t.Errorf("old artifact was not a miss: %+v", st.DataPlane)
+	}
+	if dp2.Fingerprint() != dp1.Fingerprint() {
+		t.Error("recomputed data plane differs")
 	}
 }
 

@@ -218,7 +218,7 @@ func (p *Pipeline) DataPlaneCtx(ctx context.Context, net *config.Network, devKey
 				p.record(&p.dp, start, true)
 				return res, k
 			}
-			if res, ok := p.diskGetDataPlane(k); ok {
+			if res, ok := p.diskGetDataPlane(k, net); ok {
 				p.recordDiskHits(&p.dp, 1)
 				p.record(&p.dp, start, true)
 				return res, k

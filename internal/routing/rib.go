@@ -1,6 +1,7 @@
 package routing
 
 import (
+	"errors"
 	"sort"
 	"sync/atomic"
 
@@ -44,9 +45,19 @@ func (d Delta) Empty() bool { return len(d.Added) == 0 && len(d.Removed) == 0 }
 // Len returns the total number of changes.
 func (d Delta) Len() int { return len(d.Added) + len(d.Removed) }
 
+// entry is one prefix's candidates and best set. Load leaves the two
+// sharing storage; the in-place candidate edits call unshare first.
 type entry struct {
 	candidates []Route
 	best       []Route
+}
+
+// unshare gives e its own candidate storage while it still shares it
+// with the best set, so editing candidates in place cannot change best.
+func (e *entry) unshare() {
+	if len(e.candidates) > 0 && len(e.best) > 0 && &e.candidates[0] == &e.best[0] {
+		e.candidates = append([]Route(nil), e.candidates...)
+	}
 }
 
 // RIB holds routes for one protocol (or the main RIB), maintaining the
@@ -57,7 +68,8 @@ type RIB struct {
 	clock    *Clock
 	entries  map[ip4.Prefix]*entry
 	delta    Delta
-	nRoutes  int // total candidates, for memory accounting
+	noDelta  bool // best-set changes are not recorded (NewRIBWithoutDelta)
+	nRoutes  int  // total candidates, for memory accounting
 	maxCands int
 
 	// scratch is the recompute working set. Most merges during convergence
@@ -76,6 +88,78 @@ type RIB struct {
 // The clock may be shared across RIBs (one per simulated network).
 func NewRIB(cmp Comparator, clock *Clock) *RIB {
 	return &RIB{cmp: cmp, clock: clock, entries: make(map[ip4.Prefix]*entry)}
+}
+
+// NewRIBWithoutDelta creates a RIB that records no best-set delta:
+// TakeDelta always returns an empty Delta. It is for RIBs nobody pulls
+// from, where a recorded delta would only keep the RIB's whole change
+// history alive for as long as the result is.
+func NewRIBWithoutDelta(cmp Comparator, clock *Clock) *RIB {
+	r := NewRIB(cmp, clock)
+	r.noDelta = true
+	return r
+}
+
+// Load installs the best-route sets of an empty RIB in bulk, with no
+// comparator run and no delta: routes, in AllBest order, become both the
+// candidates and the best set of their prefixes. Clocks are stamped in
+// input order, one draw per route. This is the state merging the same
+// routes one by one would build when each prefix's routes are equally
+// good — true of any best set the RIB itself computed — at a fraction of
+// the cost and half the memory: routes become the storage of both. The
+// caller must not reuse the slice. Load returns an error, leaving the RIB
+// empty, if the RIB is not empty or routes are not in AllBest order
+// without duplicates.
+func (r *RIB) Load(routes []Route) error {
+	if len(r.entries) > 0 {
+		return errors.New("routing: Load into a non-empty RIB")
+	}
+	n, nPrefixes, lo := len(routes), 0, 0
+	for i := range routes {
+		rt := &routes[i]
+		if rt.Prefix != rt.Prefix.Canonical() {
+			return errors.New("routing: Load of a non-canonical prefix")
+		}
+		if i == 0 || rt.Prefix != routes[i-1].Prefix {
+			if i > 0 && routes[i-1].Prefix.Compare(rt.Prefix) > 0 {
+				return errors.New("routing: Load of routes out of prefix order")
+			}
+			nPrefixes, lo = nPrefixes+1, i
+			continue
+		}
+		if routeLess(rt, &routes[i-1]) {
+			return errors.New("routing: Load of a best set out of route order")
+		}
+		for j := lo; j < i; j++ {
+			if sameIdentity(&routes[j], rt) {
+				return errors.New("routing: Load of a duplicate route")
+			}
+		}
+	}
+	base := r.clock.t.Add(uint64(n)) - uint64(n)
+	for i := range routes {
+		routes[i].Clock = base + uint64(i) + 1
+	}
+	ents := make([]entry, nPrefixes)
+	r.entries = make(map[ip4.Prefix]*entry, nPrefixes)
+	r.sorted = make([]ip4.Prefix, 0, nPrefixes)
+	for i := 0; i < n; {
+		j := i + 1
+		for j < n && routes[j].Prefix == routes[i].Prefix {
+			j++
+		}
+		// Capacity ends at the prefix, so a Merge's append reallocates
+		// instead of writing into the next prefix's routes.
+		e := &ents[len(r.sorted)]
+		e.candidates = routes[i:j:j]
+		e.best = e.candidates
+		r.entries[routes[i].Prefix] = e
+		r.sorted = append(r.sorted, routes[i].Prefix)
+		r.maxCands = max(r.maxCands, j-i)
+		i = j
+	}
+	r.nRoutes, r.sortedValid = n, true
+	return nil
 }
 
 // Merge adds a candidate route, stamping its Clock. If a candidate with the
@@ -113,6 +197,7 @@ func (r *RIB) Withdraw(rt Route) bool {
 	}
 	for i := range e.candidates {
 		if sameIdentity(&e.candidates[i], &rt) {
+			e.unshare()
 			e.candidates = append(e.candidates[:i], e.candidates[i+1:]...)
 			r.nRoutes--
 			return r.recompute(rt.Prefix, e)
@@ -130,6 +215,7 @@ func (r *RIB) RemoveWhere(prefix ip4.Prefix, pred func(Route) bool) bool {
 	if e == nil {
 		return false
 	}
+	e.unshare()
 	kept := e.candidates[:0]
 	removed := 0
 	for _, c := range e.candidates {
@@ -173,17 +259,19 @@ func (r *RIB) recompute(prefix ip4.Prefix, e *entry) bool {
 	if routesEqual(best, e.best) {
 		return false
 	}
-	old := e.best
-	// Record best-set changes in the delta (withdrawn first, then added,
-	// matching how a router would announce).
-	for i := range old {
-		if !containsRoute(best, &old[i]) {
-			r.delta.Removed = append(r.delta.Removed, old[i])
+	if !r.noDelta {
+		// Record best-set changes in the delta (withdrawn first, then
+		// added, matching how a router would announce).
+		old := e.best
+		for i := range old {
+			if !containsRoute(best, &old[i]) {
+				r.delta.Removed = append(r.delta.Removed, old[i])
+			}
 		}
-	}
-	for i := range best {
-		if !containsRoute(old, &best[i]) {
-			r.delta.Added = append(r.delta.Added, best[i])
+		for i := range best {
+			if !containsRoute(old, &best[i]) {
+				r.delta.Added = append(r.delta.Added, best[i])
+			}
 		}
 	}
 	e.best = append([]Route(nil), best...)

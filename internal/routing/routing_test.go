@@ -187,6 +187,94 @@ func TestRIBWithdrawRevealsAlternative(t *testing.T) {
 	}
 }
 
+func TestRIBWithoutDeltaRecordsNone(t *testing.T) {
+	r := NewRIBWithoutDelta(MainComparator, &Clock{})
+	worse := Route{Prefix: pfx("10.0.0.0/8"), Protocol: OSPF, AD: 110, Metric: 5}
+	better := Route{Prefix: pfx("10.0.0.0/8"), Protocol: Static, AD: 1}
+	if !r.Merge(worse) || !r.Merge(better) || !r.Withdraw(better) {
+		t.Fatal("best-set changes must still be reported")
+	}
+	if best := r.Best(worse.Prefix); len(best) != 1 || best[0].Protocol != OSPF {
+		t.Errorf("best = %v, want ospf", best)
+	}
+	if r.PendingDelta() || !r.TakeDelta().Empty() {
+		t.Error("a RIB without delta recorded one")
+	}
+}
+
+// TestRIBLoadThenMutate asserts a loaded RIB behaves like a merged one
+// afterwards: later merges, withdrawals and removals rank against the
+// loaded candidates without corrupting other prefixes' best sets.
+func TestRIBLoadThenMutate(t *testing.T) {
+	a := Route{Prefix: pfx("10.0.0.0/24"), Protocol: OSPF, AD: 110, Metric: 10, NextHop: 1}
+	b := Route{Prefix: pfx("10.0.0.0/24"), Protocol: OSPF, AD: 110, Metric: 10, NextHop: 2}
+	c := Route{Prefix: pfx("10.0.1.0/24"), Protocol: OSPF, AD: 110, Metric: 10, NextHop: 3}
+	d := Route{Prefix: pfx("10.0.1.0/24"), Protocol: OSPF, AD: 110, Metric: 10, NextHop: 4}
+	clk := &Clock{}
+	clk.Next()
+	r := NewRIB(OSPFComparator, clk)
+	if err := r.Load([]Route{a, b, c, d}); err != nil {
+		t.Fatal(err)
+	}
+	if best := r.Best(a.Prefix); len(best) != 2 || best[0].Clock != 2 || best[1].Clock != 3 {
+		t.Fatalf("loaded best set = %+v, want clocks 2 and 3", best)
+	}
+	if r.PendingDelta() || r.CandidateCount() != 4 || r.Size() != 4 {
+		t.Fatalf("load recorded a delta or miscounted: %d candidates, %d best", r.CandidateCount(), r.Size())
+	}
+	if !r.Withdraw(a) {
+		t.Fatal("withdraw of a loaded best route must change the best set")
+	}
+	if best := r.Best(a.Prefix); len(best) != 1 || best[0].NextHop != 2 {
+		t.Errorf("after withdraw best = %+v", best)
+	}
+	if d := r.TakeDelta(); len(d.Added) != 0 || len(d.Removed) != 1 || d.Removed[0].NextHop != 1 {
+		t.Errorf("withdraw delta = %+v, want only the withdrawn route removed", d)
+	}
+	if r.Merge(b) {
+		t.Error("re-merging a loaded route must be a no-op")
+	}
+	r.RemoveWhere(c.Prefix, func(rt Route) bool { return rt.NextHop == 3 })
+	if best := r.Best(c.Prefix); len(best) != 1 || best[0].NextHop != 4 {
+		t.Errorf("after RemoveWhere best = %+v", best)
+	}
+	if d := r.TakeDelta(); len(d.Removed) != 1 || d.Removed[0].NextHop != 3 {
+		t.Errorf("RemoveWhere delta = %+v, want only the removed route", d)
+	}
+	r.RemoveWhere(c.Prefix, func(Route) bool { return true })
+	if r.Best(c.Prefix) != nil || len(r.Prefixes()) != 1 {
+		t.Errorf("RemoveWhere left %v", r.Prefixes())
+	}
+	if best := r.Best(a.Prefix); len(best) != 1 || best[0].NextHop != 2 {
+		t.Errorf("a neighbor prefix's mutation changed %+v", best)
+	}
+}
+
+func TestRIBLoadRejects(t *testing.T) {
+	a := Route{Prefix: pfx("10.0.0.0/24"), Protocol: OSPF, NextHop: 1}
+	b := Route{Prefix: pfx("10.0.0.0/24"), Protocol: OSPF, NextHop: 2}
+	c := Route{Prefix: pfx("10.0.1.0/24"), Protocol: OSPF}
+	for name, routes := range map[string][]Route{
+		"prefix order":  {c, a},
+		"route order":   {b, a},
+		"duplicate":     {a, a},
+		"non-canonical": {{Prefix: ip4.Prefix{Addr: 0x0a000001, Len: 24}}},
+	} {
+		r := NewRIB(OSPFComparator, &Clock{})
+		if err := r.Load(routes); err == nil {
+			t.Errorf("%s: Load accepted %v", name, routes)
+		}
+		if len(r.Prefixes()) != 0 {
+			t.Errorf("%s: a rejected Load left prefixes behind", name)
+		}
+	}
+	r := NewRIB(OSPFComparator, &Clock{})
+	r.Merge(a)
+	if err := r.Load([]Route{c}); err == nil {
+		t.Error("Load into a non-empty RIB accepted")
+	}
+}
+
 func TestRIBECMP(t *testing.T) {
 	clk := &Clock{}
 	r := NewRIB(OSPFComparator, clk)
