@@ -76,17 +76,19 @@ cluster-chaos:
 
 # Short native-fuzzing pass over the vendor parsers (any input must yield
 # a device model, never a panic), the HTTP sweep body (never a panic,
-# never more workers than GOMAXPROCS) and the data-plane artifact decoder
-# (an error or a usable result, never a panic). Crashers land in
-# testdata/fuzz/ and reproduce with plain `go test`. The server and
-# dataplane targets run alone (-run) so their packages' other tests do
-# not precede them.
+# never more workers than GOMAXPROCS), the data-plane artifact decoder
+# (an error or a usable result, never a panic) and the disk cache's entry
+# framing (never a panic; an accepted entry re-frames to the same bytes).
+# Crashers land in testdata/fuzz/ and reproduce with plain `go test`. The
+# server, dataplane and diskcache targets run alone (-run) so their
+# packages' other tests do not precede them.
 FUZZTIME ?= 20s
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzParse -fuzztime=$(FUZZTIME) ./internal/vendors/cisco/
 	$(GO) test -fuzz=FuzzParse -fuzztime=$(FUZZTIME) ./internal/vendors/juniper/
 	$(GO) test -run '^FuzzParseSweepBody$$' -fuzz='^FuzzParseSweepBody$$' -fuzztime=$(FUZZTIME) ./internal/server/
 	$(GO) test -run '^FuzzUnmarshalResult$$' -fuzz='^FuzzUnmarshalResult$$' -fuzztime=$(FUZZTIME) ./internal/dataplane/
+	$(GO) test -run '^FuzzVerifyEntry$$' -fuzz='^FuzzVerifyEntry$$' -fuzztime=$(FUZZTIME) ./internal/diskcache/
 
 cover:
 	$(GO) test -coverprofile=cover.out $(COVER_PKGS)

@@ -17,8 +17,8 @@
 // and cache tiers), /debug/vars (expvar).
 //
 // With -cache DIR the pipeline keeps a crash-safe persistent artifact
-// tier: a restarted batfishd rehydrates parse and data-plane artifacts
-// from disk (checksummed; corrupt entries are quarantined and recomputed)
+// tier: a restarted batfishd rehydrates data-plane artifacts from disk
+// (checksummed; corrupt entries are quarantined and recomputed)
 // instead of re-simulating, so warm restarts answer in a fraction of the
 // cold time.
 //

@@ -89,7 +89,7 @@ func TestClusterChaosKillOwnerFailover(t *testing.T) {
 		t.Fatalf("cluster load: %d %v", resp.StatusCode, body)
 	}
 
-	// Warm question: commits m2's parse + dataplane artifacts to the
+	// Warm question: commits m2's data-plane artifact to the
 	// shared cache and proves the forwarded path agrees with the
 	// reference before any chaos.
 	_, warm := doJSON(t, c, http.MethodGet, n1.ts.URL+"/snapshots/"+name+q, nil, nil)
@@ -181,8 +181,9 @@ func TestClusterChaosKillOwnerFailover(t *testing.T) {
 // promote within twice the member-failover budget, the epoch must
 // strictly increase, the retried answer must be byte-identical to a
 // single-process run, and a second owner-kill right after must rehydrate
-// from the shared cache with zero cold parses — a parse-stage panic fault
-// is armed the whole time, so any cold parse fails the test.
+// from the shared cache with zero cold simulations — a FIB-build panic
+// fault is armed the whole time, so any data plane computed instead of
+// read from the shared cache fails the test.
 func TestClusterChaosKillCoordinator(t *testing.T) {
 	if testing.Short() {
 		t.Skip("chaos suite skipped in -short")
@@ -239,11 +240,12 @@ func TestClusterChaosKillCoordinator(t *testing.T) {
 	epoch0 := n2.n.View().Epoch
 
 	// Arm the chaos: the coordinator's next question parks in a 1.5s
-	// sleep so the kill lands mid-flight, and from here on ANY parse —
-	// i.e. any cold rebuild that missed the shared cache — panics.
+	// sleep so the kill lands mid-flight, and from here on ANY FIB build —
+	// i.e. any simulation that missed the shared cache — panics. (Parsing
+	// re-runs on every rehydration: parse artifacts are memory-only.)
 	inj := faults.New().
 		Enable("cluster-serve", "m1", faults.Rule{Kind: faults.Sleep, Sleep: 1500 * time.Millisecond, Count: 1}).
-		Enable("parse", "*", faults.Rule{Kind: faults.Panic})
+		Enable("fib", "*", faults.Rule{Kind: faults.Panic})
 	restore := faults.Activate(inj)
 	defer restore()
 
@@ -315,7 +317,7 @@ func TestClusterChaosKillCoordinator(t *testing.T) {
 	// Second failover: kill the snapshot's new owner (m3). The remaining
 	// member must converge to a 1-member view — promoting itself first if
 	// m3 had won the coordinator race — and answer from the artifacts in
-	// the shared cache, again without a single cold parse.
+	// the shared cache, again without a single cold simulation.
 	n3.ts.Listener.Close()
 	n3.ts.CloseClientConnections()
 	n3.n.Kill()
@@ -341,8 +343,8 @@ func TestClusterChaosKillCoordinator(t *testing.T) {
 		t.Fatalf("survivor rebuilt cold — no cache hits: %+v", d)
 	}
 	for k, hits := range inj.Hits() {
-		if strings.HasPrefix(k, "parse/") {
-			t.Fatalf("cold parse reached the armed fault: %s fired %d times", k, hits)
+		if strings.HasPrefix(k, "fib/") {
+			t.Fatalf("cold simulation reached the armed fault: %s fired %d times", k, hits)
 		}
 	}
 }

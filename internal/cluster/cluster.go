@@ -6,8 +6,8 @@
 // detector declares a member dead the view epoch advances, ownership of
 // its snapshots moves deterministically to the surviving members, and
 // the heir rehydrates them from manifests in the shared content-addressed
-// disk cache — warm-starting from the dead member's parse and dataplane
-// artifacts instead of recomputing them.
+// disk cache — warm-starting from the dead member's data-plane artifacts
+// instead of simulating again.
 //
 // The design follows the coordinator/member pattern: exactly one node is
 // the coordinator (initially, the one started without a join address)

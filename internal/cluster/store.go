@@ -14,9 +14,9 @@ import (
 // store. A manifest records a snapshot's full source set under a
 // name-derived key; when ownership fails over, the heir loads the
 // manifest and reinstalls the snapshot — and because the dead member
-// committed its parse and dataplane artifacts to the same cache under
-// content-addressed keys, the reinstall is a warm start, not a
-// recompute. Manifests are JSON (map keys marshal sorted, so equal
+// committed its data-plane artifacts to the same cache under
+// content-addressed keys, the reinstall re-parses but does not
+// re-simulate. Manifests are JSON (map keys marshal sorted, so equal
 // snapshots produce equal bytes).
 
 // manifest is the persisted form of one snapshot's sources. Edited

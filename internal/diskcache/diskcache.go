@@ -191,13 +191,30 @@ func (c *Cache) recoverScan() error {
 	return nil
 }
 
-// readVerified reads an entry file and returns its payload after
-// validating the magic, the declared length, and the SHA-256 checksum.
+// readVerified reads an entry file and returns its verified payload.
 func (c *Cache) readVerified(path string) ([]byte, error) {
 	b, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
+	return verifyEntry(b)
+}
+
+// entryHeader is the framing written before payload: the magic, the
+// big-endian payload length, and the payload's SHA-256.
+func entryHeader(payload []byte) [headerSize]byte {
+	var h [headerSize]byte
+	copy(h[:4], magic[:])
+	binary.BigEndian.PutUint64(h[4:12], uint64(len(payload)))
+	sum := sha256.Sum256(payload)
+	copy(h[12:], sum[:])
+	return h
+}
+
+// verifyEntry checks an entry file's bytes against the framing of
+// entryHeader — magic, declared length, SHA-256 checksum — and returns
+// the payload. It is the only gate between disk bytes and a Get hit.
+func verifyEntry(b []byte) ([]byte, error) {
 	if len(b) < headerSize {
 		return nil, fmt.Errorf("truncated header: %d bytes", len(b))
 	}
@@ -370,11 +387,7 @@ func (c *Cache) writeEntry(key [sha256.Size]byte, payload []byte) (err error) {
 			os.Remove(tmp)
 		}
 	}()
-	var hdrBuf [headerSize]byte
-	copy(hdrBuf[:4], magic[:])
-	binary.BigEndian.PutUint64(hdrBuf[4:12], uint64(len(payload)))
-	sum := sha256.Sum256(payload)
-	copy(hdrBuf[12:], sum[:])
+	hdrBuf := entryHeader(payload)
 	if _, err := f.Write(hdrBuf[:]); err != nil {
 		return err
 	}
@@ -399,19 +412,8 @@ func (c *Cache) writeEntry(key [sha256.Size]byte, payload []byte) (err error) {
 	return nil
 }
 
-// Has reports whether key is committed (without reading or touching it).
-func (c *Cache) Has(key [sha256.Size]byte) bool {
-	if c == nil {
-		return false
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	_, ok := c.index[hex.EncodeToString(key[:])]
-	return ok
-}
-
-// Exists stats key's file, so unlike Has it sees other processes' commits
-// and removals; it neither reads the entry nor counts a hit or miss.
+// Exists stats key's file, so it sees other processes' commits and
+// removals; it neither reads the entry nor counts a hit or miss.
 func (c *Cache) Exists(key [sha256.Size]byte) bool {
 	if c == nil {
 		return false

@@ -192,11 +192,11 @@ func TestEvictionLRU(t *testing.T) {
 		t.Fatal("warm get missed")
 	}
 	c.Put(ks[3], []byte("12345678"))
-	if c.Has(ks[1]) {
+	if c.Exists(ks[1]) {
 		t.Error("LRU victim survived")
 	}
 	for _, k := range [][sha256.Size]byte{ks[0], ks[2], ks[3]} {
-		if !c.Has(k) {
+		if !c.Exists(k) {
 			t.Error("recently used entry evicted")
 		}
 	}
@@ -243,4 +243,29 @@ func TestConcurrentAccess(t *testing.T) {
 	if st.Puts == 0 {
 		t.Fatal("no puts landed")
 	}
+}
+
+// FuzzVerifyEntry feeds arbitrary bytes to the entry-framing check, as
+// given and freshly framed: it never panics, every input it accepts
+// re-frames to the same bytes, and framing any payload verifies back to
+// that payload.
+func FuzzVerifyEntry(f *testing.F) {
+	hdr := entryHeader([]byte("payload"))
+	valid := append(hdr[:], "payload"...)
+	f.Add(valid)
+	f.Add(valid[:len(valid)-3])
+	f.Add(append([]byte("BFC0"), valid[4:]...))
+	f.Fuzz(func(t *testing.T, b []byte) {
+		if payload, err := verifyEntry(b); err == nil {
+			h := entryHeader(payload)
+			if got := append(h[:], payload...); string(got) != string(b) {
+				t.Fatalf("accepted entry re-frames differently:\n got %x\nwant %x", got, b)
+			}
+		}
+		h := entryHeader(b)
+		payload, err := verifyEntry(append(h[:], b...))
+		if err != nil || string(payload) != string(b) {
+			t.Fatalf("framed payload does not verify back: %v", err)
+		}
+	})
 }

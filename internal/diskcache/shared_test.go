@@ -78,8 +78,8 @@ func TestTwoOpensShareOneDir(t *testing.T) {
 }
 
 // TestExistsSeesOtherHandles: Exists answers from the directory, not the
-// index, so one handle sees another's commit and removal (Has does not),
-// and probing never counts as a hit or miss.
+// index, so one handle sees another's commit and removal (its index does
+// not), and probing never counts as a hit or miss.
 func TestExistsSeesOtherHandles(t *testing.T) {
 	dir := t.TempDir()
 	a := openT(t, dir, Options{MaxBytes: -1})
@@ -89,13 +89,13 @@ func TestExistsSeesOtherHandles(t *testing.T) {
 		t.Fatal("Exists before any Put")
 	}
 	b.Put(k, []byte("x"))
-	if !a.Exists(k) || a.Has(k) {
-		t.Fatalf("after b.Put: a.Exists=%v a.Has=%v, want true false", a.Exists(k), a.Has(k))
+	if n := a.Stats().Entries; !a.Exists(k) || n != 0 {
+		t.Fatalf("after b.Put: a.Exists=%v a.Entries=%d, want true 0", a.Exists(k), n)
 	}
 	a.Put(k, []byte("x"))
 	b.Remove(k)
-	if a.Exists(k) || !a.Has(k) {
-		t.Fatalf("after b.Remove: a.Exists=%v a.Has=%v, want false true", a.Exists(k), a.Has(k))
+	if n := a.Stats().Entries; a.Exists(k) || n != 1 {
+		t.Fatalf("after b.Remove: a.Exists=%v a.Entries=%d, want false 1", a.Exists(k), n)
 	}
 	if st := a.Stats(); st.Hits != 0 || st.Misses != 0 {
 		t.Fatalf("Exists counted lookups: %+v", st)

@@ -95,7 +95,6 @@ func (p *Pipeline) ParseCtx(ctx context.Context, texts map[string]string) (*conf
 	keys := make([]Key, len(names))
 	results := make([]parsed, len(names))
 	hits := make([]bool, len(names))
-	diskHits := make([]bool, len(names))
 	panics := make([]*diag.Diagnostic, len(names))
 	skipped := make([]bool, len(names))
 	work := func(i int) {
@@ -114,15 +113,8 @@ func (p *Pipeline) ParseCtx(ctx context.Context, texts map[string]string) (*conf
 					hits[i] = true
 					return
 				}
-				if art, ok := p.diskGetParsed(k); ok {
-					results[i] = art
-					hits[i] = true
-					diskHits[i] = true
-					return
-				}
 				results[i] = parseOne(n, text)
 				p.store.Put(k, results[i])
-				p.diskPutParsed(k, results[i])
 				return
 			}
 			results[i] = parseOne(n, text)
@@ -212,13 +204,6 @@ func (p *Pipeline) ParseCtx(ctx context.Context, texts map[string]string) (*conf
 			Message: "parse stage cancelled before all devices were parsed",
 		})
 	}
-	var nDisk int64
-	for i := range diskHits {
-		if diskHits[i] {
-			nDisk++
-		}
-	}
-	p.recordDiskHits(&p.parse, nDisk)
 	p.record(&p.parse, start, warm)
 	return net, warns, devKeys, diags
 }

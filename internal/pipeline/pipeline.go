@@ -45,10 +45,10 @@ type Config struct {
 	// runtime.GOMAXPROCS(0), negative forces serial parsing.
 	ParseWorkers int
 	// Disk, when non-nil, adds a persistent second tier under the
-	// in-memory store for the serializable stages (parse, dataplane):
-	// lookups fall through memory → disk → compute, computes write
-	// through to both tiers, and memory evictions demote to disk. The
-	// cache may be shared by several pipelines.
+	// in-memory store for data-plane artifacts: lookups fall through
+	// memory → disk → compute, and computes write through to both tiers.
+	// Parse, graph and analysis artifacts stay memory-only. The cache may
+	// be shared by several pipelines.
 	Disk *diskcache.Cache
 }
 
@@ -56,7 +56,8 @@ type Config struct {
 // artifact came from the store (warm) or was computed (cold). A parse run
 // counts as warm only when every device hit the cache. DiskHits counts
 // artifacts served from the persistent tier (a subset of warm activity:
-// a disk hit is decoded, promoted to memory, and reused).
+// a disk hit is decoded, promoted to memory, and reused); only the
+// data-plane stage has one, so it is zero for the others.
 type StageTimes struct {
 	ColdNs   int64
 	ColdRuns int64
@@ -106,11 +107,7 @@ type Pipeline struct {
 
 // New returns a caching Pipeline.
 func New(cfg Config) *Pipeline {
-	p := &Pipeline{store: NewStore(cfg.StoreCapacity), parseWorkers: cfg.ParseWorkers, disk: cfg.Disk}
-	if p.disk != nil {
-		p.store.OnEvict(p.demote)
-	}
-	return p
+	return &Pipeline{store: NewStore(cfg.StoreCapacity), parseWorkers: cfg.ParseWorkers, disk: cfg.Disk}
 }
 
 // Disabled returns a Pipeline that never caches and gives every graph its
@@ -141,16 +138,6 @@ func (p *Pipeline) record(stage *StageTimes, start time.Time, warm bool) {
 	d := time.Since(start)
 	p.statMu.Lock()
 	stage.add(d, warm)
-	p.statMu.Unlock()
-}
-
-// recordDiskHits counts n disk-tier hits against one stage.
-func (p *Pipeline) recordDiskHits(stage *StageTimes, n int64) {
-	if n == 0 {
-		return
-	}
-	p.statMu.Lock()
-	stage.DiskHits += n
 	p.statMu.Unlock()
 }
 
@@ -219,7 +206,9 @@ func (p *Pipeline) DataPlaneCtx(ctx context.Context, net *config.Network, devKey
 				return res, k
 			}
 			if res, ok := p.diskGetDataPlane(k, net); ok {
-				p.recordDiskHits(&p.dp, 1)
+				p.statMu.Lock()
+				p.dp.DiskHits++
+				p.statMu.Unlock()
 				p.record(&p.dp, start, true)
 				return res, k
 			}

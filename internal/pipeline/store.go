@@ -50,10 +50,12 @@ type StoreStats struct {
 // stage's declared inputs are byte-identical to a previous run and the
 // cached artifact can be reused verbatim.
 //
-// A Store can act as the first tier of a two-tier cache: OnEvict
-// registers a callback that observes entries leaving the store (capacity
-// eviction or Purge), letting the owner demote clean artifacts to a
-// persistent tier instead of losing them.
+// Parse artifacts live here, one per device, even though parsing is
+// cheap: a hit hands back the very *config.Device an earlier snapshot
+// parsed from the same bytes, which is how snapshots share unchanged
+// device models by pointer (edits and failure scenarios rely on that).
+// Capacity counts entries of every stage alike, so those per-device
+// entries take up slots; callers size the store with them in mind.
 type Store struct {
 	mu        sync.Mutex
 	max       int
@@ -62,7 +64,6 @@ type Store struct {
 	hits      uint64
 	misses    uint64
 	evictions uint64
-	onEvict   func(Key, any)
 }
 
 type storeEntry struct {
@@ -70,9 +71,11 @@ type storeEntry struct {
 	val any
 }
 
-// DefaultCapacity bounds the default store. Artifacts are per-stage (one
-// per device for parse, one per snapshot for the later stages), so this
-// comfortably covers an edit-verify loop over a few large snapshots.
+// DefaultCapacity bounds the default store. Capacity counts entries, not
+// bytes: one per device for parse (kept so unchanged device models are
+// shared by pointer across snapshots), one per snapshot for each later
+// stage. So this comfortably covers an edit-verify loop over a few large
+// snapshots.
 const DefaultCapacity = 1024
 
 // NewStore returns an empty store holding at most max artifacts
@@ -101,26 +104,16 @@ func (s *Store) Get(k Key) (any, bool) {
 	return el.Value.(*storeEntry).val, true
 }
 
-// OnEvict registers fn to be called for every entry that leaves the store
-// through capacity eviction or Purge (not explicit overwrites). The
-// callback runs after the store's lock is released, so it may safely call
-// back into the store; it must tolerate concurrent invocations.
-func (s *Store) OnEvict(fn func(Key, any)) {
-	if s == nil {
-		return
-	}
-	s.mu.Lock()
-	s.onEvict = fn
-	s.mu.Unlock()
-}
-
-// notifyEvicted invokes the eviction callback outside the lock.
-func (s *Store) notifyEvicted(fn func(Key, any), evicted []*storeEntry) {
-	if fn == nil {
-		return
-	}
-	for _, e := range evicted {
-		fn(e.key, e.val)
+// insertLocked adds a new entry as most recently used and evicts the
+// least recently used entries beyond capacity. The caller holds s.mu and
+// has checked that k is absent.
+func (s *Store) insertLocked(k Key, v any) {
+	s.items[k] = s.ll.PushFront(&storeEntry{key: k, val: v})
+	for s.ll.Len() > s.max {
+		last := s.ll.Back()
+		s.ll.Remove(last)
+		delete(s.items, last.Value.(*storeEntry).key)
+		s.evictions++
 	}
 }
 
@@ -131,83 +124,32 @@ func (s *Store) Put(k Key, v any) {
 		return
 	}
 	s.mu.Lock()
-	var evicted []*storeEntry
+	defer s.mu.Unlock()
 	if el, ok := s.items[k]; ok {
 		el.Value.(*storeEntry).val = v
 		s.ll.MoveToFront(el)
-	} else {
-		s.items[k] = s.ll.PushFront(&storeEntry{key: k, val: v})
-		for s.ll.Len() > s.max {
-			last := s.ll.Back()
-			s.ll.Remove(last)
-			e := last.Value.(*storeEntry)
-			delete(s.items, e.key)
-			s.evictions++
-			evicted = append(evicted, e)
-		}
+		return
 	}
-	fn := s.onEvict
-	s.mu.Unlock()
-	s.notifyEvicted(fn, evicted)
+	s.insertLocked(k, v)
 }
 
 // PutIfAbsent inserts the artifact only when the key is not already
 // present, returning the stored value and whether this call inserted it.
-// Two-tier promotion uses it so a concurrent compute and a disk-tier
-// promotion of the same key cannot displace each other's (identical, but
-// separately allocated) artifacts.
+// Disk-tier promotion uses it so a concurrent compute and a promotion of
+// the same key cannot displace each other's (identical, but separately
+// allocated) artifacts.
 func (s *Store) PutIfAbsent(k Key, v any) (stored any, inserted bool) {
 	if s == nil {
 		return v, false
 	}
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	if el, ok := s.items[k]; ok {
 		s.ll.MoveToFront(el)
-		stored = el.Value.(*storeEntry).val
-		s.mu.Unlock()
-		return stored, false
+		return el.Value.(*storeEntry).val, false
 	}
-	var evicted []*storeEntry
-	s.items[k] = s.ll.PushFront(&storeEntry{key: k, val: v})
-	for s.ll.Len() > s.max {
-		last := s.ll.Back()
-		s.ll.Remove(last)
-		e := last.Value.(*storeEntry)
-		delete(s.items, e.key)
-		s.evictions++
-		evicted = append(evicted, e)
-	}
-	fn := s.onEvict
-	s.mu.Unlock()
-	s.notifyEvicted(fn, evicted)
+	s.insertLocked(k, v)
 	return v, true
-}
-
-// Purge removes every entry the predicate selects, returning how many were
-// removed. It is the memory-pressure valve: under load the owner sheds
-// artifacts (the eviction callback still sees them, so clean ones demote
-// to the disk tier instead of vanishing). A nil predicate purges all.
-func (s *Store) Purge(pred func(Key, any) bool) int {
-	if s == nil {
-		return 0
-	}
-	s.mu.Lock()
-	var evicted []*storeEntry
-	for el := s.ll.Front(); el != nil; {
-		next := el.Next()
-		e := el.Value.(*storeEntry)
-		if pred == nil || pred(e.key, e.val) {
-			s.ll.Remove(el)
-			delete(s.items, e.key)
-			s.evictions++
-			evicted = append(evicted, e)
-		}
-		el = next
-	}
-	fn := s.onEvict
-	s.mu.Unlock()
-	s.notifyEvicted(fn, evicted)
-	return len(evicted)
 }
 
 // Stats returns the current counters.

@@ -51,8 +51,8 @@ func (s *Server) DropSnapshot(name string) { s.deleteEntry(name) }
 // InstallSnapshot parses and publishes a snapshot from raw configs — the
 // handleLoad engine path without the HTTP surface. The cluster layer uses
 // it to rehydrate an inherited snapshot from the shared manifest after a
-// member dies; parse and dataplane artifacts the dead member committed to
-// the shared cache make the rebuild a warm start. Degradation is not an
+// member dies; the data-plane artifact the dead member committed to the
+// shared cache makes the rebuild a warm start. Degradation is not an
 // error (the snapshot is still published, matching handleLoad); a
 // cancelled load is.
 func (s *Server) InstallSnapshot(ctx context.Context, name string, configs map[string]string) error {

@@ -27,8 +27,8 @@
 //     work, and waits for in-flight requests to finish.
 //
 // Underneath, the pipeline can be given a persistent diskcache tier so a
-// restarted server rehydrates parse and data-plane artifacts instead of
-// recomputing them (warm restart).
+// restarted server rehydrates data-plane artifacts instead of simulating
+// again (warm restart); parsing re-runs, as it costs less than a decode.
 //
 // Concurrency contract: the pipeline's shared BDD factory is
 // unsynchronized (see internal/pipeline), so every request that builds
@@ -81,7 +81,7 @@ type Config struct {
 	// half-opening for a probe (default 5s).
 	BreakerCooldown time.Duration
 	// CacheDir, when set, opens a persistent diskcache tier there so
-	// parse and data-plane artifacts survive restarts.
+	// data-plane artifacts survive restarts.
 	CacheDir string
 	// CacheMaxBytes bounds the disk tier (diskcache defaults apply).
 	CacheMaxBytes int64
