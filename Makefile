@@ -77,11 +77,13 @@ cluster-chaos:
 # Short native-fuzzing pass over the vendor parsers (any input must yield
 # a device model, never a panic), the HTTP sweep body (never a panic,
 # never more workers than GOMAXPROCS), the data-plane artifact decoder
-# (an error or a usable result, never a panic) and the disk cache's entry
-# framing (never a panic; an accepted entry re-frames to the same bytes).
+# (an error or a usable result, never a panic), the disk cache's entry
+# framing (never a panic; an accepted entry re-frames to the same bytes)
+# and the cluster's name-record/manifest decoding (never a panic; only a
+# manifest hashing to the record's digest, with a config, is accepted).
 # Crashers land in testdata/fuzz/ and reproduce with plain `go test`. The
-# server, dataplane and diskcache targets run alone (-run) so their
-# packages' other tests do not precede them.
+# server, dataplane, diskcache and cluster targets run alone (-run) so
+# their packages' other tests do not precede them.
 FUZZTIME ?= 20s
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzParse -fuzztime=$(FUZZTIME) ./internal/vendors/cisco/
@@ -89,6 +91,7 @@ fuzz-smoke:
 	$(GO) test -run '^FuzzParseSweepBody$$' -fuzz='^FuzzParseSweepBody$$' -fuzztime=$(FUZZTIME) ./internal/server/
 	$(GO) test -run '^FuzzUnmarshalResult$$' -fuzz='^FuzzUnmarshalResult$$' -fuzztime=$(FUZZTIME) ./internal/dataplane/
 	$(GO) test -run '^FuzzVerifyEntry$$' -fuzz='^FuzzVerifyEntry$$' -fuzztime=$(FUZZTIME) ./internal/diskcache/
+	$(GO) test -run '^FuzzManifest$$' -fuzz='^FuzzManifest$$' -fuzztime=$(FUZZTIME) ./internal/cluster/
 
 cover:
 	$(GO) test -coverprofile=cover.out $(COVER_PKGS)
@@ -105,11 +108,11 @@ bench:
 
 # bench-check: the perf-regression gate, run live. Each floor is a
 # b.Fatalf inside the benchmark that measures it: dev-204 sched-speedup
-# at 8 workers (Parallelism), interned vs not-interned cost (Intern),
-# failover p99s, forward overhead and heir warm-hit rate (Cluster), the
-# sweep's prune bound (Sweep/plan) and decode-over-run
-# (DataPlaneArtifact); GraphBuild runs alongside as the graph layer's
-# benchmark. Sweep/k1-links-nodes carries the executed sweep's floors but
+# at 8 workers and the parse pool's real 2-worker speedup (Parallelism),
+# interned vs not-interned cost (Intern), failover p99s, forward overhead
+# and heir warm-hit rate (Cluster), the sweep's prune bound (Sweep/plan)
+# and decode-over-run (DataPlaneArtifact); GraphBuild runs alongside as
+# the graph layer's benchmark. Sweep/k1-links-nodes carries the executed sweep's floors but
 # needs more than an 8 GB host, so it is skipped here.
 bench-check:
 	$(GO) test -run '^$$' -bench '^Benchmark(Parallelism|Intern|Cluster|Sweep|GraphBuild|DataPlaneArtifact)$$' -skip 'BenchmarkSweep/k1-links-nodes' -benchmem .

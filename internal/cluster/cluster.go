@@ -161,6 +161,8 @@ type Node struct {
 	lastContact time.Time        // member: last successful exchange with the coordinator
 	lastBeat    time.Time        // member: last heartbeat attempt (the loop ticks faster than it beats)
 
+	copies sync.Map // snapshot name → manifest digest of the server's copy (store.go)
+
 	stop     chan struct{}
 	stopOnce sync.Once
 	loops    sync.WaitGroup

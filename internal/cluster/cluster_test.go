@@ -73,6 +73,13 @@ func newNode(t *testing.T, id string, scfg server.Config, ccfg cluster.Config) *
 	return &testNode{id: id, srv: srv, n: n, ts: ts}
 }
 
+// holds reports whether the member's server holds a copy of the snapshot,
+// asked of the server directly rather than through the node's routing.
+func holds(nd *testNode, name string) bool {
+	_, ok := nd.srv.SnapshotSources(name)
+	return ok
+}
+
 // fastCfg keeps membership churn quick for tests that wait on the
 // failure detector.
 func fastCfg(hb time.Duration) cluster.Config {
@@ -283,10 +290,10 @@ func TestForwardingOwnershipAndManifest(t *testing.T) {
 	if got := resp.Header.Get("X-Batfish-Forwarded-By"); got != "m1" {
 		t.Fatalf("forwarded-by header %q, want m1", got)
 	}
-	if !n2.srv.HasSnapshot(name) {
+	if !holds(n2, name) {
 		t.Fatal("owner does not hold the forwarded snapshot")
 	}
-	if n1.srv.HasSnapshot(name) {
+	if holds(n1, name) {
 		t.Fatal("forwarder holds the snapshot it forwarded")
 	}
 	if m := n2.n.Metrics(); m.ManifestPuts != 1 {
@@ -562,7 +569,7 @@ func TestEditAsForeignNameLeavesNoStaleCopy(t *testing.T) {
 		nil, nil); resp.StatusCode != http.StatusOK || resp.Header.Get(cluster.HopHeader) != "m1" {
 		t.Fatalf("edited %s not served by its owner: %d %v", b, resp.StatusCode, body)
 	}
-	if !n3.srv.HasSnapshot(b) {
+	if !holds(n3, b) {
 		t.Fatalf("owner m3 did not rehydrate %s from its manifest", b)
 	}
 	for _, name := range []string{b, c} {
@@ -574,7 +581,7 @@ func TestEditAsForeignNameLeavesNoStaleCopy(t *testing.T) {
 
 	// m2 still holds C, but a compare against it answers as for any
 	// deleted snapshot.
-	if !n2.srv.HasSnapshot(c) {
+	if !holds(n2, c) {
 		t.Fatalf("m2 no longer holds its copy of %s; the check below is vacuous", c)
 	}
 	if resp, body := doJSON(t, cl, http.MethodGet, n1.ts.URL+"/snapshots/"+a+"/compare?with="+c,
@@ -588,7 +595,7 @@ func TestEditAsForeignNameLeavesNoStaleCopy(t *testing.T) {
 		t.Fatalf("drain m3: %d", resp.StatusCode)
 	}
 	waitMembers(t, n1, 2, 2*time.Second)
-	if !n2.srv.HasSnapshot(b) {
+	if !holds(n2, b) {
 		t.Fatalf("m2 no longer holds its copy of %s; the check below is vacuous", b)
 	}
 	if resp, body := doJSON(t, cl, http.MethodGet, n1.ts.URL+"/snapshots/"+b+"/diagnostics",
@@ -600,7 +607,7 @@ func TestEditAsForeignNameLeavesNoStaleCopy(t *testing.T) {
 		t.Fatalf("m2 lists %v, want only %s", list["snapshots"], a)
 	}
 
-	// Loading B again clears its tombstone: the reloaded copy answers
+	// Loading B again writes its name record: the reloaded copy answers
 	// without being dropped and rehydrated.
 	if resp, body := doJSON(t, cl, http.MethodPut, n1.ts.URL+"/snapshots/"+b,
 		map[string]any{"configs": texts}, nil); resp.StatusCode != http.StatusOK {

@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"crypto/sha256"
 	"encoding/json"
 	"errors"
 	"time"
@@ -32,12 +31,9 @@ import (
 // coordLeaseName is the lease every would-be coordinator races for.
 const coordLeaseName = "cluster/coordinator"
 
-// coordRecordKey derives the cache key of the coordinator record. Like
-// snapshot manifests it is name-addressed: one well-known slot, atomically
-// rewritten by each new lease holder.
-func coordRecordKey() [sha256.Size]byte {
-	return sha256.Sum256([]byte("cluster/coordinator/record"))
-}
+// coordRecordName names the coordinator record: a pinned record in the
+// shared cache, atomically rewritten by each new lease holder.
+const coordRecordName = "cluster/coordinator"
 
 // coordRecord names the current lease holder so members can re-resolve
 // the coordinator address without being able to ask the dead one.
@@ -60,7 +56,7 @@ func (n *Node) failoverEnabled() bool { return n.inner.Disk() != nil }
 // readCoordRecord loads the coordinator record from the shared cache
 // (none without a disk tier: a nil cache always misses).
 func (n *Node) readCoordRecord() (coordRecord, bool) {
-	buf, ok := n.inner.Disk().Get(coordRecordKey())
+	buf, ok := n.inner.Disk().Record(coordRecordName)
 	if !ok {
 		return coordRecord{}, false
 	}
@@ -78,8 +74,12 @@ func (n *Node) writeCoordRecord(epoch int64) {
 	n.mu.Lock()
 	rec := coordRecord{ID: n.self.ID, Addr: n.self.Addr, Epoch: epoch}
 	n.mu.Unlock()
-	if buf, err := json.Marshal(rec); err == nil {
-		n.inner.Disk().Put(coordRecordKey(), buf)
+	buf, err := json.Marshal(rec)
+	if err == nil {
+		err = n.inner.Disk().WriteRecord(coordRecordName, buf)
+	}
+	if err != nil {
+		n.cfg.Logf("cluster: %s writing the coordinator record: %v", n.cfg.ID, err)
 	}
 }
 

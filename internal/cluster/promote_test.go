@@ -143,7 +143,9 @@ func TestPromoteDemoteLifecycleDeterministic(t *testing.T) {
 		t.Fatal(err)
 	}
 	buf, _ := json.Marshal(coordRecord{ID: "m1", Addr: "http://m1", Epoch: 7})
-	other.Put(coordRecordKey(), buf)
+	if err := other.WriteRecord(coordRecordName, buf); err != nil {
+		t.Fatal(err)
+	}
 
 	n.mu.Lock()
 	n.self = Member{ID: "m2", Addr: "http://m2", Role: RoleMember}
@@ -194,7 +196,9 @@ func TestPromoteDemoteLifecycleDeterministic(t *testing.T) {
 		t.Fatalf("rival steal of the expired lease: %v", err)
 	}
 	rbuf, _ := json.Marshal(coordRecord{ID: "m3", Addr: "http://m3", Epoch: 9})
-	other.Put(coordRecordKey(), rbuf)
+	if err := other.WriteRecord(coordRecordName, rbuf); err != nil {
+		t.Fatal(err)
+	}
 	n.maintainLease()
 	m = n.Metrics()
 	if m.Role != RoleMember || m.LeaseHeld || m.Demotions != 1 {

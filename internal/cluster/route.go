@@ -113,31 +113,23 @@ func (n *Node) route(w http.ResponseWriter, r *http.Request) {
 }
 
 // serveLocal answers an owned snapshot request through the wrapped
-// server, first rehydrating the snapshot from its shared-cache manifest
-// when this node inherited ownership without ever loading it. Successful
-// loads and edits persist manifests so the next heir can do the same;
-// deletes retire them. A copy of a name that a delete on another member
-// retired is dropped before it can answer (dropRetired).
+// server. Every request but a load first syncs this member's copy of the
+// snapshot (and of a compare's "with") with its name record in the shared
+// cache: installing it when this node inherited ownership or another
+// member changed it, dropping it when another member deleted it.
+// Successful loads and edits then publish the new copy's manifest and
+// name record; deletes remove the record, so no copy answers for the name
+// again and failover does not resurrect it.
 func (n *Node) serveLocal(w http.ResponseWriter, r *http.Request, name, rest string, body []byte) {
 	if err := faults.FireErr("cluster-serve", n.cfg.ID); err != nil {
 		writeClusterError(w, http.StatusInternalServerError, err.Error())
 		return
 	}
 	isLoad := rest == "" && (r.Method == http.MethodPut || r.Method == http.MethodPost)
-	as := ""
-	if rest == "/edit" && r.Method == http.MethodPost {
-		as = editTarget(body)
-	}
-	if isLoad {
-		n.unretire(name)
-	} else {
-		n.unretire(as) // an edit's target name is re-created
-		n.dropRetired(name)
+	if !isLoad {
+		n.sync(r.Context(), name)
 		if rest == "/compare" {
-			n.dropRetired(r.URL.Query().Get("with"))
-		}
-		if !n.inner.HasSnapshot(name) {
-			n.rehydrate(r.Context(), name)
+			n.sync(r.Context(), r.URL.Query().Get("with"))
 		}
 	}
 	rec := &statusRecorder{ResponseWriter: w}
@@ -147,11 +139,14 @@ func (n *Node) serveLocal(w http.ResponseWriter, r *http.Request, name, rest str
 	}
 	switch {
 	case isLoad:
-		n.persistManifest(name)
-	case as != "":
-		n.persistManifest(as)
+		n.publish(name)
+	case rest == "/edit" && r.Method == http.MethodPost:
+		n.publish(editTarget(body))
 	case rest == "" && r.Method == http.MethodDelete:
-		n.retireManifest(name)
+		n.copies.Delete(name)
+		if err := n.inner.Disk().DeleteRecord(nameRecord(name)); err != nil {
+			n.cfg.Logf("cluster: %s retiring %s: %v", n.cfg.ID, name, err)
+		}
 	}
 }
 

@@ -10,35 +10,50 @@ import (
 	"repro/internal/diskcache"
 )
 
-// The shared disk cache doubles as the cluster's snapshot manifest
-// store. A manifest records a snapshot's full source set under a
-// name-derived key; when ownership fails over, the heir loads the
-// manifest and reinstalls the snapshot — and because the dead member
-// committed its data-plane artifacts to the same cache under
-// content-addressed keys, the reinstall re-parses but does not
-// re-simulate. Manifests are JSON (map keys marshal sorted, so equal
-// snapshots produce equal bytes).
-
-// manifest is the persisted form of one snapshot's sources. Edited
-// snapshots persist their flattened source set: the edit chain is lost
-// across failover, but analysis over the flattened texts is identical.
+// The shared disk cache doubles as the cluster's snapshot store, under one
+// rule: name-addressed data goes in pinned records, content-addressed data
+// in LRU entries. A snapshot's manifest — its full source set as JSON (map
+// keys marshal sorted; an edited snapshot persists its flattened sources,
+// which analyze identically) — is an LRU entry keyed by its SHA-256, which
+// the snapshot's name record holds. Members check their copies against
+// the record before serving (sync); a failover heir rebuilds from the
+// manifest, warm from the dead member's data-plane artifacts in the same
+// cache. Manifests stay evictable: a snapshot whose manifest was evicted
+// does not survive its owner.
 type manifest struct {
-	Name    string            `json:"name"`
 	Configs map[string]string `json:"configs"`
 }
 
-// manifestKey derives the cache key for a snapshot's manifest. Unlike
-// artifact keys it is name-addressed, not content-addressed; commits are
-// atomic temp+rename writes, so concurrent re-loads of the same snapshot
-// leave one complete manifest, never a torn one.
-func manifestKey(name string) [sha256.Size]byte {
-	return sha256.Sum256([]byte("cluster/manifest/" + name))
+// nameRecord is the pinned record naming a snapshot's current manifest:
+// its 32-byte SHA-256.
+func nameRecord(name string) string { return "cluster/snapshot/" + name }
+
+// parseNameRecord decodes a name record's digest.
+func parseNameRecord(b []byte) (digest [sha256.Size]byte, ok bool) {
+	if len(b) != sha256.Size {
+		return digest, false
+	}
+	return [sha256.Size]byte(b), true
 }
 
-// persistManifest writes the snapshot's manifest to the shared cache.
-// Best-effort: a node without a disk tier simply has no failover
-// durability (and says so once per load via Logf).
-func (n *Node) persistManifest(name string) {
+// decodeManifest is the trust boundary between shared-cache bytes and an
+// installed snapshot: it accepts only bytes that hash to the name
+// record's digest and carry at least one config.
+func decodeManifest(digest [sha256.Size]byte, buf []byte) (map[string]string, error) {
+	var m manifest
+	if sha256.Sum256(buf) != digest {
+		return nil, errors.New("manifest missing or not the one its name record names")
+	} else if err := json.Unmarshal(buf, &m); err != nil {
+		return nil, err
+	} else if len(m.Configs) == 0 {
+		return nil, errors.New("manifest has no configs")
+	}
+	return m.Configs, nil
+}
+
+// publish makes this member's copy of name what the name means: it writes
+// the copy's manifest, then the name record, and remembers the digest.
+func (n *Node) publish(name string) {
 	disk := n.inner.Disk()
 	if disk == nil {
 		n.cfg.Logf("cluster: no shared cache; snapshot %s will not survive this member", name)
@@ -48,64 +63,54 @@ func (n *Node) persistManifest(name string) {
 	if !ok {
 		return
 	}
-	buf, err := json.Marshal(manifest{Name: name, Configs: configs})
+	buf, err := json.Marshal(manifest{Configs: configs})
+	digest := sha256.Sum256(buf)
+	if err == nil {
+		disk.Put(digest, buf)
+		err = disk.WriteRecord(nameRecord(name), digest[:])
+	}
 	if err != nil {
+		n.cfg.Logf("cluster: %s publishing %s: %v", n.cfg.ID, name, err)
 		return
 	}
-	disk.Put(manifestKey(name), buf)
 	n.m.manifestPuts.Add(1)
+	n.copies.Store(name, digest)
 }
 
-// retiredKey derives the cache key of a deleted snapshot's tombstone,
-// which tells any other member still holding a copy (an edit runs on the
-// owner of its base, whatever its "as" name) that the copy is stale. A
-// missing manifest could not: eviction removes manifests too.
-func retiredKey(name string) [sha256.Size]byte {
-	return sha256.Sum256([]byte("cluster/retired/" + name))
-}
-
-// retireManifest removes a deleted snapshot's manifest so failover does
-// not resurrect it, and leaves its tombstone.
-func (n *Node) retireManifest(name string) {
-	if disk := n.inner.Disk(); disk != nil {
-		disk.Remove(manifestKey(name))
-		disk.Put(retiredKey(name), []byte(name))
-	}
-}
-
-// unretire clears the tombstone of a name a load or edit is about to
-// re-create, first, so no concurrent request takes the new copy for stale.
-func (n *Node) unretire(name string) {
-	if disk := n.inner.Disk(); name != "" && disk.Exists(retiredKey(name)) {
-		disk.Remove(retiredKey(name))
-	}
-}
-
-// dropRetired discards this member's copy of a name with a tombstone, so
-// the request that follows answers as for any deleted snapshot.
-func (n *Node) dropRetired(name string) {
-	if name != "" && n.inner.HasSnapshot(name) && n.inner.Disk().Exists(retiredKey(name)) {
-		n.inner.DropSnapshot(name)
-		n.cfg.Logf("cluster: %s dropped its copy of %s, deleted on another member", n.cfg.ID, name)
-	}
-}
-
-// rehydrate installs a snapshot this node owns but never loaded — the
-// failover path. A short lease keyed on the snapshot serializes
-// concurrent heirs (two nodes can transiently both believe they own a
-// name while a view change propagates); losing the lease race just means
-// waiting briefly and retrying the manifest read, since the winner's
-// work lands in the same shared cache. Returns whether the snapshot is
-// now present.
-func (n *Node) rehydrate(ctx context.Context, name string) bool {
+// sync brings this member's copy of name in line with its name record
+// before a request reads it. A copy whose digest matches serves as is; a
+// missing or stale one is (re)installed from the manifest the record
+// names; with no record the name is deleted, so a copy this node recorded
+// is dropped (one it never recorded is a load or edit still publishing).
+// Without a disk tier a member's copies are the only ones.
+func (n *Node) sync(ctx context.Context, name string) {
 	disk := n.inner.Disk()
-	if disk == nil {
-		return false
+	if disk == nil || name == "" {
+		return
 	}
+	b, _ := disk.Record(nameRecord(name))
+	digest, ok := parseNameRecord(b)
+	have, held := n.copies.Load(name)
+	if ok && (have == digest || n.rehydrate(ctx, name, digest)) || !held {
+		return
+	}
+	n.inner.DropSnapshot(name)
+	n.copies.Delete(name)
+	n.cfg.Logf("cluster: %s dropped its copy of %s, which its name record no longer backs", n.cfg.ID, name)
+}
+
+// rehydrate installs the snapshot the name record's digest names: the
+// failover path, and how a stale copy catches up with a load or edit on
+// another member. A short lease keyed on the snapshot serializes
+// installers on different members (two can transiently both believe they
+// own a name while a view change propagates); the loser waits one beat,
+// so the winner's artifacts land in the shared cache first. Returns
+// whether the snapshot is now installed.
+func (n *Node) rehydrate(ctx context.Context, name string, digest [sha256.Size]byte) bool {
+	disk := n.inner.Disk()
 	lease, err := disk.AcquireLease("cluster/rehydrate/"+name, n.cfg.ID, n.cfg.FailoverWait)
+	defer n.releaseLease(lease, "rehydrate")
 	if errors.Is(err, diskcache.ErrLeaseHeld) {
-		// Another heir is rebuilding right now. Wait one beat; whether or
-		// not it finished, fall through and rebuild from the (warm) cache.
 		t := time.NewTimer(n.cfg.Heartbeat)
 		select {
 		case <-ctx.Done():
@@ -114,23 +119,17 @@ func (n *Node) rehydrate(ctx context.Context, name string) bool {
 		case <-t.C:
 		}
 	}
-	buf, ok := disk.Get(manifestKey(name))
-	if !ok {
-		n.releaseLease(lease, "rehydrate")
+	buf, _ := disk.Get(digest)
+	configs, err := decodeManifest(digest, buf)
+	if err == nil {
+		err = n.inner.InstallSnapshot(ctx, name, configs)
+	}
+	if err != nil {
+		n.cfg.Logf("cluster: rehydrate %s failed: %v", name, err)
 		return false
 	}
-	var m manifest
-	if json.Unmarshal(buf, &m) != nil || len(m.Configs) == 0 {
-		n.releaseLease(lease, "rehydrate")
-		return false
-	}
-	installErr := n.inner.InstallSnapshot(ctx, name, m.Configs)
-	n.releaseLease(lease, "rehydrate")
-	if installErr != nil {
-		n.cfg.Logf("cluster: rehydrate %s failed: %v", name, installErr)
-		return false
-	}
+	n.copies.Store(name, digest)
 	n.m.rehydrations.Add(1)
-	n.cfg.Logf("cluster: %s rehydrated inherited snapshot %s from shared cache", n.cfg.ID, name)
+	n.cfg.Logf("cluster: %s rehydrated %s from shared cache", n.cfg.ID, name)
 	return true
 }

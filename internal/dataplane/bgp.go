@@ -289,7 +289,7 @@ func (e *Engine) seedBGPNode(node string, d *config.Device, cv *config.VRF, vs *
 			if res := env.Eval(rm, &v); !res.Permit {
 				return
 			}
-			attrs := e.pool.Attrs(routing.BGPAttrs{
+			attrs := e.pool.Attrs(&routing.BGPAttrs{
 				AdminDistance: routing.IBGP.DefaultAdminDistance(),
 				LocalPref:     defaultLocalPref,
 				Weight:        localOriginWeight,
@@ -398,7 +398,7 @@ func (e *Engine) exportRoute(s *Session, senderVS *VRFState, r routing.Route) (r
 			out.NextHop = s.LocalIP
 		}
 	}
-	out.Attrs = e.pool.Attrs(outAttrs)
+	out.Attrs = e.pool.Attrs(&outAttrs)
 	return out, true
 }
 
@@ -433,7 +433,7 @@ func (e *Engine) importRoute(s *Session, recvVS *VRFState, r routing.Route) (rou
 	if !reachable {
 		return routing.Route{}, false
 	}
-	attrs := e.pool.Attrs(routing.BGPAttrs{
+	attrs := e.pool.Attrs(&routing.BGPAttrs{
 		AdminDistance: proto.DefaultAdminDistance(),
 		LocalPref:     v.LocalPref,
 		MED:           v.MED,

@@ -17,8 +17,9 @@
 // artifact store): commits, eviction removals, and the recovery scan
 // coordinate through a directory flock (lock.go), a Get that misses the
 // in-memory index falls through to the directory and adopts entries
-// committed by other processes, and named leases (lease.go) give callers
-// advisory cross-process mutual exclusion with crash-orphan recovery.
+// committed by other processes, named leases (lease.go) give callers
+// advisory cross-process mutual exclusion with crash-orphan recovery, and
+// pinned records (record.go) hold name-addressed facts outside the LRU.
 package diskcache
 
 import (
@@ -74,7 +75,6 @@ type Stats struct {
 
 	// Multi-process sharing (cluster artifact store).
 	Adopted         uint64 // entries another process committed, indexed on Get
-	Removed         uint64 // entries deleted via Remove
 	LeasesAcquired  uint64 // AcquireLease grants (including refreshes)
 	LeasesContended uint64 // AcquireLease refusals: live lease held elsewhere
 	LeaseOrphans    uint64 // expired/torn leases reclaimed (acquire + scan)
@@ -121,6 +121,7 @@ func Open(dir string, opts Options) (*Cache, error) {
 	// another process (shared lock) finishes its commit first, so its live
 	// temp file can never be mistaken for a crash orphan.
 	unlock := c.flockExclusive()
+	c.stats.ScanRemoved = sweepTemps(c.dir) + sweepTemps(filepath.Join(c.dir, recordsDir))
 	err := c.recoverScan()
 	c.recoverLeases()
 	unlock()
@@ -150,13 +151,6 @@ func (c *Cache) recoverScan() error {
 		}
 		name := e.Name()
 		path := filepath.Join(c.dir, name)
-		if strings.HasSuffix(name, ".tmp") {
-			// An in-flight write the process did not survive. The entry it
-			// was meant to publish simply does not exist; remove the orphan.
-			os.Remove(path)
-			c.stats.ScanRemoved++
-			continue
-		}
 		if !strings.HasSuffix(name, entrySuffix) {
 			continue // foreign file; leave it alone
 		}
@@ -412,16 +406,6 @@ func (c *Cache) writeEntry(key [sha256.Size]byte, payload []byte) (err error) {
 	return nil
 }
 
-// Exists stats key's file, so it sees other processes' commits and
-// removals; it neither reads the entry nor counts a hit or miss.
-func (c *Cache) Exists(key [sha256.Size]byte) bool {
-	if c == nil {
-		return false
-	}
-	_, err := os.Stat(c.path(hex.EncodeToString(key[:])))
-	return err == nil
-}
-
 // dropLocked removes hexKey from the index and order without touching
 // the file.
 func (c *Cache) dropLocked(hexKey string) {
@@ -457,22 +441,6 @@ func (c *Cache) evictPlanLocked() []string {
 	return victims
 }
 
-// Remove deletes a committed entry (index and file). Unknown keys are a
-// no-op. The cluster uses this to drop snapshot manifests on DELETE.
-func (c *Cache) Remove(key [sha256.Size]byte) {
-	if c == nil {
-		return
-	}
-	hexKey := hex.EncodeToString(key[:])
-	c.mu.Lock()
-	if _, ok := c.index[hexKey]; ok {
-		c.dropLocked(hexKey)
-	}
-	c.stats.Removed++
-	c.mu.Unlock()
-	c.removeFiles([]string{hexKey})
-}
-
 // Stats returns the current counters.
 func (c *Cache) Stats() Stats {
 	if c == nil {
@@ -496,12 +464,4 @@ func (c *Cache) SetClock(fn func() time.Time) {
 		fn = time.Now
 	}
 	c.now = fn
-}
-
-// Dir returns the cache root directory.
-func (c *Cache) Dir() string {
-	if c == nil {
-		return ""
-	}
-	return c.dir
 }

@@ -2,6 +2,7 @@ package diskcache
 
 import (
 	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -192,11 +193,15 @@ func TestEvictionLRU(t *testing.T) {
 		t.Fatal("warm get missed")
 	}
 	c.Put(ks[3], []byte("12345678"))
-	if c.Exists(ks[1]) {
+	onDisk := func(k [sha256.Size]byte) bool {
+		_, err := os.Stat(c.path(hex.EncodeToString(k[:])))
+		return err == nil
+	}
+	if onDisk(ks[1]) {
 		t.Error("LRU victim survived")
 	}
 	for _, k := range [][sha256.Size]byte{ks[0], ks[2], ks[3]} {
-		if !c.Exists(k) {
+		if !onDisk(k) {
 			t.Error("recently used entry evicted")
 		}
 	}

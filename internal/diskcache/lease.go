@@ -1,7 +1,7 @@
 // Named leases over the shared cache directory. A lease is advisory
 // mutual exclusion between processes sharing one cache dir — the cluster
-// uses it so exactly one member rehydrates or rewrites a snapshot
-// manifest at a time. Leases carry an owner and an expiry: a holder that
+// uses it so exactly one member rehydrates a snapshot at a time, and to
+// elect its coordinator. Leases carry an owner and an expiry: a holder that
 // crashes simply stops renewing, and the lease becomes a crash orphan
 // that the next Acquire (or the next Open's recovery scan) reclaims.
 //
@@ -73,29 +73,7 @@ func writeLease(path string, rec leaseRecord) error {
 	if err != nil {
 		return err
 	}
-	dir := filepath.Dir(path)
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	f, err := os.CreateTemp(dir, "lease-*.tmp")
-	if err != nil {
-		return err
-	}
-	tmp := f.Name()
-	if _, err := f.Write(b); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return nil
+	return writeAtomic(path, b)
 }
 
 // AcquireLease takes the named lease for owner with the given ttl. It
@@ -167,28 +145,17 @@ func (l *Lease) Release() error {
 	return nil
 }
 
-// recoverLeases sweeps expired and unreadable lease files at Open. The
-// caller (recoverScan) holds the exclusive directory flock, so a sweep
-// can never race another process's acquire.
+// recoverLeases sweeps expired and unreadable lease files, and torn lease
+// temps, at Open. The caller (Open) holds the exclusive directory flock,
+// so a sweep can never race another process's acquire.
 func (c *Cache) recoverLeases() {
 	dir := filepath.Join(c.dir, leasesDir)
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return // no leases dir yet
-	}
+	c.stats.LeaseOrphans += sweepTemps(dir)
+	entries, _ := os.ReadDir(dir)
 	now := c.now().UnixNano()
 	for _, e := range entries {
-		name := e.Name()
-		path := filepath.Join(dir, name)
-		if e.IsDir() {
-			continue
-		}
-		if !strings.HasSuffix(name, leaseSuffix) {
-			// Torn lease temp from a crashed writer.
-			if strings.HasSuffix(name, ".tmp") {
-				os.Remove(path)
-				c.stats.LeaseOrphans++
-			}
+		path := filepath.Join(dir, e.Name())
+		if e.IsDir() || !strings.HasSuffix(e.Name(), leaseSuffix) {
 			continue
 		}
 		if rec, ok := readLease(path); !ok || now >= rec.Expires {

@@ -77,31 +77,52 @@ func TestTwoOpensShareOneDir(t *testing.T) {
 	}
 }
 
-// TestExistsSeesOtherHandles: Exists answers from the directory, not the
-// index, so one handle sees another's commit and removal (its index does
-// not), and probing never counts as a hit or miss.
-func TestExistsSeesOtherHandles(t *testing.T) {
+// TestRecordsPinnedAndShared: a pinned record sits outside the byte
+// bound and the LRU (no amount of entry writes evicts it, and it is not
+// an entry), one handle sees another's write and delete, and a torn
+// record temp is swept by the next Open.
+func TestRecordsPinnedAndShared(t *testing.T) {
 	dir := t.TempDir()
-	a := openT(t, dir, Options{MaxBytes: -1})
+	entrySize := int64(headerSize + 8)
+	a := openT(t, dir, Options{MaxBytes: 2 * entrySize})
 	b := openT(t, dir, Options{MaxBytes: -1})
-	k := keyFor("tombstone")
-	if a.Exists(k) {
-		t.Fatal("Exists before any Put")
+	if err := a.WriteRecord("cluster/x", []byte("v1")); err != nil {
+		t.Fatal(err)
 	}
-	b.Put(k, []byte("x"))
-	if n := a.Stats().Entries; !a.Exists(k) || n != 0 {
-		t.Fatalf("after b.Put: a.Exists=%v a.Entries=%d, want true 0", a.Exists(k), n)
+	for i := 0; i < 8; i++ {
+		a.Put(keyFor(fmt.Sprint(i)), []byte("12345678"))
 	}
-	a.Put(k, []byte("x"))
-	b.Remove(k)
-	if n := a.Stats().Entries; a.Exists(k) || n != 1 {
-		t.Fatalf("after b.Remove: a.Exists=%v a.Entries=%d, want false 1", a.Exists(k), n)
+	if st := a.Stats(); st.Evictions == 0 || st.Entries != 2 {
+		t.Fatalf("entry writes never pressed the bound: %+v", st)
 	}
-	if st := a.Stats(); st.Hits != 0 || st.Misses != 0 {
-		t.Fatalf("Exists counted lookups: %+v", st)
+	if got, ok := b.Record("cluster/x"); !ok || string(got) != "v1" {
+		t.Fatalf("record after eviction pressure: %q %v", got, ok)
 	}
-	if (*Cache)(nil).Exists(k) {
-		t.Fatal("nil cache Exists")
+	if err := b.WriteRecord("cluster/x", []byte("v2")); err != nil {
+		t.Fatal(err)
+	}
+	if got, ok := a.Record("cluster/x"); !ok || string(got) != "v2" {
+		t.Fatalf("a reads b's rewrite as %q %v", got, ok)
+	}
+	if err := b.DeleteRecord("cluster/x"); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := a.Record("cluster/x"); ok {
+		t.Fatal("a still reads the record b deleted")
+	}
+	if err := a.DeleteRecord("cluster/x"); err != nil {
+		t.Fatalf("deleting an absent record: %v", err)
+	}
+	torn := filepath.Join(dir, recordsDir, "123.tmp")
+	if err := os.WriteFile(torn, []byte("half"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	c := openT(t, dir, Options{MaxBytes: -1})
+	if _, err := os.Stat(torn); !os.IsNotExist(err) || c.Stats().ScanRemoved != 1 {
+		t.Fatalf("Open left the torn record temp (stat err %v, stats %+v)", err, c.Stats())
+	}
+	if _, ok := (*Cache)(nil).Record("cluster/x"); ok {
+		t.Fatal("nil cache Record")
 	}
 }
 

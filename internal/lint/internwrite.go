@@ -11,7 +11,7 @@ import (
 // through one mutates every aliased route and corrupts the pool's
 // map key, so any field write or full-store through a *routing.BGPAttrs
 // outside internal/routing is flagged. Building a BGPAttrs *value* and
-// re-interning it (attrs := *r.Attrs; attrs.MED = 5; pool.Attrs(attrs))
+// re-interning it (attrs := *r.Attrs; attrs.MED = 5; pool.Attrs(&attrs))
 // is the sanctioned mutation path and is not flagged.
 //
 // ASPath and CommunitySet need no analyzer: their data lives behind

@@ -26,7 +26,7 @@ func storeWhole(a *routing.BGPAttrs, b routing.BGPAttrs) {
 func copyModifyReinternOK(p *routing.Pool, a *routing.BGPAttrs) *routing.BGPAttrs {
 	attrs := *a
 	attrs.MED = 7
-	return p.Attrs(attrs)
+	return p.Attrs(&attrs)
 }
 
 // Reassigning the pointer variable itself writes the local, not the

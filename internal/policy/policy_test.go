@@ -233,7 +233,7 @@ func TestViewOfRoundTrip(t *testing.T) {
 	r := routing.Route{
 		Prefix: ip4.MustParsePrefix("10.0.0.0/8"), Protocol: routing.EBGP,
 		Metric: 5, Tag: 3, NextHop: ip4.MustParseAddr("1.1.1.1"),
-		Attrs: pool.Attrs(routing.BGPAttrs{
+		Attrs: pool.Attrs(&routing.BGPAttrs{
 			LocalPref: 150, MED: 5, Weight: 7, Origin: routing.OriginEGP,
 			ASPath: pool.ASPath(1, 2), Communities: pool.CommunitySet(3),
 		}),

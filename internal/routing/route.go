@@ -275,11 +275,11 @@ func (r Route) String() string {
 // A Pool is safe for concurrent use and layered for scalability:
 //
 //   - The hot read path is a lock-free direct-mapped cache of canonical
-//     pointers (one atomic load + one value compare per hit). Because the
-//     sharded table below is the sole producer of canonical pointers,
-//     racing writes to a cache slot are benign — any published pointer is
-//     correct, slots are only ever overwritten with other canonical
-//     pointers.
+//     pointers (one atomic load + a hash and a value compare per hit).
+//     Because the sharded table below is the sole producer of canonical
+//     pointers, racing writes to a cache slot are benign — any published
+//     pointer is correct, slots are only ever overwritten with other
+//     canonical pointers.
 //   - Misses fall through to a 64-way sharded hash-consed table (one
 //     mutex per shard, selected by an FNV-1a hash of the interned bytes),
 //     with new attribute objects carved from per-shard arena blocks so a
@@ -295,7 +295,7 @@ type Pool struct {
 
 	// Direct-mapped front caches, indexed by the same hash that selects
 	// the shard. Entries are canonical pointers owned by the shard maps.
-	attrCache [attrCacheSize]atomic.Pointer[BGPAttrs]
+	attrCache [attrCacheSize]atomic.Pointer[internedAttrs]
 	pathCache [attrCacheSize]atomic.Pointer[ASPath]
 
 	counters [poolShards]poolCounters
@@ -308,15 +308,24 @@ const poolShards = 64
 // attrCacheSize is the direct-mapped front-cache size (slots, power of two).
 const attrCacheSize = 1 << 13
 
-// attrArenaBlock is how many BGPAttrs one shard arena block holds.
+// attrArenaBlock is how many interned attrs one shard arena block holds.
 const attrArenaBlock = 128
 
 type poolShard struct {
 	mu       sync.Mutex
 	asPaths  map[string]*ASPath
 	commSets map[string]CommunitySet
-	attrs    map[BGPAttrs]*BGPAttrs
-	arena    []BGPAttrs // arena-style allocation for interned attrs
+	attrs    map[BGPAttrs]*internedAttrs
+	arena    []internedAttrs // arena-style allocation for interned attrs
+}
+
+// internedAttrs is a canonical attribute object with its hash, so a
+// front-cache probe rejects a slot holding other attributes on one word
+// compare instead of the 13-field one. Pool.Attrs hands out a pointer to
+// the embedded BGPAttrs.
+type internedAttrs struct {
+	BGPAttrs
+	hash uint64
 }
 
 // poolCounters keeps one shard's hit/miss statistics on its own cache
@@ -336,7 +345,7 @@ func NewPool() *Pool {
 		s := &p.shards[i]
 		s.asPaths = make(map[string]*ASPath)
 		s.commSets = make(map[string]CommunitySet)
-		s.attrs = make(map[BGPAttrs]*BGPAttrs)
+		s.attrs = make(map[BGPAttrs]*internedAttrs)
 	}
 	return p
 }
@@ -509,25 +518,22 @@ func fnv1aWords(seed uint64, s string) uint64 {
 }
 
 // attrsHash hashes a BGPAttrs value (interned string fields and scalars)
-// for shard and front-cache selection. Scalars are packed into five words
-// so the mix costs five multiplies, not one per field.
+// for shard and front-cache selection. Scalars are packed into five words;
+// each string and word is multiplied by its own odd constant and the
+// products summed, so the multiplies are independent (they overlap in the
+// pipeline, where a chained FNV fold waits on each in turn) before one
+// avalanche.
 func attrsHash(a *BGPAttrs) uint64 {
-	h := fnv1aWords(fnvOffset, a.ASPath.asns)
-	h = fnv1aWords(h, a.Communities.comms)
-	for _, x := range [...]uint64{
-		uint64(a.LocalPref)<<32 | uint64(a.MED),
-		uint64(a.Weight)<<32 | uint64(a.OriginatorID),
-		uint64(a.ReceivedFrom)<<32 | uint64(a.FromAS),
-		uint64(a.IGPMetric)<<32 | uint64(a.Tag),
-		uint64(a.AdminDistance) | uint64(a.Origin)<<8 | uint64(a.SrcProtocol)<<16,
-	} {
-		h ^= x
-		h *= fnvPrime
-	}
-	return mix64(h)
+	return mix64(fnv1aWords(fnvOffset, a.ASPath.asns) +
+		fnv1aWords(fnvOffset, a.Communities.comms)*0x9e3779b97f4a7c15 +
+		(uint64(a.LocalPref)<<32|uint64(a.MED))*0xc2b2ae3d27d4eb4f +
+		(uint64(a.Weight)<<32|uint64(a.OriginatorID))*0x165667b19e3779f9 +
+		(uint64(a.ReceivedFrom)<<32|uint64(a.FromAS))*0x27d4eb2f165667c5 +
+		(uint64(a.IGPMetric)<<32|uint64(a.Tag))*0x94d049bb133111eb +
+		(uint64(a.AdminDistance)|uint64(a.Origin)<<8|uint64(a.SrcProtocol)<<16)*0xbf58476d1ce4e5b9)
 }
 
-// mix64 is an avalanche finalizer: FNV's multiply only carries differences
+// mix64 is an avalanche finalizer: a multiply only carries differences
 // upward, so without this, keys differing in high-order packed fields
 // collide in the low bits that pick the shard and the direct-mapped cache
 // slot.
@@ -538,37 +544,40 @@ func mix64(h uint64) uint64 {
 	return h
 }
 
-// Attrs interns a BGPAttrs value, returning the canonical pointer. The hit
-// path is lock-free: one atomic load from the direct-mapped cache plus a
-// value compare. The miss path carves the canonical object from the
-// shard's arena block and publishes it to the cache.
-func (p *Pool) Attrs(a BGPAttrs) *BGPAttrs {
-	h := attrsHash(&a)
+// Attrs interns the attribute value *a (read, never retained; pass a
+// pointer so the 80-byte value is not copied per call) and returns the
+// canonical pointer. The hit path is lock-free: one atomic load from the
+// direct-mapped cache, then the stored hash and the value compared. The
+// miss path carves the canonical object from the shard's arena block and
+// publishes it to the cache.
+func (p *Pool) Attrs(a *BGPAttrs) *BGPAttrs {
+	h := attrsHash(a)
 	c := &p.counters[h&(poolShards-1)]
 	slot := &p.attrCache[(h>>6)&(attrCacheSize-1)]
-	if v := slot.Load(); v != nil && *v == a {
+	if v := slot.Load(); v != nil && v.hash == h && v.BGPAttrs == *a {
 		c.attrHits.Add(1)
-		return v
+		return &v.BGPAttrs
 	}
 	s := &p.shards[h&(poolShards-1)]
 	s.mu.Lock()
-	if v, ok := s.attrs[a]; ok {
-		s.mu.Unlock()
-		c.attrHits.Add(1)
-		slot.Store(v)
-		return v
+	v, ok := s.attrs[*a]
+	if !ok {
+		if len(s.arena) == 0 {
+			s.arena = make([]internedAttrs, attrArenaBlock)
+		}
+		v = &s.arena[0]
+		s.arena = s.arena[1:]
+		*v = internedAttrs{BGPAttrs: *a, hash: h}
+		s.attrs[*a] = v
 	}
-	if len(s.arena) == 0 {
-		s.arena = make([]BGPAttrs, attrArenaBlock)
-	}
-	v := &s.arena[0]
-	s.arena = s.arena[1:]
-	*v = a
-	s.attrs[a] = v
 	s.mu.Unlock()
-	c.attrMiss.Add(1)
+	if ok {
+		c.attrHits.Add(1)
+	} else {
+		c.attrMiss.Add(1)
+	}
 	slot.Store(v)
-	return v
+	return &v.BGPAttrs
 }
 
 // Stats reports pool population and hit counts, used by the §4.1.3 memory

@@ -102,9 +102,9 @@ func TestCommunityString(t *testing.T) {
 
 func TestAttrsIntern(t *testing.T) {
 	pool := NewPool()
-	a1 := pool.Attrs(BGPAttrs{LocalPref: 100, ASPath: pool.ASPath(65001)})
-	a2 := pool.Attrs(BGPAttrs{LocalPref: 100, ASPath: pool.ASPath(65001)})
-	a3 := pool.Attrs(BGPAttrs{LocalPref: 200, ASPath: pool.ASPath(65001)})
+	a1 := pool.Attrs(&BGPAttrs{LocalPref: 100, ASPath: pool.ASPath(65001)})
+	a2 := pool.Attrs(&BGPAttrs{LocalPref: 100, ASPath: pool.ASPath(65001)})
+	a3 := pool.Attrs(&BGPAttrs{LocalPref: 200, ASPath: pool.ASPath(65001)})
 	if a1 != a2 {
 		t.Error("equal attrs must intern to same pointer")
 	}
@@ -437,7 +437,7 @@ func TestClockMonotone(t *testing.T) {
 func TestRouteString(t *testing.T) {
 	pool := NewPool()
 	r := Route{Prefix: pfx("10.0.0.0/8"), Protocol: EBGP, NextHop: ip4.MustParseAddr("1.2.3.4"),
-		AD: 20, Attrs: pool.Attrs(BGPAttrs{LocalPref: 100, ASPath: pool.ASPath(65001)})}
+		AD: 20, Attrs: pool.Attrs(&BGPAttrs{LocalPref: 100, ASPath: pool.ASPath(65001)})}
 	if r.String() == "" {
 		t.Error("empty route string")
 	}
@@ -464,7 +464,7 @@ func TestPoolConcurrentInterning(t *testing.T) {
 				asn := uint32(65000 + i%50)
 				p := pool.ASPath(asn, asn+1)
 				cs := pool.CommunitySet(asn<<16|1, asn<<16|2)
-				a := pool.Attrs(BGPAttrs{LocalPref: uint32(i % 7), ASPath: p, Communities: cs})
+				a := pool.Attrs(&BGPAttrs{LocalPref: uint32(i % 7), ASPath: p, Communities: cs})
 				paths[w] = append(paths[w], p)
 				attrs[w] = append(attrs[w], a)
 			}

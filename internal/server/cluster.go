@@ -9,8 +9,8 @@ package server
 import (
 	"context"
 	"fmt"
+	"maps"
 
-	"repro/internal/core"
 	"repro/internal/diskcache"
 )
 
@@ -19,13 +19,6 @@ import (
 // directory, making it the content-addressed artifact store a failover
 // heir warm-starts from.
 func (s *Server) Disk() *diskcache.Cache { return s.disk }
-
-// HasSnapshot reports whether the server currently holds the named
-// snapshot.
-func (s *Server) HasSnapshot(name string) bool {
-	_, ok := s.entry(name)
-	return ok
-}
 
 // SnapshotSources returns a copy of the named snapshot's full source set
 // (base texts with any edits applied — rehydrating from it flattens the
@@ -37,38 +30,25 @@ func (s *Server) SnapshotSources(name string) (configs map[string]string, ok boo
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	configs = make(map[string]string, len(e.texts))
-	for k, v := range e.texts {
-		configs[k] = v
-	}
-	return configs, true
+	return maps.Clone(e.texts), true
 }
 
 // DropSnapshot discards the named snapshot without the HTTP surface (no
-// admission, no request metrics): a copy deleted on another member.
+// admission, no request metrics): a copy its cluster name record disowns.
 func (s *Server) DropSnapshot(name string) { s.deleteEntry(name) }
 
 // InstallSnapshot parses and publishes a snapshot from raw configs — the
 // handleLoad engine path without the HTTP surface. The cluster layer uses
-// it to rehydrate an inherited snapshot from the shared manifest after a
-// member dies; the data-plane artifact the dead member committed to the
-// shared cache makes the rebuild a warm start. Degradation is not an
-// error (the snapshot is still published, matching handleLoad); a
-// cancelled load is.
+// it to install a snapshot from its shared-cache manifest (after a member
+// dies, or when another member changed it); the data-plane artifact
+// committed to the shared cache makes the rebuild a warm start.
+// Degradation is not an error (the snapshot is still published, matching
+// handleLoad); a cancelled load is.
 func (s *Server) InstallSnapshot(ctx context.Context, name string, configs map[string]string) error {
-	if len(configs) == 0 {
-		return fmt.Errorf("install %s: no configs", name)
-	}
-	snap := core.LoadTextWithContext(ctx, s.pl, configs)
-	if snap.Cancelled() {
-		s.m.Cancelled.Add(1)
+	e, ok := s.load(ctx, name, configs)
+	if !ok {
 		return fmt.Errorf("install %s: load cancelled: %w", name, ctx.Err())
 	}
-	snap.WithContext(nil)
-	texts := make(map[string]string, len(configs))
-	for k, v := range configs {
-		texts[k] = v
-	}
-	s.putEntry(&snapEntry{name: name, texts: texts, snap: snap})
+	s.putEntry(e)
 	return nil
 }

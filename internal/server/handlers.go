@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"maps"
 	"net/http"
 	"strconv"
 	"strings"
@@ -186,18 +187,13 @@ func (s *Server) handleLoad(w http.ResponseWriter, r *http.Request) {
 	defer release()
 
 	faults.Fire("server", "load")
-	snap := core.LoadTextWithContext(ctx, s.pl, body.Configs)
-	if snap.Cancelled() {
-		s.m.Cancelled.Add(1)
+	e, ok := s.load(ctx, name, body.Configs)
+	snap := e.snap
+	if !ok {
 		writeJSON(w, http.StatusGatewayTimeout, apiResponse{
 			Snapshot: name, ExitCode: ExitCancelled,
 			Error: "snapshot load cancelled by deadline", Diags: diagStrings(snap.Diags())})
 		return
-	}
-	snap.WithContext(nil)
-	texts := make(map[string]string, len(body.Configs))
-	for k, v := range body.Configs {
-		texts[k] = v
 	}
 	// Read the snapshot's state before putEntry publishes it: once the
 	// entry is visible, another request may mutate the snapshot under
@@ -210,7 +206,7 @@ func (s *Server) handleLoad(w http.ResponseWriter, r *http.Request) {
 		Quarantined: snap.Quarantined(),
 		Diags:       diagStrings(snap.Diags()),
 	}
-	s.putEntry(&snapEntry{name: name, texts: texts, snap: snap})
+	s.putEntry(e)
 	if len(resp.Diags) > 0 {
 		resp.ExitCode = ExitDegraded
 		s.m.Degraded.Add(1)
@@ -218,6 +214,19 @@ func (s *Server) handleLoad(w http.ResponseWriter, r *http.Request) {
 		s.m.OK.Add(1)
 	}
 	writeJSON(w, http.StatusOK, resp)
+}
+
+// load parses configs into an entry ready to publish. ok is false when
+// ctx cancelled the load (counted); the entry then holds only the
+// cancelled snapshot.
+func (s *Server) load(ctx context.Context, name string, configs map[string]string) (e *snapEntry, ok bool) {
+	snap := core.LoadTextWithContext(ctx, s.pl, configs)
+	if snap.Cancelled() {
+		s.m.Cancelled.Add(1)
+		return &snapEntry{snap: snap}, false
+	}
+	snap.WithContext(nil)
+	return &snapEntry{name: name, texts: maps.Clone(configs), snap: snap}, true
 }
 
 // editBody is the POST /snapshots/{name}/edit request body.
@@ -275,11 +284,8 @@ func (s *Server) handleEdit(w http.ResponseWriter, r *http.Request) {
 		Diags:       diagStrings(ns.Diags()),
 	}
 	s.anMu.Unlock()
-	texts := make(map[string]string, len(resp.Devices))
 	e.mu.Lock()
-	for k, v := range e.texts {
-		texts[k] = v
-	}
+	texts := maps.Clone(e.texts)
 	e.mu.Unlock()
 	for k, v := range body.Changes {
 		if v == "" {
