@@ -310,6 +310,9 @@ func (e *Engine) seedBGPNode(node string, d *config.Device, cv *config.VRF, vs *
 			})
 		}
 		for _, p := range cv.BGP.Networks {
+			if !e.inScope.keep(p) {
+				continue
+			}
 			// Network statements require a matching main-RIB route.
 			for _, rt := range vs.Main.Best(p) {
 				originate(rt, routing.OriginIGP, "", 0)
@@ -329,7 +332,7 @@ func (e *Engine) seedBGPNode(node string, d *config.Device, cv *config.VRF, vs *
 				continue
 			}
 			for _, src := range sources {
-				if src.Protocol == routing.Local {
+				if src.Protocol == routing.Local || !e.inScope.keep(src.Prefix) {
 					continue
 				}
 				originate(src, routing.OriginIncomplete, rd.RouteMap, rd.Metric)

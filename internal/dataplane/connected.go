@@ -56,6 +56,9 @@ func (e *Engine) installStatics() {
 		e.runPhase("statics", e.names, func(node string) {
 			e.forEachVRFOf(node, func(node string, d *config.Device, cv *config.VRF, vs *VRFState) {
 				for _, sr := range cv.StaticRoutes {
+					if !e.inScope.keep(sr.Prefix) {
+						continue
+					}
 					rt := routing.Route{
 						Prefix:       sr.Prefix.Canonical(),
 						Protocol:     routing.Static,

@@ -83,6 +83,13 @@ type Options struct {
 	// sessions held down. Unlike the fields above it changes simulation
 	// output, so it participates in the pipeline's content-addressed keys.
 	Suppress Suppression
+	// Scope, when non-empty, restricts the run to the destination prefixes
+	// a question reads (see scope.go): routes are originated only for
+	// prefixes that overlap the scope or contain a next-hop or session
+	// address. The routes for those prefixes equal the full run's; every
+	// other prefix is absent, and its non-convergence goes unseen. Like
+	// Suppress it changes output and participates in cache keys.
+	Scope Scope
 }
 
 func (o Options) maxIters() int {
@@ -204,6 +211,10 @@ type Result struct {
 	// Suppress is the canonical failure overlay this result was computed
 	// under (persisted, so cache hits re-apply the same mask).
 	Suppress Suppression
+	// Scope is the canonical query scope this result was computed under
+	// (nil for a full run); a scoped result holds routes only for the
+	// prefixes the scope keeps.
+	Scope Scope
 	// Diags are the run's structured failure-containment records:
 	// recovered per-device panics (with the device quarantined from
 	// later phases), iteration-budget trips, oscillations, cancellation.
@@ -289,6 +300,11 @@ type Engine struct {
 	// establishSessions forces down.
 	sup      Suppression
 	sessDown map[SessionKey]bool
+
+	// scope is the canonical query scope and inScope its origination
+	// filter (nil for a full run).
+	scope   Scope
+	inScope *scopeFilter
 }
 
 type ifaceRef struct {
@@ -313,6 +329,7 @@ func New(net *config.Network, opts Options) *Engine {
 		ctx:    context.Background(),
 		failed: make(map[string]bool),
 		sup:    sup,
+		scope:  opts.Scope.Canonical(),
 	}
 	if len(sup.Sessions) > 0 {
 		e.sessDown = make(map[SessionKey]bool, len(sup.Sessions))
@@ -379,6 +396,7 @@ func New(net *config.Network, opts Options) *Engine {
 		sort.Strings(names)
 		ns.vrfNames = names
 	}
+	e.inScope = e.newScopeFilter(e.scope)
 	return e
 }
 
@@ -456,6 +474,7 @@ func (e *Engine) Run() (result *Result) {
 		Nodes:    e.nodes,
 		Pool:     e.pool,
 		Suppress: e.sup,
+		Scope:    e.scope,
 	}
 	e.res = r
 

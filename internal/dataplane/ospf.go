@@ -122,6 +122,9 @@ func (e *Engine) seedOSPFNode(node string, d *config.Device, cv *config.VRF, vs 
 			if p.Len == 32 {
 				prefix = ip4.HostPrefix(p.Addr)
 			}
+			if !e.inScope.keep(prefix) {
+				continue
+			}
 			vs.OSPFRIB.Merge(routing.Route{
 				Prefix:       prefix,
 				Protocol:     routing.OSPF,
@@ -164,7 +167,7 @@ func (e *Engine) redistributeIntoOSPF(node string, d *config.Device, cv *config.
 			metric = 20 // OSPF default external metric
 		}
 		for _, src := range sources {
-			if src.Protocol.IsOSPF() {
+			if src.Protocol.IsOSPF() || !e.inScope.keep(src.Prefix) {
 				continue
 			}
 			v := policy.ViewOf(src)

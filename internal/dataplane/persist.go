@@ -24,6 +24,7 @@ package dataplane
 //	attribute table count, then each distinct *BGPAttrs once
 //	metadata       flags, cycle, iteration counts, warnings
 //	suppression    masked links, downed nodes, held sessions
+//	scope          count, then each canonical prefix
 //	nodes          sorted by name; per VRF (sorted) the five RIBs' best
 //	               routes in AllBest order, then the FIB entries
 //	sessions       in Result.Sessions order
@@ -59,8 +60,9 @@ import (
 // persistVersion guards the artifact layout; bump on any layout change
 // so stale disk entries fail to decode (and get recomputed) instead of
 // misloading. v2 added the failure-scenario Suppression; v3 replaced the
-// gob encoding with the columnar format above and dropped the network.
-const persistVersion = 3
+// gob encoding with the columnar format above and dropped the network;
+// v4 added the query Scope.
+const persistVersion = 4
 
 const artifactMagic = "gbdp"
 
@@ -95,6 +97,7 @@ const (
 	minAttrs    = 19 // 3 bytes, 8 uvarints, 2 addresses
 	minLink     = 4
 	minSupSess  = 10
+	minPrefix   = 5
 	minNode     = 2
 	minVRF      = 7 // name, flags, five RIB counts
 	minRoute    = 13
@@ -353,6 +356,10 @@ func (e *encoder) meta(r *Result) {
 		e.body.addr(k.IP1)
 		e.str(k.Node2)
 		e.body.addr(k.IP2)
+	}
+	e.body.uvarint(uint64(len(r.Scope)))
+	for _, p := range r.Scope {
+		e.body.prefix(p)
 	}
 }
 
@@ -666,6 +673,12 @@ func (d *decoder) meta(r *Result) {
 		sup.Sessions = make([]SessionKey, n)
 		for i := range sup.Sessions {
 			sup.Sessions[i] = SessionKey{Node1: d.str(), IP1: d.addr(), Node2: d.str(), IP2: d.addr()}
+		}
+	}
+	if n := d.count(minPrefix); n > 0 {
+		r.Scope = make(Scope, n)
+		for i := range r.Scope {
+			r.Scope[i] = d.prefix()
 		}
 	}
 }

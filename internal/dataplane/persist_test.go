@@ -5,10 +5,12 @@ import (
 	"fmt"
 	"hash/crc32"
 	"os"
+	"reflect"
 	"testing"
 
 	"repro/internal/config"
 	"repro/internal/dataplane"
+	"repro/internal/ip4"
 	"repro/internal/testnet"
 )
 
@@ -31,20 +33,30 @@ func roundTrip(t *testing.T, r *dataplane.Result) *dataplane.Result {
 // indistinguishable from the original through every post-convergence
 // consumer surface: per-node fingerprints (covering all RIB best sets and
 // FIB entries), session renderings, route listings, and convergence
-// metadata.
+// metadata, and the query scope of a scoped run.
 func TestPersistRoundTripFingerprints(t *testing.T) {
-	for name, net := range map[string]func() *config.Network{
-		"figure2":   testnet.Figure2,
-		"diamond":   testnet.Diamond,
-		"ebgpchain": testnet.EBGPChain,
-		"ecmp":      testnet.ECMPWithBrokenBranch,
+	scope := dataplane.Scope{ip4.MustParsePrefix("203.0.113.128/25"), ip4.MustParsePrefix("10.0.23.0/30")}
+	for _, tc := range []struct {
+		name string
+		net  func() *config.Network
+		opts dataplane.Options
+	}{
+		{"figure2", testnet.Figure2, dataplane.Options{}},
+		{"diamond", testnet.Diamond, dataplane.Options{}},
+		{"ebgpchain", testnet.EBGPChain, dataplane.Options{}},
+		{"ebgpchain-scoped", testnet.EBGPChain, dataplane.Options{Scope: scope}},
+		{"ecmp", testnet.ECMPWithBrokenBranch, dataplane.Options{}},
 	} {
+		name := tc.name
 		t.Run(name, func(t *testing.T) {
-			r := dataplane.Run(net(), dataplane.Options{})
+			r := dataplane.Run(tc.net(), tc.opts)
 			if r.Degraded() {
 				t.Fatalf("%s: baseline run degraded: %v", name, r.Diags)
 			}
 			got := roundTrip(t, r)
+			if !reflect.DeepEqual(got.Scope, r.Scope) || len(r.Scope) != len(tc.opts.Scope) {
+				t.Errorf("scope: got %v, computed %v, asked %v", got.Scope, r.Scope, tc.opts.Scope)
+			}
 
 			if got.Converged != r.Converged || got.BGPIterations != r.BGPIterations ||
 				got.IGPIterations != r.IGPIterations || got.OuterRounds != r.OuterRounds {

@@ -154,14 +154,18 @@ func (p *Pipeline) sharedEnc() *hdr.Enc {
 // dpOptionsKey serializes the options that affect simulation output.
 // Parallelism is deliberately excluded: results are deterministic across
 // worker counts (PR-1's schedule guarantee), so runs differing only in
-// worker count share artifacts. A failure-scenario suppression is
-// appended in canonical form only when non-empty, keeping every
-// pre-scenario key byte-identical (warm disk caches stay valid).
+// worker count share artifacts. A failure-scenario suppression and a
+// query scope are appended in canonical form only when non-empty, keeping
+// every unscoped, pre-scenario key byte-identical (warm disk caches stay
+// valid) and a scoped artifact apart from the full one.
 func dpOptionsKey(o dataplane.Options) []byte {
 	base := fmt.Sprintf("sched=%d;maxiter=%d;noclocks=%t;fullconv=%t",
 		o.Schedule, o.MaxIterations, o.DisableClocks, o.FullStateConvergence)
 	if sk := o.Suppress.CacheKey(); sk != "" {
 		base += ";suppress=" + sk
+	}
+	if sk := o.Scope.CacheKey(); sk != "" {
+		base += ";scope=" + sk
 	}
 	return []byte(base)
 }

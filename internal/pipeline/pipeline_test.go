@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/dataplane"
+	"repro/internal/ip4"
 )
 
 func TestStoreLRUAndCounters(t *testing.T) {
@@ -221,5 +222,42 @@ func TestDataPlaneKeySuppression(t *testing.T) {
 	k2 := DataPlaneKey(net, keys, dataplane.Options{Suppress: dataplane.Suppression{Nodes: []string{"a", "a"}}})
 	if k2 != k1 {
 		t.Error("canonically equal suppressions keyed differently")
+	}
+}
+
+func TestDataPlaneKeyScope(t *testing.T) {
+	// The unscoped options string is pinned byte for byte: warm memory and
+	// disk caches of full runs stay valid.
+	if got, want := string(dpOptionsKey(dataplane.Options{Scope: dataplane.Scope{}})),
+		"sched=0;maxiter=0;noclocks=false;fullconv=false"; got != want {
+		t.Errorf("unscoped options key %q, want %q", got, want)
+	}
+	p := New(Config{})
+	net, _, keys := p.Parse(testTexts())
+	key := func(q ...string) Key {
+		var s dataplane.Scope
+		for _, x := range q {
+			s = append(s, ip4.MustParsePrefix(x))
+		}
+		return DataPlaneKey(net, keys, dataplane.Options{Scope: s})
+	}
+	full := key()
+	scoped := key("10.1.0.0/24", "192.168.0.0/16")
+	if scoped == full {
+		t.Error("a scoped key equals the full key")
+	}
+	// Permuted, duplicated and unmasked forms of one scope key identically.
+	if k := key("192.168.7.7/16", "10.1.0.0/24", "10.1.0.0/24"); k != scoped {
+		t.Error("canonically equal scopes keyed differently")
+	}
+	if k := key("10.1.0.0/24"); k == scoped || k == full {
+		t.Error("a different scope shares a key")
+	}
+	// Scope and suppression both key.
+	sup := dataplane.Options{Suppress: dataplane.Suppression{Nodes: []string{"a"}}}
+	both := sup
+	both.Scope = dataplane.Scope{ip4.MustParsePrefix("10.1.0.0/24")}
+	if DataPlaneKey(net, keys, both) == DataPlaneKey(net, keys, sup) {
+		t.Error("scope ignored next to a suppression")
 	}
 }

@@ -72,14 +72,19 @@ func (p *Plan) newRT(ctx context.Context) (rt *workerRT, err error) {
 			rt, err = nil, fmt.Errorf("sweep: worker runtime build panicked: %v", r)
 		}
 	}()
-	pl := pipeline.New(pipeline.Config{})
+	// Workers saturate the machine collectively; inner parse and
+	// simulation stages run serial so the sweep's parallelism lives at the
+	// scenario level.
+	pl := pipeline.New(pipeline.Config{ParseWorkers: -1})
 	base := core.LoadTextWithContext(ctx, pl, p.texts)
 	opts := p.opts
 	if p.spec.MaxIterations > 0 {
 		opts.MaxIterations = p.spec.MaxIterations
 	}
-	// Workers saturate the machine collectively; inner simulation stages
-	// run serial so the sweep's parallelism lives at the scenario level.
+	// The monitored destinations scope every run of this runtime, the
+	// baseline check included: a class reads only the flow to DstIPs (an
+	// empty DstIPs leaves the runs unscoped).
+	opts.Scope = p.spec.DstIPs
 	opts.Parallelism = -1
 	opts.Trace, opts.NowNanos = nil, nil
 	base.SetDataPlaneOptions(opts)

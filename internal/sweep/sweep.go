@@ -124,6 +124,10 @@ type Spec struct {
 	// most elements fall outside it.
 	Sources []reach.SourceLoc
 	// DstIPs constrain the monitored header space (default: unconstrained).
+	// When non-empty they also scope each class's simulation
+	// (dataplane.Options.Scope): a worker simulates only the prefixes a
+	// packet to DstIPs can match, plus the ones next-hop and session
+	// resolution reads, so a class's Degraded covers those prefixes only.
 	DstIPs []ip4.Prefix
 	// Workers is the executor's parallelism (default GOMAXPROCS). Each
 	// worker owns a private pipeline — BDD factories are unsynchronized,
