@@ -114,7 +114,8 @@ bench:
 # and decode-over-run (DataPlaneArtifact); GraphBuild runs alongside as
 # the graph layer's benchmark. Sweep/k1-links-nodes carries the executed
 # sweep's floors (prune ratio, speedup over cold replays); with each class
-# simulating only the monitored destinations it peaks near 0.85 GB RSS on
-# a 2-vCPU host (EXPERIMENTS E13).
+# simulating only the monitored destinations, on one store-less runtime
+# per worker, it peaks near 0.62 GB RSS on a 2-vCPU host
+# (EXPERIMENTS E13).
 bench-check:
 	$(GO) test -run '^$$' -bench '^Benchmark(Parallelism|Intern|Cluster|Sweep|GraphBuild|DataPlaneArtifact)$$' -benchmem .

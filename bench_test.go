@@ -972,10 +972,12 @@ func processCPU(b *testing.B) time.Duration {
 // floors — ≥50% of scenarios pruned, ≥5x faster than naive cold
 // per-scenario re-analysis — and spot-checks sampled executed and pruned
 // verdicts against independent cold recomputations, reporting all of it
-// as sweep-* metrics. It needs more memory than an 8 GB host has, so
-// `make bench-check` runs only "plan": planning alone, asserting the
-// same ≥50% floor on (enumerated − classes) / enumerated, a lower bound
-// on the executed prune ratio (each class executes at most one scenario).
+// as sweep-* metrics. Every class a worker runs shares its runtime's BDD
+// factory; the scoped classes here add few nodes, so a worker rarely
+// outgrows its runtime's factory bound and rebuilds. "plan" runs
+// planning alone, asserting the same ≥50% floor on (enumerated −
+// classes) / enumerated, a lower bound on the executed prune ratio (each
+// class executes at most one scenario). `make bench-check` runs both.
 func BenchmarkSweep(b *testing.B) {
 	gen := netgen.Fabric(netgen.FabricParams{Name: "swp", Spines: 4, Pods: 10,
 		AggPerPod: 2, TorPerPod: 18, HostNetsPerTor: 1, Multipath: true})
@@ -1005,7 +1007,7 @@ func BenchmarkSweep(b *testing.B) {
 			break
 		}
 	}
-	// One worker per available CPU: each worker owns a private pipeline
+	// One worker per available CPU: each worker owns a private runtime
 	// whose construction costs a full base analysis, so oversubscribing a
 	// small machine only multiplies that fixed cost.
 	spec := sweep.Spec{Workers: runtime.GOMAXPROCS(0), Sources: srcs, DstIPs: []ip4.Prefix{dst}}

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/acl"
+	"repro/internal/bdd"
 	"repro/internal/config"
 	"repro/internal/diag"
 	"repro/internal/faults"
@@ -291,9 +292,11 @@ func sameDiffs(t *testing.T, got, want []DifferentialFlows) {
 // pass's scope, so both passes fail, leave their diagnostics and every
 // source is compared per source; and with a BDD node budget, which takes
 // the per-source path without attempting the passes. NET2 and the zoned
-// firewall are edited on one caching pipeline (one encoder); the
-// testnet.Firewall literals have no pipeline, so the compare rebuilds both
-// analyses on the first snapshot's encoder.
+// firewall are edited on one caching pipeline (one encoder), and the
+// firewall once more on one Disabled() pipeline, whose graphs share its
+// encoder too; that compare must also equal the cross-encoder compare of
+// two Disabled() loads. The testnet.Firewall literals have no pipeline,
+// so the compare rebuilds both analyses on the first snapshot's encoder.
 func TestCompareWithSharedMatchesPerSource(t *testing.T) {
 	pl := pipeline.New(pipeline.Config{})
 	net2 := net2Texts(t)
@@ -301,16 +304,25 @@ func TestCompareWithSharedMatchesPerSource(t *testing.T) {
 	net2Base := LoadTextWith(pl, net2)
 	fw := firewallTexts(false)
 	fwBase := LoadTextWith(pl, fw)
+	fwEdited := firewallTexts(false)
+	fwEdited["fw"] = httpsOnly(fw["fw"])
+	fwHTTPS := map[string]string{"fw": fwEdited["fw"]}
+	fwDisabled := LoadTextWith(pipeline.Disabled(), fw)
 	https := testnet.Firewall()
 	https.Devices["fw"].ACLs["HTTP_OUT"].Lines[0].DstPorts = []acl.PortRange{{Lo: 443, Hi: 443}}
 	cases := []struct {
 		name          string
 		before, after *Snapshot
+		// cross, when set, is the same edit loaded on two Disabled()
+		// pipelines, compared across encoders.
+		cross [2]*Snapshot
 	}{
-		{"NET2-null-route", net2Base, net2Base.Edit(map[string]string{
+		{name: "NET2-null-route", before: net2Base, after: net2Base.Edit(map[string]string{
 			tor: addRoute(t, net2[tor], "ip route 10.0.0.0 255.255.255.128 Null0")})},
-		{"firewall", fwBase, fwBase.Edit(map[string]string{"fw": httpsOnly(fw["fw"])})},
-		{"firewall-literal", &Snapshot{Net: testnet.Firewall()}, &Snapshot{Net: https}},
+		{name: "firewall", before: fwBase, after: fwBase.Edit(fwHTTPS)},
+		{name: "firewall-disabled", before: fwDisabled, after: fwDisabled.Edit(fwHTTPS),
+			cross: [2]*Snapshot{LoadTextWith(pipeline.Disabled(), fw), LoadTextWith(pipeline.Disabled(), fwEdited)}},
+		{name: "firewall-literal", before: &Snapshot{Net: testnet.Firewall()}, after: &Snapshot{Net: https}},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -320,6 +332,13 @@ func TestCompareWithSharedMatchesPerSource(t *testing.T) {
 			}
 			if ds := c.before.Diags(); len(ds) > 0 {
 				t.Fatalf("diagnostics: %s", diag.Summary(ds))
+			}
+			if ref := c.cross; ref[0] != nil {
+				f := c.before.Graph().Enc.F
+				if c.after.Graph().Enc.F != f {
+					t.Fatal("an edit on one Disabled() pipeline built a second encoder")
+				}
+				sameDiffsAcross(t, shared, f, ref[0].CompareWith(ref[1]), ref[0].Graph().Enc.F)
 			}
 
 			restore := faults.Activate(faults.New().Enable("question", allPairsScope, faults.Rule{Kind: faults.Panic}))
@@ -366,23 +385,32 @@ func TestCompareWithSharedMatchesPerSource(t *testing.T) {
 		}
 		cold := LoadTextWith(pipeline.Disabled(), texts)
 		ref := cold.CompareWith(LoadTextWith(pipeline.Disabled(), edited))
-		if len(got) != len(ref) || len(ref) == 0 {
-			t.Fatalf("%d diff rows, want %d (and some)", len(got), len(ref))
-		}
-		f, rf := base.Graph().Enc.F, cold.Graph().Enc.F
+		sameDiffsAcross(t, got, base.Graph().Enc.F, ref, cold.Graph().Enc.F)
 		broken := false
-		for i := range got {
-			a, b := got[i], ref[i]
-			if a.Source != b.Source || a.HasBroken != b.HasBroken || a.BrokenEx != b.BrokenEx {
-				t.Errorf("row %d: %v differs from the cold row %v", i, a.Source, b.Source)
-			}
-			if f.SatCount(a.Broken) != rf.SatCount(b.Broken) || f.SatCount(a.NewlyArrive) != rf.SatCount(b.NewlyArrive) {
-				t.Errorf("%v: broken/newly-arriving sets differ in size", a.Source)
-			}
-			broken = broken || a.HasBroken
+		for _, d := range got {
+			broken = broken || d.HasBroken
 		}
 		if !broken {
 			t.Error("the edit broke no flow across the NAT firewall")
 		}
 	})
+}
+
+// sameDiffsAcross is sameDiffs for compares on two BDD factories (got's
+// f, want's wf), whose refs are not comparable: rows must agree in source
+// and example, and their sets in size.
+func sameDiffsAcross(t *testing.T, got []DifferentialFlows, f *bdd.Factory, want []DifferentialFlows, wf *bdd.Factory) {
+	t.Helper()
+	if len(got) != len(want) || len(want) == 0 {
+		t.Fatalf("%d diff rows, want %d (and some)", len(got), len(want))
+	}
+	for i := range got {
+		a, b := got[i], want[i]
+		if a.Source != b.Source || a.HasBroken != b.HasBroken || a.BrokenEx != b.BrokenEx {
+			t.Errorf("row %d: %v differs from the cold row %v", i, a.Source, b.Source)
+		}
+		if f.SatCount(a.Broken) != wf.SatCount(b.Broken) || f.SatCount(a.NewlyArrive) != wf.SatCount(b.NewlyArrive) {
+			t.Errorf("%v: broken/newly-arriving sets differ in size", a.Source)
+		}
+	}
 }

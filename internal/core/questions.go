@@ -402,7 +402,7 @@ type DifferentialFlows struct {
 
 // CompareWith diffs reachability against a modified snapshot. Both
 // snapshots are analyzed with the same BDD encoder so the sets are
-// directly comparable: snapshots of one caching pipeline use their own
+// directly comparable: snapshots of one pipeline use their own
 // analyses, others a fresh pair built on this snapshot's encoder. Each
 // source's sink sets come from the analyses' shared backward passes,
 // under the rules Reachability follows with its default sources.

@@ -151,9 +151,9 @@ func (s *Snapshot) context() context.Context {
 // symbolic analyses; 0 removes the bound. Exceeding the budget aborts the
 // offending question with a "Budget exceeded" diagnostic instead of
 // letting the factory grow without limit. The budget attaches to the
-// graph's factory, which a caching pipeline shares across its snapshots —
-// set it on dedicated pipelines (or pipeline.Disabled()) when isolation
-// matters.
+// graph's factory, which every pipeline shares across the snapshots it
+// loads (and the scenarios applied to them) — load the snapshot on a
+// fresh pipeline.Disabled() of its own when isolation matters.
 func (s *Snapshot) SetBDDNodeBudget(n int) {
 	s.bddBudget = n
 	if s.g != nil {

@@ -14,13 +14,14 @@
 // construction — caching can change how fast an answer arrives, never
 // which answer.
 //
-// Graphs built by one enabled Pipeline share a single header-space
-// encoder, so analyses from different snapshots are directly comparable
-// (CompareWith in internal/core diffs them without rebuilding). The
-// shared BDD factory is unsynchronized and append-only: queries against
-// snapshots of the same Pipeline must not run concurrently with each
-// other, and the factory's node table grows monotonically over the
-// Pipeline's lifetime.
+// Graphs built by one Pipeline, caching or not, share a single
+// header-space encoder, so analyses from different snapshots are directly
+// comparable (CompareWith in internal/core diffs them without
+// rebuilding). The shared BDD factory is unsynchronized and append-only:
+// queries against snapshots of the same Pipeline must not run
+// concurrently with each other, and the factory's node table grows
+// monotonically over the Pipeline's lifetime. A caller that needs an
+// isolated factory per snapshot loads each one on its own Disabled().
 package pipeline
 
 import (
@@ -110,9 +111,11 @@ func New(cfg Config) *Pipeline {
 	return &Pipeline{store: NewStore(cfg.StoreCapacity), parseWorkers: cfg.ParseWorkers, disk: cfg.Disk}
 }
 
-// Disabled returns a Pipeline that never caches and gives every graph its
-// own fresh encoder — byte-for-byte the pre-pipeline behavior. It is the
-// reference implementation the caching path is validated against.
+// Disabled returns a Pipeline with no artifact store: every stage
+// recomputes, nothing is kept. Its graphs still share the Pipeline's
+// encoder, so a fresh Disabled() per load gives each snapshot (and the
+// scenarios applied to it) a private BDD factory. It is the reference
+// implementation the caching path is validated against.
 func Disabled() *Pipeline {
 	return &Pipeline{}
 }
@@ -230,9 +233,8 @@ func (p *Pipeline) DataPlaneCtx(ctx context.Context, net *config.Network, devKey
 	return res, k
 }
 
-// Graph builds (or reuses) the forwarding graph for a data plane. With
-// caching enabled the graph uses the Pipeline's shared encoder; disabled
-// pipelines get a fresh encoder per graph, matching historic behavior.
+// Graph builds (or reuses) the forwarding graph for a data plane on the
+// Pipeline's shared encoder.
 func (p *Pipeline) Graph(dp *dataplane.Result, dpKey Key) (*fwdgraph.Graph, Key) {
 	return p.GraphCtx(context.Background(), dp, dpKey)
 }
@@ -251,12 +253,7 @@ func (p *Pipeline) GraphCtx(ctx context.Context, dp *dataplane.Result, dpKey Key
 			return g, k
 		}
 	}
-	var g *fwdgraph.Graph
-	if p.store != nil {
-		g = fwdgraph.NewWithEncContext(ctx, dp, p.sharedEnc())
-	} else {
-		g = fwdgraph.NewContext(ctx, dp)
-	}
+	g := fwdgraph.NewWithEncContext(ctx, dp, p.sharedEnc())
 	if g.Cancelled {
 		k = Key{}
 	}

@@ -198,8 +198,16 @@ func TestDisabledPipelineNeverCaches(t *testing.T) {
 	if g1 == g2 {
 		t.Error("disabled pipeline reused a graph")
 	}
-	if g1.Enc == g2.Enc {
-		t.Error("disabled pipeline must give each graph a fresh encoder")
+	// One encoder per pipeline, not per graph: two graphs of one
+	// Disabled() share it, two Disabled() pipelines do not.
+	if g1.Enc != g2.Enc {
+		t.Error("graphs of one disabled pipeline must share its encoder")
+	}
+	if g3, _ := Disabled().Graph(dp1, k); g3.Enc == g1.Enc {
+		t.Error("two disabled pipelines share an encoder")
+	}
+	if st := p.Stats().Store; st != (StoreStats{}) {
+		t.Errorf("disabled pipeline store stats %+v, want zero", st)
 	}
 }
 

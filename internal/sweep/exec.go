@@ -11,13 +11,6 @@ import (
 	"repro/internal/pipeline"
 )
 
-// classesPerRuntime bounds how many scenario classes one worker runtime
-// answers before it is rebuilt. Each Apply grows the worker's BDD factory
-// (scenario-specific node tables are never freed), so recycling the
-// pipeline periodically keeps a long sweep's memory flat at the cost of
-// re-parsing the base snapshot and re-checking its baseline.
-const classesPerRuntime = 16
-
 // classJob is one equivalence-class representative awaiting execution.
 type classJob struct {
 	id      string
@@ -57,14 +50,31 @@ type outcome struct {
 	degraded bool
 }
 
-// workerRT is one worker's private execution runtime: its own pipeline
-// (BDD factories are unsynchronized) and its own base snapshot rebuilt
-// from the plan's texts, whose parsed model every scenario shares. The
-// base answers the plan's question once when the runtime is built, to
-// refuse a degraded baseline; each scenario then answers on its own.
+// runtimeGrowth bounds a worker runtime's BDD factory: once it holds more
+// than runtimeGrowth times the nodes the baseline check left in it, the
+// worker rebuilds the runtime before its next class. The factory is
+// append-only. A scoped class adds few nodes, so a scoped sweep rarely
+// rebuilds; an unscoped class adds thousands, and without the bound a
+// k=2 sweep's factory outgrew a 6 GB address space (EXPERIMENTS E13).
+const runtimeGrowth = 4
+
+// workerRT is one worker's private execution runtime: a base snapshot
+// rebuilt from the plan's texts on its own pipeline.Disabled(), whose
+// parsed model every scenario shares. The pipeline keeps no artifacts,
+// since every class is a distinct scenario and nothing reads a class's
+// data plane, graph or analysis again; its one BDD factory
+// (unsynchronized, so never shared between workers) serves every class
+// the worker runs until it passes limit nodes. The base answers the
+// plan's question once when the runtime is built, to refuse a degraded
+// baseline; each scenario then answers on its own.
 type workerRT struct {
-	base *core.Snapshot
+	base  *core.Snapshot
+	limit int
 }
+
+// factorySize is the node count of the BDD factory every class of this
+// runtime builds on.
+func (w *workerRT) factorySize() int { return w.base.Graph().Enc.F.Size() }
 
 func (p *Plan) newRT(ctx context.Context) (rt *workerRT, err error) {
 	defer func() {
@@ -72,29 +82,23 @@ func (p *Plan) newRT(ctx context.Context) (rt *workerRT, err error) {
 			rt, err = nil, fmt.Errorf("sweep: worker runtime build panicked: %v", r)
 		}
 	}()
-	// Workers saturate the machine collectively; inner parse and
-	// simulation stages run serial so the sweep's parallelism lives at the
-	// scenario level.
-	pl := pipeline.New(pipeline.Config{ParseWorkers: -1})
-	base := core.LoadTextWithContext(ctx, pl, p.texts)
+	base := core.LoadTextWithContext(ctx, pipeline.Disabled(), p.texts)
 	opts := p.opts
-	if p.spec.MaxIterations > 0 {
-		opts.MaxIterations = p.spec.MaxIterations
-	}
 	// The monitored destinations scope every run of this runtime, the
 	// baseline check included: a class reads only the flow to DstIPs (an
-	// empty DstIPs leaves the runs unscoped).
+	// empty DstIPs leaves the runs unscoped). Workers saturate the machine
+	// collectively, so each simulation runs serial and the sweep's
+	// parallelism lives at the scenario level.
 	opts.Scope = p.spec.DstIPs
 	opts.Parallelism = -1
 	opts.Trace, opts.NowNanos = nil, nil
 	base.SetDataPlaneOptions(opts)
-	if p.spec.BDDBudget > 0 {
-		base.SetBDDNodeBudget(p.spec.BDDBudget)
-	}
 	if base.Reachability(p.params); base.Degraded() {
 		return nil, fmt.Errorf("sweep: worker baseline degraded")
 	}
-	return &workerRT{base: base}, nil
+	rt = &workerRT{base: base}
+	rt.limit = runtimeGrowth * rt.factorySize()
+	return rt, nil
 }
 
 // runClass executes one class representative. Panics — injected worker
@@ -167,15 +171,17 @@ func (p *Plan) executeClasses(ctx context.Context, emit func(outcome)) []outcome
 			// The process must survive either way.
 			defer func() { recover() }()
 			var rt *workerRT
-			served := 0
 			for ctx.Err() == nil {
 				job, ok := q.pop()
 				if !ok {
 					return
 				}
-				if rt == nil || served >= classesPerRuntime {
-					nrt, err := p.newRT(ctx)
-					if err != nil {
+				if rt == nil || rt.factorySize() > rt.limit {
+					// Drop the old runtime before building the new one, so
+					// the two factories need not fit in memory together.
+					rt = nil
+					var err error
+					if rt, err = p.newRT(ctx); err != nil {
 						if !job.retried {
 							q.push(classJob{id: job.id, retried: true})
 							continue
@@ -183,10 +189,8 @@ func (p *Plan) executeClasses(ctx context.Context, emit func(outcome)) []outcome
 						deliver(outcome{class: job.id, degraded: true})
 						continue
 					}
-					rt, served = nrt, 0
 				}
 				out, err := rt.runClass(p, p.classRep[job.id], job.id)
-				served++
 				if err != nil {
 					// The runtime may hold a half-mutated factory; discard it
 					// and retry the class once on a fresh one.

@@ -133,11 +133,6 @@ type Spec struct {
 	// worker owns a private pipeline — BDD factories are unsynchronized,
 	// so workers never share one.
 	Workers int
-	// MaxIterations bounds each scenario simulation's exchange loops
-	// (0 = the engine default).
-	MaxIterations int
-	// BDDBudget bounds each worker's BDD factory node count (0 = none).
-	BDDBudget int
 	// MaxScenarios caps enumeration as a safety valve (0 = unlimited);
 	// exceeding it is an error telling the caller to narrow the spec.
 	MaxScenarios int

@@ -3,6 +3,7 @@ package sweep
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -87,17 +88,28 @@ func sameSources(a, b []SourceVerdict) bool {
 // pruned class members alike — against an independent cold recomputation.
 // This is the correctness core of the equivalence-class pruning: a pruned
 // scenario's stamped verdict must be indistinguishable from having run it.
+// With one worker, a single runtime (one base snapshot, one BDD factory)
+// serves every class in turn, so the cold replays also check that no
+// class's answer depends on the classes that ran before it.
 func TestSweepK1ExhaustiveIdentity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("cold-verifies every scenario; skipped in -short")
 	}
+	for _, workers := range []int{1, 4} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			testSweepK1ExhaustiveIdentity(t, workers)
+		})
+	}
+}
+
+func testSweepK1ExhaustiveIdentity(t *testing.T, workers int) {
 	texts := fabricTexts(t, "sw")
 	base := core.LoadTextWith(pipeline.New(pipeline.Config{}), texts)
 	srcs, dst := monitored(t, base, "sw-p01-tor01", "sw-p01-tor02")
 
 	plan, err := NewPlan(base, Spec{
 		K: 1, Links: true, Nodes: true, Sessions: true,
-		Sources: srcs, DstIPs: []ip4.Prefix{dst}, Workers: 4,
+		Sources: srcs, DstIPs: []ip4.Prefix{dst}, Workers: workers,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -108,6 +120,11 @@ func TestSweepK1ExhaustiveIdentity(t *testing.T) {
 	}
 	if res.Degraded {
 		t.Fatal("sweep degraded")
+	}
+	// One runtime must serve enough classes in turn for state carried
+	// from class to class to show: more than 16.
+	if workers == 1 && res.Executed <= 16 {
+		t.Fatalf("executed %d classes on one worker, want more than 16", res.Executed)
 	}
 	if res.Enumerated != len(res.Verdicts) || res.Enumerated == 0 {
 		t.Fatalf("enumerated %d, verdicts %d", res.Enumerated, len(res.Verdicts))
@@ -281,6 +298,66 @@ func TestSweepDeterminismAcrossWorkers(t *testing.T) {
 			if string(a) != string(b) {
 				t.Errorf("workers=%d: streamed verdict %d differs from canonical", workers, i)
 			}
+		}
+	}
+}
+
+// TestSweepRuntimeBound drives a worker runtime past its factory bound.
+// The k=2 sweep is unscoped, so each class simulates and analyses every
+// prefix and adds many BDD nodes. Replayed in queue order on one runtime,
+// the classes pass the bound before the last one, so a one-worker
+// Execute rebuilds its runtime mid-sweep. Every class's verdict must
+// still equal a cold recomputation.
+func TestSweepRuntimeBound(t *testing.T) {
+	if testing.Short() {
+		t.Skip("cold-verifies every class; skipped in -short")
+	}
+	texts := fabricTexts(t, "rb")
+	base := core.LoadTextWith(pipeline.New(pipeline.Config{}), texts)
+	srcs, _ := monitored(t, base, "rb-p01-tor01", "rb-p01-tor02")
+	plan, err := NewPlan(base, Spec{K: 2, Sources: srcs, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt, err := plan.newRT(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	passed := -1
+	for i, id := range plan.classIDs {
+		if rt.factorySize() > rt.limit {
+			passed = i
+			break
+		}
+		if _, err := rt.runClass(plan, plan.classRep[id], id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if passed < 0 {
+		t.Fatalf("%d unscoped classes left the factory at %d nodes, within its bound of %d",
+			len(plan.classIDs), rt.factorySize(), rt.limit)
+	}
+	t.Logf("factory passed its bound of %d nodes after %d of %d classes", rt.limit, passed, len(plan.classIDs))
+
+	res, err := plan.Execute(context.Background(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Degraded {
+		t.Fatal("sweep degraded")
+	}
+	for _, v := range res.Verdicts {
+		if !v.Executed {
+			continue
+		}
+		sc := Scenario{}
+		for _, id := range strings.Split(v.Scenario, "+") {
+			sc.Elements = append(sc.Elements, elementByID(t, plan, id))
+		}
+		cold := core.LoadTextWith(pipeline.Disabled(), texts).Apply(sc.overlay())
+		want := renderSources(srcs, cold.Reachability(core.ReachabilityParams{Sources: srcs}))
+		if !sameSources(v.Sources, want) {
+			t.Errorf("%s: swept %+v, cold %+v", v.Scenario, v.Sources, want)
 		}
 	}
 }
