@@ -73,6 +73,14 @@ const (
 	opRestrict
 )
 
+// maxCache caps the apply cache at 1<<24 entries of 24 bytes (384 MiB).
+// The cache is a lossy memo, so a capped one only recomputes more; without
+// the cap it doubled with the unique table and, past a few million nodes,
+// outweighed the node table and failed as one huge allocation. No test
+// and no benchmark workload reaches the cap (EXPERIMENTS E16), so their
+// operation counts are those of an uncapped cache.
+const maxCache = 1 << 24
+
 type cacheEntry struct {
 	a, b, c Ref
 	op      int32
@@ -95,6 +103,7 @@ type Factory struct {
 
 	cache     []cacheEntry
 	cacheMask uint32
+	cacheCap  int // maxCache; lowered only by tests
 
 	// varsets holds interned sorted variable lists for quantification.
 	varsets   [][]int32
@@ -141,7 +150,7 @@ func NewFactory(nvars int) *Factory {
 	if nvars < 0 || nvars >= int(terminalLevel) {
 		panic(fmt.Sprintf("bdd: invalid variable count %d", nvars))
 	}
-	f := &Factory{nvars: nvars}
+	f := &Factory{nvars: nvars, cacheCap: maxCache}
 	f.nodes = make([]node, 2, 1024)
 	f.nodes[False] = node{level: terminalLevel}
 	f.nodes[True] = node{level: terminalLevel}
@@ -240,10 +249,11 @@ func (f *Factory) mk(level int32, low, high Ref) Ref {
 	id := Ref(len(f.nodes))
 	f.nodes = append(f.nodes, node{level: level, low: low, high: high})
 	f.unique[h] = id
-	// Grow the unique table (and caches) when load exceeds 3/4.
+	// Grow the unique table (and the apply cache, up to its cap) when load
+	// exceeds 3/4.
 	if uint32(len(f.nodes)) > f.uniqueMask-f.uniqueMask/4 {
 		f.initUnique(len(f.unique) * 2)
-		if len(f.cache) < len(f.unique) {
+		if len(f.cache) < len(f.unique) && len(f.cache) < f.cacheCap {
 			f.initCache(len(f.cache) * 2)
 		}
 	}

@@ -645,3 +645,65 @@ func TestNodeCanonical(t *testing.T) {
 		}()
 	}
 }
+
+// TestApplyCacheCapped grows a factory until its unique table passes the
+// apply cache's cap, then checks that the cache stopped at the cap and
+// that operations on the grown factory still obey Boolean identities,
+// which canonical Refs make exact equalities. The cap is lowered to 1<<16
+// entries so the factory stays small; NewFactory's cap is maxCache.
+func TestApplyCacheCapped(t *testing.T) {
+	f := NewFactory(32)
+	if f.cacheCap != maxCache {
+		t.Fatalf("new factory's cache cap %d, want %d", f.cacheCap, maxCache)
+	}
+	const limit = 1 << 16
+	f.cacheCap = limit
+	// 2048 distinct minterms over variables 21..31, then distinct nodes
+	// at variable 0 over pairs of them until the unique table passes the
+	// cap.
+	leaves := make([]Ref, 1<<11)
+	for i := range leaves {
+		r := True
+		for v := 31; v >= 21; v-- {
+			if i>>(31-v)&1 == 1 {
+				r = f.Node(v, False, r)
+			} else {
+				r = f.Node(v, r, False)
+			}
+		}
+		leaves[i] = r
+	}
+	var tops []Ref
+	for i := 0; len(f.unique) <= 2*limit; i++ {
+		a, b := leaves[i%len(leaves)], leaves[(i/len(leaves)+1+i)%len(leaves)]
+		if a != b {
+			tops = append(tops, f.Node(0, a, b))
+		}
+	}
+	if len(f.cache) != limit {
+		t.Fatalf("apply cache has %d entries with a %d-slot unique table, want the cap %d",
+			len(f.cache), len(f.unique), limit)
+	}
+	rnd := rand.New(rand.NewSource(1))
+	for k := 0; k < 2000; k++ {
+		x, y := tops[rnd.Intn(len(tops))], tops[rnd.Intn(len(tops))]
+		if k%2 == 1 {
+			y = f.Or(y, f.Var(1+rnd.Intn(20)))
+		}
+		nx, ny := f.Not(x), f.Not(y)
+		and, or := f.And(x, y), f.Or(x, y)
+		switch {
+		case f.And(x, nx) != False || f.Or(x, nx) != True:
+			t.Fatalf("x∧¬x / x∨¬x wrong for %d", x)
+		case f.Not(and) != f.Or(nx, ny):
+			t.Fatalf("De Morgan fails for %d, %d", x, y)
+		case f.Xor(x, y) != f.Or(f.Diff(x, y), f.Diff(y, x)):
+			t.Fatalf("xor identity fails for %d, %d", x, y)
+		case f.SatCount(or) != f.SatCount(x)+f.SatCount(y)-f.SatCount(and):
+			t.Fatalf("inclusion-exclusion fails for %d, %d", x, y)
+		}
+	}
+	if len(f.cache) != limit {
+		t.Errorf("apply cache grew past its cap to %d entries", len(f.cache))
+	}
+}

@@ -1,12 +1,16 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"testing"
 
+	"repro/internal/dataplane"
+	"repro/internal/ip4"
 	"repro/internal/netgen"
 	"repro/internal/pipeline"
+	"repro/internal/topo"
 )
 
 // fabricTexts renders a small Clos fabric as hostname → config text.
@@ -70,7 +74,13 @@ func TestIncrementalEquivalence(t *testing.T) {
 		t.Fatal("no host-facing flows in baseline")
 	}
 	after := base.Edit(map[string]string{editedTor: afterTexts[editedTor]})
+	updates := pl.Stats().DataPlane.Updates
 	incFlows := after.Reachability(ReachabilityParams{})
+	// The edit adds one static route, so its data plane must come from
+	// dataplane.Update rather than a cold run.
+	if got := pl.Stats().DataPlane.Updates - updates; got != 1 {
+		t.Fatalf("edited data plane: %d updates, want 1 (the update path must run)", got)
+	}
 	incDiffs := base.CompareWith(after)
 	if len(incDiffs) == 0 {
 		t.Fatal("blackholing a served subnet must break flows")
@@ -209,5 +219,90 @@ func TestServiceQuestionsUseMemo(t *testing.T) {
 	r2 := s.Reachability(ReachabilityParams{})
 	if fmt.Sprint(r1) != fmt.Sprint(r2) {
 		t.Error("repeated Reachability not stable")
+	}
+}
+
+// TestEditUpdateFallbacks pins which edited data planes come from
+// dataplane.Update and which from a cold run: only a caching pipeline, a
+// clean unscoped base, an origination-only edit whose prefixes hold no
+// address of the dependency set D and an unchanged failure overlay take
+// the update path. Every row's data plane must equal a cold run of the
+// same network under the same options, whichever path computed it.
+func TestEditUpdateFallbacks(t *testing.T) {
+	texts := fabricTexts(t, "fb")
+	const tor = "fb-p01-tor01"
+	nullRoute := addRoute(t, texts[tor], "ip route 198.51.100.0 255.255.255.0 Null0")
+	link := func(s *Snapshot) topo.Link { return s.DataPlane().Topology.Links()[0] }
+	// edit loads a warm base on pl, lets prep adjust it, and applies sc
+	// built from it.
+	edit := func(pl *pipeline.Pipeline, prep func(*Snapshot) *Snapshot, sc func(*Snapshot) Scenario) *Snapshot {
+		base := LoadTextWith(pl, texts)
+		if prep != nil {
+			base = prep(base)
+		}
+		base.DataPlane()
+		return base.Apply(sc(base))
+	}
+	static := func(text string) func(*Snapshot) Scenario {
+		return func(*Snapshot) Scenario { return Scenario{ConfigEdits: map[string]string{tor: text}} }
+	}
+	for _, tc := range []struct {
+		name string
+		pl   func() *pipeline.Pipeline
+		prep func(*Snapshot) *Snapshot
+		sc   func(*Snapshot) Scenario
+		want bool
+	}{
+		{name: "static edit", sc: static(nullRoute), want: true},
+		{name: "static edit on a suppressed base", want: true,
+			prep: func(s *Snapshot) *Snapshot { return s.Apply(Scenario{LinksDown: []topo.Link{link(s)}}) },
+			sc:   static(nullRoute)},
+		{name: "acl edit", sc: static(addRoute(t, texts[tor], "ip access-list extended X\n permit ip any any"))},
+		{name: "route-map edit", sc: static(addRoute(t, texts[tor], "route-map RM permit 10\n set metric 5"))},
+		{name: "comment-only edit", sc: static("!\n" + texts[tor])},
+		{name: "static over a session endpoint", sc: func(s *Snapshot) Scenario {
+			peer := s.Net.Devices[tor].VRFs["default"].BGP.Neighbors[0].PeerIP
+			return static(addRoute(t, texts[tor], fmt.Sprintf("ip route %s 255.255.255.255 Null0", peer)))(s)
+		}},
+		{name: "degraded base", sc: static(nullRoute), prep: func(s *Snapshot) *Snapshot {
+			s.SetDataPlaneOptions(dataplane.Options{MaxIterations: 1})
+			return s
+		}},
+		{name: "scoped base", sc: static(nullRoute), prep: func(s *Snapshot) *Snapshot {
+			s.SetDataPlaneOptions(dataplane.Options{Scope: dataplane.Scope{ip4.MustParsePrefix("198.51.100.0/24")}})
+			return s
+		}},
+		{name: "suppression change", sc: func(s *Snapshot) Scenario {
+			sc := static(nullRoute)(s)
+			sc.LinksDown = []topo.Link{link(s)}
+			return sc
+		}},
+		{name: "disabled pipeline", pl: pipeline.Disabled, sc: static(nullRoute)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			pl := pipeline.New(pipeline.Config{})
+			if tc.pl != nil {
+				pl = tc.pl()
+			}
+			after := edit(pl, tc.prep, tc.sc)
+			before := pl.Stats().DataPlane.Updates
+			dp := after.DataPlane()
+			if got := pl.Stats().DataPlane.Updates - before; got != map[bool]int64{true: 1}[tc.want] {
+				t.Errorf("%d updates, want update path %v", got, tc.want)
+			}
+			cold := dataplane.Run(after.Net, after.DataPlaneOptions())
+			if dp.Fingerprint() != cold.Fingerprint() || dp.Converged != cold.Converged {
+				t.Errorf("data plane %x (converged %v), cold %x (converged %v)",
+					dp.Fingerprint(), dp.Converged, cold.Fingerprint(), cold.Converged)
+			}
+		})
+	}
+	// Update itself refuses a base computed under another failure overlay,
+	// which Apply never hands it.
+	base := LoadTextWith(pipeline.New(pipeline.Config{}), texts)
+	after := base.Edit(map[string]string{tor: nullRoute})
+	sup := dataplane.Suppression{Links: []topo.Link{link(base)}}
+	if _, ok := dataplane.Update(context.Background(), base.DataPlane(), after.Net, dataplane.Options{Suppress: sup}); ok {
+		t.Error("Update ran across a failure-overlay change")
 	}
 }

@@ -72,9 +72,11 @@ func (sc Scenario) ID() string {
 // shares this snapshot's pipeline and options. Pure-failure scenarios
 // skip the parse stage entirely — the parsed network, device keys, and
 // parse diagnostics are shared with the baseline — while scenarios with
-// config edits go through the same overlay-parse path as Edit. Failure
-// suppressions compose: applying a scenario to an already-suppressed
-// snapshot merges the overlays.
+// config edits go through the same overlay-parse path as Edit. A
+// config-only scenario applied to a snapshot whose data plane is computed
+// records that data plane as the new snapshot's edit base (see Edit).
+// Failure suppressions compose: applying a scenario to an
+// already-suppressed snapshot merges the overlays.
 func (s *Snapshot) Apply(sc Scenario) *Snapshot {
 	var ns *Snapshot
 	if sc.PureFailure() {
@@ -96,6 +98,9 @@ func (s *Snapshot) Apply(sc Scenario) *Snapshot {
 			}
 		}
 		ns = LoadTextWithContext(s.context(), s.pl, texts)
+		if sc.suppression().Empty() {
+			ns.base = s.dp
+		}
 	}
 	ns.opts = s.opts
 	ns.opts.Suppress = s.opts.Suppress.Merge(sc.suppression())

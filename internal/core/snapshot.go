@@ -54,7 +54,11 @@ type Snapshot struct {
 	texts   map[string]string       // source texts (name → config), for Edit
 	devKeys map[string]pipeline.Key // hostname → parse-artifact key
 
-	opts  dataplane.Options
+	opts dataplane.Options
+	// base is the data plane of the snapshot this one was edited from,
+	// when it was already computed: the starting point the pipeline hands
+	// to dataplane.Update. It is dropped once dp is computed.
+	base  *dataplane.Result
 	dp    *dataplane.Result
 	dpKey pipeline.Key
 	g     *fwdgraph.Graph
@@ -303,7 +307,11 @@ func LoadGeneratedWithContext(ctx context.Context, pl *pipeline.Pipeline, snap *
 // options, so unchanged devices reuse their parsed models and the stages
 // below parse recompute under content-addressed keys. The edited snapshot
 // is independent of this one: its questions answer exactly as on a fresh
-// load of the merged texts.
+// load of the merged texts. When this snapshot's data plane is already
+// computed and the pipeline caches, the edited data plane starts from it:
+// an edit that changes only static routes and BGP network statements
+// re-simulates just the prefixes it touches (dataplane.Update), with the
+// same answer a cold run gives.
 func (s *Snapshot) Edit(changes map[string]string) *Snapshot {
 	return s.Apply(Scenario{ConfigEdits: changes})
 }
@@ -313,17 +321,19 @@ func (s *Snapshot) Edit(changes map[string]string) *Snapshot {
 func (s *Snapshot) Pipeline() *pipeline.Pipeline { return s.pl }
 
 // SetDataPlaneOptions overrides simulation options (before the first
-// DataPlane call).
-func (s *Snapshot) SetDataPlaneOptions(o dataplane.Options) { s.opts = o }
+// DataPlane call). The edit base, computed under the old options, is
+// dropped.
+func (s *Snapshot) SetDataPlaneOptions(o dataplane.Options) { s.opts, s.base = o, nil }
 
 // DataPlane computes (once) and returns the data plane.
 func (s *Snapshot) DataPlane() *dataplane.Result {
 	if s.dp == nil {
 		if s.pl != nil {
-			s.dp, s.dpKey = s.pl.DataPlaneCtx(s.context(), s.Net, s.devKeys, s.opts)
+			s.dp, s.dpKey = s.pl.DataPlaneCtx(s.context(), s.Net, s.devKeys, s.opts, s.base)
 		} else {
 			s.dp = dataplane.RunContext(s.context(), s.Net, s.opts)
 		}
+		s.base = nil
 	}
 	return s.dp
 }

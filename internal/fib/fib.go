@@ -177,21 +177,47 @@ func (f *FIB) Lookup(addr ip4.Addr) *Entry {
 
 // Entries returns all entries in canonical prefix order.
 func (f *FIB) Entries() []Entry {
+	return sortEntries(collect(f.root, nil))
+}
+
+// Overlapping returns the entries whose prefixes overlap q — those that
+// contain it and those inside it — in canonical prefix order.
+func (f *FIB) Overlapping(q ip4.Prefix) []Entry {
+	q = q.Canonical()
 	var out []Entry
-	var walk func(*Node)
-	walk = func(n *Node) {
-		if n == nil {
-			return
+	for cur := f.root; cur != nil; {
+		if q.ContainsPrefix(cur.Prefix) {
+			return sortEntries(collect(cur, out))
 		}
-		if n.Entry != nil {
-			out = append(out, *n.Entry)
+		if !cur.Prefix.ContainsPrefix(q) {
+			break
 		}
-		walk(n.Children[0])
-		walk(n.Children[1])
+		if cur.Entry != nil {
+			out = append(out, *cur.Entry)
+		}
+		b := 0
+		if q.Addr.Bit(int(cur.Prefix.Len)) {
+			b = 1
+		}
+		cur = cur.Children[b]
 	}
-	walk(f.root)
-	sort.Slice(out, func(i, j int) bool { return out[i].Prefix.Compare(out[j].Prefix) < 0 })
 	return out
+}
+
+// collect appends the entries of the subtree under n to out.
+func collect(n *Node, out []Entry) []Entry {
+	if n == nil {
+		return out
+	}
+	if n.Entry != nil {
+		out = append(out, *n.Entry)
+	}
+	return collect(n.Children[1], collect(n.Children[0], out))
+}
+
+func sortEntries(es []Entry) []Entry {
+	sort.Slice(es, func(i, j int) bool { return es[i].Prefix.Compare(es[j].Prefix) < 0 })
+	return es
 }
 
 // Resolver supplies what BuildFromRIB needs to turn RIB routes into

@@ -1,6 +1,7 @@
 package fib
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -109,6 +110,38 @@ func TestLPMMatchesLinearScan(t *testing.T) {
 				t.Fatalf("Lookup(%s) = miss, want %v", addr, want.Prefix)
 			case want != nil && got.Prefix != want.Prefix:
 				t.Fatalf("Lookup(%s) = %v, want %v", addr, got.Prefix, want.Prefix)
+			}
+		}
+	}
+}
+
+// TestOverlappingMatchesScan checks Overlapping against a filter of
+// Entries on random tables dense enough for prefixes to nest.
+func TestOverlappingMatchesScan(t *testing.T) {
+	rnd := rand.New(rand.NewSource(7))
+	randPrefix := func() ip4.Prefix {
+		return ip4.Prefix{Addr: ip4.Addr(10<<24 | rnd.Uint32()&0xffff), Len: uint8(8 + rnd.Intn(25))}.Canonical()
+	}
+	for trial := 0; trial < 20; trial++ {
+		f := New()
+		for i := 0; i < 200; i++ {
+			f.Add(Entry{Prefix: randPrefix(), NextHops: []NextHop{{Iface: "e"}}})
+		}
+		all := f.Entries()
+		for i := 0; i < 200; i++ {
+			q := randPrefix()
+			var want []ip4.Prefix
+			for _, e := range all {
+				if e.Prefix.Overlaps(q) {
+					want = append(want, e.Prefix)
+				}
+			}
+			var got []ip4.Prefix
+			for _, e := range f.Overlapping(q) {
+				got = append(got, e.Prefix)
+			}
+			if fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Fatalf("Overlapping(%v) = %v, want %v", q, got, want)
 			}
 		}
 	}

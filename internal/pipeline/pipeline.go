@@ -14,6 +14,15 @@
 // construction — caching can change how fast an answer arrives, never
 // which answer.
 //
+// One data-plane artifact is not computed from its stage inputs alone: an
+// edited snapshot's data plane may be spliced by dataplane.Update from
+// the data plane of the snapshot it was edited from. It is stored under
+// the same content-addressed key as a cold run of the edited network,
+// which is sound because Update's result equals that cold run in
+// Fingerprint, every node's state and every session; only its iteration
+// counts, which describe the work done, differ. The cold path
+// (Disabled(), and every store-less reference check) never splices.
+//
 // Graphs built by one Pipeline, caching or not, share a single
 // header-space encoder, so analyses from different snapshots are directly
 // comparable (CompareWith in internal/core diffs them without
@@ -57,14 +66,17 @@ type Config struct {
 // artifact came from the store (warm) or was computed (cold). A parse run
 // counts as warm only when every device hit the cache. DiskHits counts
 // artifacts served from the persistent tier (a subset of warm activity:
-// a disk hit is decoded, promoted to memory, and reused); only the
-// data-plane stage has one, so it is zero for the others.
+// a disk hit is decoded, promoted to memory, and reused), and Updates the
+// artifacts computed by dataplane.Update from an edit's base (a subset of
+// cold runs); only the data-plane stage has either, so both are zero for
+// the others.
 type StageTimes struct {
 	ColdNs   int64
 	ColdRuns int64
 	WarmNs   int64
 	WarmRuns int64
 	DiskHits int64
+	Updates  int64
 }
 
 func (t *StageTimes) add(d time.Duration, warm bool) {
@@ -193,15 +205,20 @@ func DataPlaneKey(net *config.Network, devKeys map[string]Key, opts dataplane.Op
 
 // DataPlane runs (or reuses) the simulation stage.
 func (p *Pipeline) DataPlane(net *config.Network, devKeys map[string]Key, opts dataplane.Options) (*dataplane.Result, Key) {
-	return p.DataPlaneCtx(context.Background(), net, devKeys, opts)
+	return p.DataPlaneCtx(context.Background(), net, devKeys, opts, nil)
 }
 
-// DataPlaneCtx is DataPlane with cooperative cancellation. Degraded
-// results — cancelled, quarantined, or carrying any diagnostic — are
-// returned with a zero Key and never stored: caching a partial simulation
-// would let a transient failure masquerade as the truth for every later
+// DataPlaneCtx is DataPlane with cooperative cancellation and an optional
+// base: the data plane of the network net was edited from, computed under
+// opts' simulation options. On a caching pipeline, after a store and a
+// disk miss, a non-nil base is first handed to dataplane.Update, and the
+// cold run happens only when Update declines. A Disabled() pipeline
+// ignores base, so it stays the cold reference. Degraded results —
+// cancelled, quarantined, or carrying any diagnostic — are returned with
+// a zero Key and never stored: caching a partial simulation would let a
+// transient failure masquerade as the truth for every later
 // byte-identical snapshot.
-func (p *Pipeline) DataPlaneCtx(ctx context.Context, net *config.Network, devKeys map[string]Key, opts dataplane.Options) (*dataplane.Result, Key) {
+func (p *Pipeline) DataPlaneCtx(ctx context.Context, net *config.Network, devKeys map[string]Key, opts dataplane.Options, base *dataplane.Result) (*dataplane.Result, Key) {
 	start := time.Now()
 	var k Key
 	if p.store != nil {
@@ -221,7 +238,18 @@ func (p *Pipeline) DataPlaneCtx(ctx context.Context, net *config.Network, devKey
 			}
 		}
 	}
-	res := dataplane.RunContext(ctx, net, opts)
+	var res *dataplane.Result
+	updated := false
+	if p.store != nil && base != nil {
+		res, updated = dataplane.Update(ctx, base, net, opts)
+	}
+	if updated {
+		p.statMu.Lock()
+		p.dp.Updates++
+		p.statMu.Unlock()
+	} else {
+		res = dataplane.RunContext(ctx, net, opts)
+	}
 	if res.Degraded() {
 		k = Key{}
 	}

@@ -102,28 +102,34 @@ func (a *Analysis) EdgeCount() int { return len(a.edges) }
 // incoming edge is a pure label (no transformation or zone/waypoint
 // effects), merges into a single edge with the conjoined label
 // (paper §4.2.3: such nodes "only slow down the graph traversal").
+//
+// Each pass rebuilds the adjacency in CSR form — per direction, one offset
+// array over the nodes and one array of edge indices in edge order — in
+// buffers allocated once, since passes only remove edges.
 func (a *Analysis) compress() {
+	n := len(a.G.Nodes)
+	outStart, inStart := make([]int32, n+1), make([]int32, n+1)
+	outEdges, inEdges := make([]int32, len(a.edges)), make([]int32, len(a.edges))
+	alive := make([]bool, len(a.edges))
+	touched := make([]bool, n)
 	for {
-		out := make([][]int32, len(a.G.Nodes))
-		in := make([][]int32, len(a.G.Nodes))
-		alive := make([]bool, len(a.edges))
-		for i := range a.edges {
+		adjacency(outStart, outEdges, a.edges, func(e *fwdgraph.Edge) int { return e.From })
+		adjacency(inStart, inEdges, a.edges, func(e *fwdgraph.Edge) int { return e.To })
+		alive = alive[:len(a.edges)]
+		for i := range alive {
 			alive[i] = true
-			e := &a.edges[i]
-			out[e.From] = append(out[e.From], int32(i))
-			in[e.To] = append(in[e.To], int32(i))
 		}
+		clear(touched)
 		changed := false
-		touched := make([]bool, len(a.G.Nodes))
 		for id := range a.G.Nodes {
 			node := &a.G.Nodes[id]
 			if node.Kind == fwdgraph.KindSource || node.Kind == fwdgraph.KindSink {
 				continue
 			}
-			if touched[id] || len(in[id]) != 1 || len(out[id]) != 1 {
+			if touched[id] || inStart[id+1]-inStart[id] != 1 || outStart[id+1]-outStart[id] != 1 {
 				continue
 			}
-			ei, eo := in[id][0], out[id][0]
+			ei, eo := inEdges[inStart[id]], outEdges[outStart[id]]
 			if !alive[ei] || !alive[eo] {
 				continue
 			}
@@ -161,6 +167,27 @@ func (a *Analysis) compress() {
 			return
 		}
 	}
+}
+
+// adjacency fills start (one offset per node, plus the total) and list
+// with the indices of edges grouped by the node end(e) returns: node v's
+// edges are list[start[v]:start[v+1]], in edge order.
+func adjacency(start, list []int32, edges []fwdgraph.Edge, end func(*fwdgraph.Edge) int) {
+	clear(start)
+	for i := range edges {
+		start[end(&edges[i])]++
+	}
+	for v := 1; v < len(start)-1; v++ {
+		start[v] += start[v-1]
+	}
+	// start[v] is now the end of v's group; filling backwards moves it to
+	// the group's beginning.
+	for i := len(edges) - 1; i >= 0; i-- {
+		v := end(&edges[i])
+		start[v]--
+		list[start[v]] = int32(i)
+	}
+	start[len(start)-1] = int32(len(edges))
 }
 
 func pureLabel(e *fwdgraph.Edge) bool {
