@@ -76,11 +76,14 @@ cluster-chaos:
 
 # Short native-fuzzing pass over the vendor parsers (any input must yield
 # a device model, never a panic), the HTTP sweep body (never a panic,
-# never more workers than GOMAXPROCS), the data-plane artifact decoder
-# (an error or a usable result, never a panic), the disk cache's entry
-# framing (never a panic; an accepted entry re-frames to the same bytes)
-# and the cluster's name-record/manifest decoding (never a panic; only a
-# manifest hashing to the record's digest, with a config, is accepted).
+# never more workers than GOMAXPROCS), the HTTP request surface (load and
+# edit bodies, reachability and service-reachable query strings through
+# the full handler: never a 500, every 4xx with exit code 2), the
+# data-plane artifact decoder (an error or a usable result, never a
+# panic), the disk cache's entry framing (never a panic; an accepted entry
+# re-frames to the same bytes) and the cluster's name-record/manifest
+# decoding (never a panic; only a manifest hashing to the record's digest,
+# with a config, is accepted).
 # Crashers land in testdata/fuzz/ and reproduce with plain `go test`. The
 # server, dataplane, diskcache and cluster targets run alone (-run) so
 # their packages' other tests do not precede them.
@@ -89,6 +92,7 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzParse -fuzztime=$(FUZZTIME) ./internal/vendors/cisco/
 	$(GO) test -fuzz=FuzzParse -fuzztime=$(FUZZTIME) ./internal/vendors/juniper/
 	$(GO) test -run '^FuzzParseSweepBody$$' -fuzz='^FuzzParseSweepBody$$' -fuzztime=$(FUZZTIME) ./internal/server/
+	$(GO) test -run '^FuzzHandler$$' -fuzz='^FuzzHandler$$' -fuzztime=$(FUZZTIME) ./internal/server/
 	$(GO) test -run '^FuzzUnmarshalResult$$' -fuzz='^FuzzUnmarshalResult$$' -fuzztime=$(FUZZTIME) ./internal/dataplane/
 	$(GO) test -run '^FuzzVerifyEntry$$' -fuzz='^FuzzVerifyEntry$$' -fuzztime=$(FUZZTIME) ./internal/diskcache/
 	$(GO) test -run '^FuzzManifest$$' -fuzz='^FuzzManifest$$' -fuzztime=$(FUZZTIME) ./internal/cluster/

@@ -9,7 +9,6 @@ package server
 import (
 	"context"
 	"fmt"
-	"maps"
 
 	"repro/internal/diskcache"
 )
@@ -20,17 +19,19 @@ import (
 // heir warm-starts from.
 func (s *Server) Disk() *diskcache.Cache { return s.disk }
 
-// SnapshotSources returns a copy of the named snapshot's full source set
-// (base texts with any edits applied — rehydrating from it flattens the
-// edit chain but analyzes identically). ok is false for unknown names.
+// SnapshotSources returns a copy of the named snapshot's full source set,
+// read from its live snapshot (base texts with any edits applied —
+// rehydrating from it flattens the edit chain but analyzes identically).
+// ok is false for unknown names.
 func (s *Server) SnapshotSources(name string) (configs map[string]string, ok bool) {
 	e, found := s.entry(name)
 	if !found {
 		return nil, false
 	}
 	e.mu.Lock()
-	defer e.mu.Unlock()
-	return maps.Clone(e.texts), true
+	snap := e.snap
+	e.mu.Unlock()
+	return snap.SourceTexts(), true
 }
 
 // DropSnapshot discards the named snapshot without the HTTP surface (no
@@ -45,10 +46,10 @@ func (s *Server) DropSnapshot(name string) { s.deleteEntry(name) }
 // Degradation is not an error (the snapshot is still published, matching
 // handleLoad); a cancelled load is.
 func (s *Server) InstallSnapshot(ctx context.Context, name string, configs map[string]string) error {
-	e, ok := s.load(ctx, name, configs)
+	snap, ok := s.load(ctx, configs)
 	if !ok {
 		return fmt.Errorf("install %s: load cancelled: %w", name, ctx.Err())
 	}
-	s.putEntry(e)
+	s.putEntry(&snapEntry{name: name, snap: snap})
 	return nil
 }

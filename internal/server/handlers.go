@@ -4,7 +4,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"maps"
 	"net/http"
 	"strconv"
 	"strings"
@@ -111,21 +110,113 @@ func writeShed(w http.ResponseWriter, status int, retryAfter time.Duration, reas
 	writeJSON(w, status, apiResponse{ExitCode: ExitError, Error: reason})
 }
 
-// reqContext derives the request's analysis context: the server's
-// deadline, optionally tightened by ?timeout=.
-func (s *Server) reqContext(r *http.Request) (context.Context, context.CancelFunc, error) {
+// clientError answers a request the client got wrong (404 or 400) with
+// the usage exit code, and counts it.
+func (s *Server) clientError(w http.ResponseWriter, status int, msg string) {
+	s.m.ClientErrors.Add(1)
+	writeJSON(w, status, apiResponse{ExitCode: ExitUsage, Error: msg})
+}
+
+// outcome is how an admitted snapshot request ended; admit's finish maps
+// it onto the entry's breaker and the counters.
+type outcome int
+
+const (
+	outcomeFailed      outcome = iota // a panic escaped the handler
+	outcomeOK                         // closes the breaker
+	outcomeDegraded                   // counts against the breaker
+	outcomeCancelled                  // the client's own deadline: neutral
+	outcomeClientError                // a client error found after admission: neutral
+)
+
+// admit is the one admission path for snapshot requests: it resolves the
+// entry named in the path, consults its breaker, then takes the request's
+// deadline and an execution slot (slot). A rejection is answered here and
+// ok is false. Otherwise the caller defers finish(outcomeFailed) and calls
+// finish with the request's outcome before answering: the first call
+// frees the slot and settles the breaker and counters, later calls do
+// nothing. A panic that escapes the handler thus counts as a failure and
+// still releases a half-open probe.
+//
+// Only a degraded run or an escaped panic counts against the breaker. The
+// client's own deadline and client errors release a half-open probe
+// neutrally, neither closing the breaker nor resetting a closed one's
+// consecutive-failure count.
+func (s *Server) admit(w http.ResponseWriter, r *http.Request) (e *snapEntry, ctx context.Context, finish func(outcome), ok bool) {
+	name := r.PathValue("name")
+	if e, ok = s.entry(name); !ok {
+		s.clientError(w, http.StatusNotFound, "no snapshot "+name)
+		return nil, nil, nil, false
+	}
+	th := s.cfg.BreakerThreshold
+	if allowed, retryAfter := e.br.allow(th, s.cfg.BreakerCooldown); !allowed {
+		s.m.BreakerRejects.Add(1)
+		s.m.Shed503.Add(1)
+		writeShed(w, http.StatusServiceUnavailable, retryAfter, "circuit breaker open for snapshot "+name)
+		return nil, nil, nil, false
+	}
+	ctx, release, ok := s.slot(w, r)
+	if !ok {
+		// Rejected before touching the snapshot: overload or a bad
+		// parameter must not close a failing snapshot's breaker.
+		e.br.abort(th)
+		return nil, nil, nil, false
+	}
+	settled := false
+	finish = func(o outcome) {
+		if settled {
+			return
+		}
+		settled = true
+		release()
+		switch o {
+		case outcomeOK:
+			e.br.record(th, true)
+			s.m.OK.Add(1)
+		case outcomeDegraded:
+			e.br.record(th, false)
+			s.m.Degraded.Add(1)
+		case outcomeFailed:
+			e.br.record(th, false)
+		case outcomeCancelled:
+			e.br.abort(th)
+			s.m.Cancelled.Add(1)
+		case outcomeClientError:
+			e.br.abort(th)
+			s.m.ClientErrors.Add(1)
+		}
+	}
+	return e, ctx, finish, true
+}
+
+// slot is admission's deadline-and-slot step: the request's analysis
+// context (the server's deadline, optionally tightened by ?timeout=) and
+// an execution slot from acquire. A rejection is answered here and ok is
+// false; otherwise the caller calls release exactly once.
+func (s *Server) slot(w http.ResponseWriter, r *http.Request) (ctx context.Context, release func(), ok bool) {
 	d := s.cfg.RequestTimeout
 	if v := r.URL.Query().Get("timeout"); v != "" {
 		pd, err := time.ParseDuration(v)
 		if err != nil || pd <= 0 {
-			return nil, nil, fmt.Errorf("bad timeout %q", v)
+			s.clientError(w, http.StatusBadRequest, fmt.Sprintf("bad timeout %q", v))
+			return nil, nil, false
 		}
-		if pd < d {
-			d = pd
-		}
+		d = min(d, pd)
 	}
 	ctx, cancel := context.WithTimeout(r.Context(), d)
-	return ctx, cancel, nil
+	free, err := s.acquire(ctx)
+	if err != nil {
+		cancel()
+		if se, shed := err.(*shedError); shed {
+			writeShed(w, se.Status, se.RetryAfter, se.Reason)
+		} else { // the request context expired while queued
+			s.m.Cancelled.Add(1)
+			writeJSON(w, http.StatusGatewayTimeout,
+				apiResponse{ExitCode: ExitCancelled, Error: "deadline expired while queued"})
+		}
+		return nil, nil, false
+	}
+	return ctx, func() { free(); cancel() }, true
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
@@ -163,41 +254,47 @@ func (s *Server) handleLoad(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
 	var body loadBody
 	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(&body); err != nil {
-		s.m.ClientErrors.Add(1)
-		writeJSON(w, http.StatusBadRequest, apiResponse{ExitCode: ExitUsage, Error: "bad body: " + err.Error()})
+		s.clientError(w, http.StatusBadRequest, "bad body: "+err.Error())
 		return
 	}
 	if len(body.Configs) == 0 {
-		s.m.ClientErrors.Add(1)
-		writeJSON(w, http.StatusBadRequest, apiResponse{ExitCode: ExitUsage, Error: "no configs in body"})
+		s.clientError(w, http.StatusBadRequest, "no configs in body")
 		return
 	}
-	ctx, cancel, err := s.reqContext(r)
-	if err != nil {
-		s.m.ClientErrors.Add(1)
-		writeJSON(w, http.StatusBadRequest, apiResponse{ExitCode: ExitUsage, Error: err.Error()})
-		return
-	}
-	defer cancel()
-	release, err := s.acquire(ctx)
-	if err != nil {
-		s.rejectAdmission(w, err)
+	ctx, release, ok := s.slot(w, r)
+	if !ok {
 		return
 	}
 	defer release()
 
 	faults.Fire("server", "load")
-	e, ok := s.load(ctx, name, body.Configs)
-	snap := e.snap
+	snap, ok := s.load(ctx, body.Configs)
 	if !ok {
 		writeJSON(w, http.StatusGatewayTimeout, apiResponse{
 			Snapshot: name, ExitCode: ExitCancelled,
 			Error: "snapshot load cancelled by deadline", Diags: diagStrings(snap.Diags())})
 		return
 	}
-	// Read the snapshot's state before putEntry publishes it: once the
-	// entry is visible, another request may mutate the snapshot under
-	// anMu, which this handler does not hold.
+	resp := s.published(name, snap)
+	s.putEntry(&snapEntry{name: name, snap: snap})
+	writeJSON(w, http.StatusOK, resp)
+}
+
+// load parses configs into a snapshot ready to publish. ok is false when
+// ctx cancelled the load (counted).
+func (s *Server) load(ctx context.Context, configs map[string]string) (snap *core.Snapshot, ok bool) {
+	snap = core.LoadTextWithContext(ctx, s.pl, configs)
+	if snap.Cancelled() {
+		s.m.Cancelled.Add(1)
+		return snap, false
+	}
+	return snap.WithContext(nil), true
+}
+
+// published describes a snapshot about to be published by a load or an
+// edit, and counts the outcome. Callers build it before putEntry: once the
+// entry is visible, another request may mutate the snapshot under anMu.
+func (s *Server) published(name string, snap *core.Snapshot) apiResponse {
 	resp := apiResponse{
 		Snapshot:    name,
 		ExitCode:    ExitOK,
@@ -206,27 +303,13 @@ func (s *Server) handleLoad(w http.ResponseWriter, r *http.Request) {
 		Quarantined: snap.Quarantined(),
 		Diags:       diagStrings(snap.Diags()),
 	}
-	s.putEntry(e)
 	if len(resp.Diags) > 0 {
 		resp.ExitCode = ExitDegraded
 		s.m.Degraded.Add(1)
 	} else {
 		s.m.OK.Add(1)
 	}
-	writeJSON(w, http.StatusOK, resp)
-}
-
-// load parses configs into an entry ready to publish. ok is false when
-// ctx cancelled the load (counted); the entry then holds only the
-// cancelled snapshot.
-func (s *Server) load(ctx context.Context, name string, configs map[string]string) (e *snapEntry, ok bool) {
-	snap := core.LoadTextWithContext(ctx, s.pl, configs)
-	if snap.Cancelled() {
-		s.m.Cancelled.Add(1)
-		return &snapEntry{snap: snap}, false
-	}
-	snap.WithContext(nil)
-	return &snapEntry{name: name, texts: maps.Clone(configs), snap: snap}, true
+	return resp
 }
 
 // editBody is the POST /snapshots/{name}/edit request body.
@@ -235,80 +318,47 @@ type editBody struct {
 	Changes map[string]string `json:"changes"`
 }
 
+// handleEdit publishes an edit of a snapshot under a new name. It takes a
+// deadline and a slot but no breaker: the edit builds a new snapshot
+// rather than questioning the base.
 func (s *Server) handleEdit(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
 	e, ok := s.entry(name)
 	if !ok {
-		s.m.ClientErrors.Add(1)
-		writeJSON(w, http.StatusNotFound, apiResponse{ExitCode: ExitUsage, Error: "no snapshot " + name})
+		s.clientError(w, http.StatusNotFound, "no snapshot "+name)
 		return
 	}
 	var body editBody
 	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(&body); err != nil {
-		s.m.ClientErrors.Add(1)
-		writeJSON(w, http.StatusBadRequest, apiResponse{ExitCode: ExitUsage, Error: "bad body: " + err.Error()})
+		s.clientError(w, http.StatusBadRequest, "bad body: "+err.Error())
 		return
 	}
 	if body.As == "" || body.As == name {
-		s.m.ClientErrors.Add(1)
-		writeJSON(w, http.StatusBadRequest, apiResponse{ExitCode: ExitUsage, Error: `"as" must name a distinct snapshot`})
+		s.clientError(w, http.StatusBadRequest, `"as" must name a distinct snapshot`)
 		return
 	}
-	ctx, cancel, err := s.reqContext(r)
-	if err != nil {
-		s.m.ClientErrors.Add(1)
-		writeJSON(w, http.StatusBadRequest, apiResponse{ExitCode: ExitUsage, Error: err.Error()})
-		return
-	}
-	defer cancel()
-	release, err := s.acquire(ctx)
-	if err != nil {
-		s.rejectAdmission(w, err)
+	_, release, ok := s.slot(w, r)
+	if !ok {
 		return
 	}
 	defer release()
 
 	faults.Fire("server", "edit")
 	// The base resolution and the overlay build both touch snapshot
-	// internals that concurrent questions mutate, so they run under anMu;
-	// the response fields are read there too, before putEntry publishes
-	// the new snapshot to other requests.
+	// internals that concurrent questions mutate, so they run under anMu,
+	// and so does the response.
 	s.anMu.Lock()
 	ns := s.snapshotFor(e).Edit(body.Changes)
-	resp := apiResponse{
-		Snapshot:    body.As,
-		ExitCode:    ExitOK,
-		Devices:     ns.Net.DeviceNames(),
-		Warnings:    len(ns.Warnings),
-		Quarantined: ns.Quarantined(),
-		Diags:       diagStrings(ns.Diags()),
-	}
+	resp := s.published(body.As, ns)
 	s.anMu.Unlock()
-	e.mu.Lock()
-	texts := maps.Clone(e.texts)
-	e.mu.Unlock()
-	for k, v := range body.Changes {
-		if v == "" {
-			delete(texts, k)
-		} else {
-			texts[k] = v
-		}
-	}
-	s.putEntry(&snapEntry{name: body.As, texts: texts, snap: ns})
-	if len(resp.Diags) > 0 {
-		resp.ExitCode = ExitDegraded
-		s.m.Degraded.Add(1)
-	} else {
-		s.m.OK.Add(1)
-	}
+	s.putEntry(&snapEntry{name: body.As, snap: ns})
 	writeJSON(w, http.StatusOK, resp)
 }
 
 func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
 	if !s.deleteEntry(name) {
-		s.m.ClientErrors.Add(1)
-		writeJSON(w, http.StatusNotFound, apiResponse{ExitCode: ExitUsage, Error: "no snapshot " + name})
+		s.clientError(w, http.StatusNotFound, "no snapshot "+name)
 		return
 	}
 	writeJSON(w, http.StatusOK, apiResponse{Snapshot: name, ExitCode: ExitOK, Deleted: true})
@@ -318,8 +368,7 @@ func (s *Server) handleDiagnostics(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
 	e, ok := s.entry(name)
 	if !ok {
-		s.m.ClientErrors.Add(1)
-		writeJSON(w, http.StatusNotFound, apiResponse{ExitCode: ExitUsage, Error: "no snapshot " + name})
+		s.clientError(w, http.StatusNotFound, "no snapshot "+name)
 		return
 	}
 	s.anMu.Lock()
@@ -344,26 +393,23 @@ func (s *Server) handleDiagnostics(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleReachability(w http.ResponseWriter, r *http.Request) {
 	params := core.ReachabilityParams{}
 	q := r.URL.Query()
-	if srcs, err := parseSourceLocs(q["src"]); err != nil {
-		s.m.ClientErrors.Add(1)
-		writeJSON(w, http.StatusBadRequest, apiResponse{ExitCode: ExitUsage, Error: err.Error()})
+	srcs, err := parseSourceLocs(q["src"])
+	if err != nil {
+		s.clientError(w, http.StatusBadRequest, err.Error())
 		return
-	} else {
-		params.Sources = srcs
 	}
+	params.Sources = srcs
 	for _, v := range q["dst"] {
 		p, err := ip4.ParsePrefix(v)
 		if err != nil {
-			s.m.ClientErrors.Add(1)
-			writeJSON(w, http.StatusBadRequest, apiResponse{ExitCode: ExitUsage, Error: "bad dst: " + err.Error()})
+			s.clientError(w, http.StatusBadRequest, "bad dst: "+err.Error())
 			return
 		}
 		params.DstIPs = append(params.DstIPs, p)
 	}
-	var text string
-	s.serveQuestion(w, r, "reachability", func(snap *core.Snapshot) {
-		text = RenderFlows(snap.Reachability(params))
-	}, &text)
+	s.serveQuestion(w, r, "reachability", func(snap *core.Snapshot) string {
+		return RenderFlows(snap.Reachability(params))
+	})
 }
 
 func (s *Server) handleServiceReachable(w http.ResponseWriter, r *http.Request) {
@@ -372,22 +418,19 @@ func (s *Server) handleServiceReachable(w http.ResponseWriter, r *http.Request) 
 	for _, v := range q["dst"] {
 		p, err := ip4.ParsePrefix(v)
 		if err != nil {
-			s.m.ClientErrors.Add(1)
-			writeJSON(w, http.StatusBadRequest, apiResponse{ExitCode: ExitUsage, Error: "bad dst: " + err.Error()})
+			s.clientError(w, http.StatusBadRequest, "bad dst: "+err.Error())
 			return
 		}
 		spec.DstIPs = append(spec.DstIPs, p)
 	}
 	if len(spec.DstIPs) == 0 {
-		s.m.ClientErrors.Add(1)
-		writeJSON(w, http.StatusBadRequest, apiResponse{ExitCode: ExitUsage, Error: "at least one dst=CIDR is required"})
+		s.clientError(w, http.StatusBadRequest, "at least one dst=CIDR is required")
 		return
 	}
 	if v := q.Get("port"); v != "" {
 		p, err := strconv.ParseUint(v, 10, 16)
 		if err != nil {
-			s.m.ClientErrors.Add(1)
-			writeJSON(w, http.StatusBadRequest, apiResponse{ExitCode: ExitUsage, Error: "bad port: " + err.Error()})
+			s.clientError(w, http.StatusBadRequest, "bad port: "+err.Error())
 			return
 		}
 		spec.Port = uint16(p)
@@ -395,128 +438,69 @@ func (s *Server) handleServiceReachable(w http.ResponseWriter, r *http.Request) 
 	if v := q.Get("proto"); v != "" {
 		p, err := strconv.ParseUint(v, 10, 8)
 		if err != nil {
-			s.m.ClientErrors.Add(1)
-			writeJSON(w, http.StatusBadRequest, apiResponse{ExitCode: ExitUsage, Error: "bad proto: " + err.Error()})
+			s.clientError(w, http.StatusBadRequest, "bad proto: "+err.Error())
 			return
 		}
 		spec.Proto = uint8(p)
 	}
 	clients, err := parseSourceLocs(q["client"])
 	if err != nil {
-		s.m.ClientErrors.Add(1)
-		writeJSON(w, http.StatusBadRequest, apiResponse{ExitCode: ExitUsage, Error: err.Error()})
+		s.clientError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	spec.Clients = clients
-	var text string
-	s.serveQuestion(w, r, "service-reachable", func(snap *core.Snapshot) {
-		text = RenderService(snap.ServiceReachable(spec))
-	}, &text)
+	s.serveQuestion(w, r, "service-reachable", func(snap *core.Snapshot) string {
+		return RenderService(snap.ServiceReachable(spec))
+	})
 }
 
 func (s *Server) handleCompare(w http.ResponseWriter, r *http.Request) {
 	withName := r.URL.Query().Get("with")
 	if withName == "" {
-		s.m.ClientErrors.Add(1)
-		writeJSON(w, http.StatusBadRequest, apiResponse{ExitCode: ExitUsage, Error: "with=SNAPSHOT is required"})
+		s.clientError(w, http.StatusBadRequest, "with=SNAPSHOT is required")
 		return
 	}
 	we, ok := s.entry(withName)
 	if !ok {
-		s.m.ClientErrors.Add(1)
-		writeJSON(w, http.StatusNotFound, apiResponse{ExitCode: ExitUsage, Error: "no snapshot " + withName})
+		s.clientError(w, http.StatusNotFound, "no snapshot "+withName)
 		return
 	}
-	var text string
-	s.serveQuestion(w, r, "compare", func(snap *core.Snapshot) {
+	s.serveQuestion(w, r, "compare", func(snap *core.Snapshot) string {
 		// Resolve the candidate inside the question body so its (possible)
 		// rebuild and the CompareWith mutations of its memoized artifacts
 		// both happen under anMu.
-		text = RenderDiffs(snap.CompareWith(s.snapshotFor(we)))
-	}, &text)
+		return RenderDiffs(snap.CompareWith(s.snapshotFor(we)))
+	})
 }
 
-// serveQuestion is the shared question path: resolve the entry, consult
-// its breaker, pass admission control, run the question (with retry)
-// under the request deadline, feed the outcome back into the breaker, and
-// map the containment result onto HTTP + exit codes.
-func (s *Server) serveQuestion(w http.ResponseWriter, r *http.Request, q string, fn func(*core.Snapshot), text *string) {
-	name := r.PathValue("name")
-	e, ok := s.entry(name)
+// serveQuestion is the shared question path: admit, run the question
+// (with retry) under the request deadline, settle the outcome, and map
+// the containment result onto HTTP + exit codes.
+func (s *Server) serveQuestion(w http.ResponseWriter, r *http.Request, q string, fn func(*core.Snapshot) string) {
+	e, ctx, finish, ok := s.admit(w, r)
 	if !ok {
-		s.m.ClientErrors.Add(1)
-		writeJSON(w, http.StatusNotFound, apiResponse{ExitCode: ExitUsage, Error: "no snapshot " + name})
 		return
 	}
-	if ok, retryAfter := e.br.allow(s.cfg.BreakerThreshold, s.cfg.BreakerCooldown); !ok {
-		s.m.BreakerRejects.Add(1)
-		s.m.Shed503.Add(1)
-		writeShed(w, http.StatusServiceUnavailable, retryAfter,
-			fmt.Sprintf("circuit breaker open for snapshot %s", name))
-		return
-	}
-	ctx, cancel, err := s.reqContext(r)
-	if err != nil {
-		// Client error, not the snapshot's fault: release a half-open probe
-		// neutrally — neither closing the breaker nor resetting the
-		// consecutive-failure count of a closed one.
-		e.br.abort(s.cfg.BreakerThreshold)
-		s.m.ClientErrors.Add(1)
-		writeJSON(w, http.StatusBadRequest, apiResponse{ExitCode: ExitUsage, Error: err.Error()})
-		return
-	}
-	defer cancel()
-	release, err := s.acquire(ctx)
-	if err != nil {
-		// Shed before execution: the probe never touched the snapshot, so
-		// release it neutrally rather than counting a success — overload
-		// must not close a failing snapshot's breaker or mask its failures.
-		e.br.abort(s.cfg.BreakerThreshold)
-		s.rejectAdmission(w, err)
-		return
-	}
-	defer release()
-
+	defer finish(outcomeFailed)
+	var text string
 	qr := s.runQuestion(ctx, e, q, func(snap *core.Snapshot) {
 		faults.Fire("server", q)
-		fn(snap)
+		text = fn(snap)
 	})
-
-	resp := apiResponse{Snapshot: name, Question: q, Attempts: qr.attempts,
-		Diags: diagStrings(qr.diags), Text: *text}
+	resp := apiResponse{Snapshot: e.name, Question: q, Attempts: qr.attempts,
+		Diags: diagStrings(qr.diags), Text: text}
+	status := http.StatusOK
 	switch {
 	case qr.cancelled:
-		// The client's own deadline is not a service-quality signal: count
-		// neither success nor failure, but release a half-open probe so the
-		// breaker cannot wedge with probing set forever.
-		e.br.abort(s.cfg.BreakerThreshold)
-		s.m.Cancelled.Add(1)
-		resp.ExitCode = ExitCancelled
-		resp.Error = "question cancelled by deadline"
-		writeJSON(w, http.StatusGatewayTimeout, resp)
+		finish(outcomeCancelled)
+		status, resp.ExitCode, resp.Error = http.StatusGatewayTimeout, ExitCancelled, "question cancelled by deadline"
 	case len(qr.diags) > 0:
-		e.br.record(s.cfg.BreakerThreshold, false)
-		s.m.Degraded.Add(1)
+		finish(outcomeDegraded)
 		resp.ExitCode = ExitDegraded
-		writeJSON(w, http.StatusOK, resp)
 	default:
-		e.br.record(s.cfg.BreakerThreshold, true)
-		s.m.OK.Add(1)
-		resp.ExitCode = ExitOK
-		writeJSON(w, http.StatusOK, resp)
+		finish(outcomeOK)
 	}
-}
-
-// rejectAdmission maps an acquire error onto the wire.
-func (s *Server) rejectAdmission(w http.ResponseWriter, err error) {
-	if se, ok := err.(*shedError); ok {
-		writeShed(w, se.Status, se.RetryAfter, se.Reason)
-		return
-	}
-	// The request context expired while queued.
-	s.m.Cancelled.Add(1)
-	writeJSON(w, http.StatusGatewayTimeout,
-		apiResponse{ExitCode: ExitCancelled, Error: "deadline expired while queued"})
+	writeJSON(w, status, resp)
 }
 
 // parseSourceLocs parses repeated "device" or "device/iface" params.

@@ -5,6 +5,16 @@
 // infrastructure faults, crashes mid-write, and repeatedly failing
 // snapshots.
 //
+// Every snapshot request takes one path. admit resolves the entry,
+// consults its breaker, and takes the request's deadline and execution
+// slot; the handler defers the finish func admit returns, which is the
+// only place an outcome reaches the breaker and the counters, so even a
+// panic escaping the handler settles a half-open probe. Each try of a
+// question — and sweep planning, tried once — is one attempt: the
+// request context bound to the snapshot, the body run under
+// diag.Capture, the context unbound, and a poisoned snapshot marked
+// stale. Loads and edits take only admission's deadline-and-slot step.
+//
 // The hardening layers, outermost first:
 //
 //   - Admission control: a semaphore bounds concurrently executing
@@ -122,27 +132,28 @@ func (c *Config) defaults() {
 	}
 }
 
-// snapEntry is one named snapshot the server manages. The live
-// *core.Snapshot is rebuilt from the retained sources whenever the old
-// one has been poisoned (cancelled mid-stage, or carrying question-stage
-// diagnostics from a transient fault); rebuilds are cheap because every
-// clean artifact is still in the pipeline's store or on disk.
+// snapEntry is one named snapshot the server manages: its live
+// *core.Snapshot and its breaker. A snapshot poisoned by a request
+// (cancelled mid-stage, or carrying question-stage diagnostics from a
+// transient fault) is marked stale and rebuilt from its own sources on
+// next use; rebuilds are cheap because every clean artifact is still in
+// the pipeline's store or on disk.
 type snapEntry struct {
 	name string
 
 	mu    sync.Mutex
-	texts map[string]string // full source set (base texts + edits applied)
-	snap  *core.Snapshot    // current live snapshot; nil forces rebuild
+	snap  *core.Snapshot // the live snapshot
+	stale bool           // snap was poisoned; rebuild before use
 
 	br breaker
 }
 
-// dropSnap discards the live snapshot if it is still the given one, so a
-// concurrent request that already rebuilt is not clobbered.
-func (e *snapEntry) dropSnap(old *core.Snapshot) {
+// poison marks the live snapshot stale if it is still the given one, so
+// a concurrent request that already rebuilt is not clobbered.
+func (e *snapEntry) poison(old *core.Snapshot) {
 	e.mu.Lock()
 	if e.snap == old {
-		e.snap = nil
+		e.stale = true
 	}
 	e.mu.Unlock()
 }
@@ -368,12 +379,12 @@ func (s *Server) names() []string {
 	return out
 }
 
-// snapshotFor returns the entry's live snapshot, rebuilding it from the
-// retained sources when it is missing or has been poisoned by a past
-// request (cancellation latches inside stage artifacts; question-stage
-// diagnostics accumulate). Rebuilds re-parse the entry's merged texts
-// through the pipeline, so every clean cached artifact — in memory or on
-// disk — is reused; only analyses private to the old snapshot recompute.
+// snapshotFor returns the entry's live snapshot, first rebuilding it from
+// its own SourceTexts when a past request poisoned it (cancellation
+// latches inside stage artifacts; question-stage diagnostics accumulate).
+// A rebuild re-parses through the pipeline, so every clean cached
+// artifact — in memory or on disk — is reused; only analyses private to
+// the old snapshot recompute.
 //
 // Callers must hold anMu: both the Cancelled fast path and a rebuild
 // read/write snapshot internals that questions mutate, and a published
@@ -381,8 +392,8 @@ func (s *Server) names() []string {
 func (s *Server) snapshotFor(e *snapEntry) *core.Snapshot {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if e.snap == nil || e.snap.Cancelled() {
-		e.snap = core.LoadTextWith(s.pl, e.texts)
+	if e.stale || e.snap.Cancelled() {
+		e.snap, e.stale = core.LoadTextWith(s.pl, e.snap.SourceTexts()), false
 	}
 	return e.snap
 }
@@ -426,64 +437,66 @@ type qresult struct {
 	cancelled bool              // the snapshot observed ctx expiry
 }
 
-// runQuestion executes one question body against the entry's snapshot
-// under the BDD mutex, with the request context bound for the duration
-// of the call and transient-failure retry on a rebuilt snapshot.
+// runQuestion runs a question with transient-failure retry: each try is
+// one attempt on the entry's live snapshot (rebuilt when the try before
+// poisoned it), with jittered exponential backoff between tries.
+func (s *Server) runQuestion(ctx context.Context, e *snapEntry, q string, fn func(*core.Snapshot)) qresult {
+	for n := 1; ; n++ {
+		diags, cancelled := s.attempt(ctx, e, q, fn)
+		res := qresult{attempts: n, diags: diags, cancelled: cancelled}
+		if cancelled || len(diags) == 0 || ctx.Err() != nil ||
+			!transient(diags) || n > s.cfg.Retries {
+			return res
+		}
+		s.m.Retries.Add(1)
+		if !s.backoff(ctx, n) {
+			res.cancelled = true
+			return res
+		}
+	}
+}
+
+// attempt runs fn once against the entry's live snapshot under the BDD
+// mutex, with the request context bound for the duration of the call. It
+// returns the diagnostics the run added (a recovered panic among them)
+// and whether the snapshot observed ctx expiry.
 //
 // Context hygiene is the subtle part: a context-bound snapshot builds a
 // private analysis that checks its context during later queries, so
 // after a clean run the context is unbound from both the snapshot and
 // its analysis before the next request can see them; a poisoned run
-// (cancelled or newly degraded) discards the snapshot instead. Either
+// (cancelled or newly degraded) marks the snapshot stale instead. Either
 // way no request ever observes another request's expired context.
-func (s *Server) runQuestion(ctx context.Context, e *snapEntry, q string, fn func(*core.Snapshot)) qresult {
-	var res qresult
-	for attempt := 1; ; attempt++ {
-		res.attempts = attempt
-		s.anMu.Lock()
-		snap := s.snapshotFor(e)
-		var an *reach.Analysis
-		before := len(snap.Diags())
-		snap.WithContext(ctx)
-		panicDiag := diag.Capture(diag.StageQuestion, q, func() {
-			// The analysis is memoized across requests, so binding the
-			// snapshot alone is not enough: an analysis built by an
-			// earlier request still holds that request's (unbound)
-			// context. Rebind so this request's deadline reaches the BDD
-			// fixed points too. Inside Capture because a first call may
-			// build data plane and graph, which can trip budgets.
-			an = snap.Analysis().WithContext(ctx)
-			fn(snap)
-		})
-		snap.WithContext(nil)
-		cancelled := snap.Cancelled()
-		if !cancelled && panicDiag == nil {
-			// Unbind the request context from the (private) analysis so
-			// it cannot poison later requests; a poisoned run discards
-			// the whole snapshot below instead.
-			an.WithContext(nil)
-		}
-		after := snap.Diags()
-		s.anMu.Unlock()
-
-		res.cancelled = cancelled
-		res.diags = after[before:]
-		if panicDiag != nil {
-			s.m.PanicsRecovered.Add(1)
-			res.diags = append(res.diags, *panicDiag)
-		}
-		poisoned := cancelled || len(res.diags) > 0
-		if poisoned {
-			e.dropSnap(snap)
-		}
-		if !poisoned || cancelled || ctx.Err() != nil ||
-			!transient(res.diags) || attempt > s.cfg.Retries {
-			return res
-		}
-		s.m.Retries.Add(1)
-		if !s.backoff(ctx, attempt) {
-			res.cancelled = true
-			return res
-		}
+func (s *Server) attempt(ctx context.Context, e *snapEntry, q string, fn func(*core.Snapshot)) (diags []diag.Diagnostic, cancelled bool) {
+	s.anMu.Lock()
+	snap := s.snapshotFor(e)
+	var an *reach.Analysis
+	before := len(snap.Diags())
+	snap.WithContext(ctx)
+	panicDiag := diag.Capture(diag.StageQuestion, q, func() {
+		// The analysis is memoized across requests, so binding the
+		// snapshot alone is not enough: an analysis built by an earlier
+		// request still holds that request's (unbound) context. Rebind so
+		// this request's deadline reaches the BDD fixed points too. Inside
+		// Capture because a first call may build data plane and graph,
+		// which can trip budgets.
+		an = snap.Analysis().WithContext(ctx)
+		fn(snap)
+	})
+	snap.WithContext(nil)
+	cancelled = snap.Cancelled()
+	if !cancelled && panicDiag == nil {
+		an.WithContext(nil)
 	}
+	diags = snap.Diags()[before:]
+	s.anMu.Unlock()
+
+	if panicDiag != nil {
+		s.m.PanicsRecovered.Add(1)
+		diags = append(diags, *panicDiag)
+	}
+	if cancelled || len(diags) > 0 {
+		e.poison(snap)
+	}
+	return diags, cancelled
 }

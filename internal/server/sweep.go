@@ -8,10 +8,9 @@ import (
 	"net/http"
 	"runtime"
 
-	"repro/internal/diag"
+	"repro/internal/core"
 	"repro/internal/faults"
 	"repro/internal/ip4"
-	"repro/internal/reach"
 	"repro/internal/sweep"
 )
 
@@ -55,98 +54,45 @@ type sweepLine struct {
 
 // handleSweep runs a failure-scenario sweep over a named snapshot,
 // streaming one NDJSON verdict line per scenario as equivalence classes
-// complete. Planning (enumeration, blast-radius classification, the
-// baseline run) touches the shared BDD factory and therefore holds anMu;
-// execution runs on private per-worker pipelines, so the lock is released
-// before the first verdict is computed and concurrent questions proceed
-// while the sweep executes. The request holds one admission slot for its
-// whole duration.
+// complete. It is admitted like a question (admit), and planning
+// (enumeration, blast-radius classification, the baseline run) is one
+// attempt on the snapshot, without retry: it touches the shared BDD
+// factory and therefore holds anMu. Execution runs on private per-worker
+// pipelines, so the lock is released before the first verdict is computed
+// and concurrent questions proceed while the sweep executes. The request
+// holds one admission slot for its whole duration.
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
-	name := r.PathValue("name")
-	e, ok := s.entry(name)
-	if !ok {
-		s.m.ClientErrors.Add(1)
-		writeJSON(w, http.StatusNotFound, apiResponse{ExitCode: ExitUsage, Error: "no snapshot " + name})
-		return
-	}
 	spec, err := parseSweepBody(r)
 	if err != nil {
-		s.m.ClientErrors.Add(1)
-		writeJSON(w, http.StatusBadRequest, apiResponse{ExitCode: ExitUsage, Error: err.Error()})
+		s.clientError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	if ok, retryAfter := e.br.allow(s.cfg.BreakerThreshold, s.cfg.BreakerCooldown); !ok {
-		s.m.BreakerRejects.Add(1)
-		s.m.Shed503.Add(1)
-		writeShed(w, http.StatusServiceUnavailable, retryAfter,
-			fmt.Sprintf("circuit breaker open for snapshot %s", name))
+	e, ctx, finish, ok := s.admit(w, r)
+	if !ok {
 		return
 	}
-	ctx, cancel, err := s.reqContext(r)
-	if err != nil {
-		e.br.abort(s.cfg.BreakerThreshold)
-		s.m.ClientErrors.Add(1)
-		writeJSON(w, http.StatusBadRequest, apiResponse{ExitCode: ExitUsage, Error: err.Error()})
-		return
-	}
-	defer cancel()
-	release, err := s.acquire(ctx)
-	if err != nil {
-		e.br.abort(s.cfg.BreakerThreshold)
-		s.rejectAdmission(w, err)
-		return
-	}
-	defer release()
+	defer finish(outcomeFailed)
 
 	faults.Fire("server", "sweep")
-
-	// Plan under anMu with the same context hygiene as runQuestion: bind
-	// the request context for the duration, unbind on the clean path, and
-	// discard the snapshot when the run poisoned it.
-	s.anMu.Lock()
-	snap := s.snapshotFor(e)
 	var plan *sweep.Plan
 	var planErr error
-	var an *reach.Analysis
-	before := len(snap.Diags())
-	snap.WithContext(ctx)
-	panicDiag := diag.Capture(diag.StageQuestion, "sweep", func() {
-		an = snap.Analysis().WithContext(ctx)
+	diags, cancelled := s.attempt(ctx, e, "sweep", func(snap *core.Snapshot) {
 		plan, planErr = sweep.NewPlan(snap, spec)
 	})
-	snap.WithContext(nil)
-	cancelled := snap.Cancelled()
-	if !cancelled && panicDiag == nil {
-		an.WithContext(nil)
-	}
-	diags := snap.Diags()[before:]
-	s.anMu.Unlock()
-	if panicDiag != nil {
-		diags = append(diags, *panicDiag)
-	}
-	if cancelled || len(diags) > 0 {
-		e.dropSnap(snap)
-	}
-
+	name := e.name
 	switch {
 	case cancelled:
-		e.br.abort(s.cfg.BreakerThreshold)
-		s.m.Cancelled.Add(1)
+		finish(outcomeCancelled)
 		writeJSON(w, http.StatusGatewayTimeout, apiResponse{Snapshot: name,
 			ExitCode: ExitCancelled, Error: "sweep planning cancelled by deadline"})
 		return
 	case len(diags) > 0:
-		if panicDiag != nil {
-			s.m.PanicsRecovered.Add(1)
-		}
-		e.br.record(s.cfg.BreakerThreshold, false)
-		s.m.Degraded.Add(1)
+		finish(outcomeDegraded)
 		writeJSON(w, http.StatusOK, apiResponse{Snapshot: name, ExitCode: ExitDegraded,
 			Diags: diagStrings(diags), Error: "sweep planning degraded the snapshot"})
 		return
 	case planErr != nil:
-		e.br.abort(s.cfg.BreakerThreshold)
-		s.m.ClientErrors.Add(1)
+		finish(outcomeClientError)
 		writeJSON(w, http.StatusBadRequest, apiResponse{Snapshot: name,
 			ExitCode: ExitUsage, Error: "sweep: " + planErr.Error()})
 		return
@@ -182,18 +128,14 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	}
 	switch {
 	case execErr != nil:
-		e.br.abort(s.cfg.BreakerThreshold)
-		s.m.Cancelled.Add(1)
+		finish(outcomeCancelled)
 		summary.ExitCode = ExitCancelled
 		summary.Error = "sweep cancelled: " + execErr.Error()
 	case res.Degraded:
-		e.br.record(s.cfg.BreakerThreshold, false)
-		s.m.Degraded.Add(1)
+		finish(outcomeDegraded)
 		summary.ExitCode = ExitDegraded
 	default:
-		e.br.record(s.cfg.BreakerThreshold, true)
-		s.m.OK.Add(1)
-		summary.ExitCode = ExitOK
+		finish(outcomeOK)
 	}
 	emitLine(summary)
 }

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/faults"
 	"repro/internal/ip4"
 	"repro/internal/pipeline"
 	"repro/internal/reach"
@@ -145,15 +146,29 @@ func TestSweepEndpointStreamsVerdicts(t *testing.T) {
 	}
 }
 
-// TestSweepEndpointErrors covers the non-streaming failure paths: unknown
-// snapshot (404), malformed spec (400), and bad timeout (400) — all before
-// headers commit, so they use the JSON envelope with CLI exit codes.
+// TestSweepEndpointErrors covers the non-streaming outcomes: unknown
+// snapshot (404), malformed spec (400), bad timeout (400), an expired
+// client deadline (504), planning degraded by a fault (200, exit 4), and
+// an open breaker (503) — all before headers commit, so they use the JSON
+// envelope with CLI exit codes. A sweep settles the breaker and the
+// counters exactly as a question does.
 func TestSweepEndpointErrors(t *testing.T) {
 	_, ts := newServer(t, server.Config{})
 	tc := newTestClient(t, ts)
 	tc.load("sm", smallFabric())
 
-	resp, ar := tc.do(http.MethodPost, "/snapshots/nope/sweep", nil)
+	// First, while nothing is computed: the expired deadline cancels the
+	// data-plane run that planning starts with.
+	before := tc.metrics()
+	resp, ar := tc.do(http.MethodPost, "/snapshots/sm/sweep?timeout=1ns", nil)
+	if resp.StatusCode != http.StatusGatewayTimeout || ar.ExitCode != server.ExitCancelled {
+		t.Errorf("expired deadline: status %d exit %d (%s)", resp.StatusCode, ar.ExitCode, ar.Error)
+	}
+	if m := tc.metrics(); m.Cancelled != before.Cancelled+1 {
+		t.Errorf("expired deadline: cancelled %d -> %d, want +1", before.Cancelled, m.Cancelled)
+	}
+
+	resp, ar = tc.do(http.MethodPost, "/snapshots/nope/sweep", nil)
 	if resp.StatusCode != http.StatusNotFound || ar.ExitCode != server.ExitUsage {
 		t.Errorf("unknown snapshot: status %d exit %d", resp.StatusCode, ar.ExitCode)
 	}
@@ -170,5 +185,86 @@ func TestSweepEndpointErrors(t *testing.T) {
 	resp, ar = tc.do(http.MethodPost, "/snapshots/sm/sweep?timeout=bogus", nil)
 	if resp.StatusCode != http.StatusBadRequest || ar.ExitCode != server.ExitUsage {
 		t.Errorf("bad timeout: status %d exit %d", resp.StatusCode, ar.ExitCode)
+	}
+
+	// Breaker rows on a fresh server: a planning panic in the monitored
+	// source's reachability guard degrades the sweep, a malformed body is
+	// neutral, and two degraded sweeps trip the breaker.
+	defer faults.Activate(faults.New().
+		Enable("question", "sm-p01-tor01", faults.Rule{Kind: faults.Panic}))()
+	_, ts = newServer(t, server.Config{Retries: -1, BreakerThreshold: 2, BreakerCooldown: time.Hour})
+	tc = newTestClient(t, ts)
+	tc.load("sm", smallFabric())
+	spec := map[string]any{"src": []string{"sm-p01-tor01/host1"}}
+	degraded := func(i int) {
+		t.Helper()
+		before := tc.metrics()
+		resp, ar := tc.do(http.MethodPost, "/snapshots/sm/sweep", spec)
+		if resp.StatusCode != http.StatusOK || ar.ExitCode != server.ExitDegraded {
+			t.Fatalf("degraded planning %d: status %d exit %d (%s)", i, resp.StatusCode, ar.ExitCode, ar.Error)
+		}
+		if m := tc.metrics(); m.Degraded != before.Degraded+1 {
+			t.Errorf("degraded planning %d: degraded %d -> %d, want +1", i, before.Degraded, m.Degraded)
+		}
+	}
+	degraded(1)
+	resp, err := tc.c.Post(ts.URL+"/snapshots/sm/sweep", "application/json", strings.NewReader("{"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest || resp.Header.Get(server.ExitCodeHeader) != "2" {
+		t.Errorf("malformed body: status %d exit %s", resp.StatusCode, resp.Header.Get(server.ExitCodeHeader))
+	}
+	if _, ar := tc.do(http.MethodGet, "/snapshots/sm/diagnostics", nil); ar.Breaker != "closed" {
+		t.Fatalf("breaker %s after one degraded sweep, want closed", ar.Breaker)
+	}
+	degraded(2) // the malformed body left the failure count at one: this trips it
+	before = tc.metrics()
+	resp, _ = tc.do(http.MethodPost, "/snapshots/sm/sweep", spec)
+	if resp.StatusCode != http.StatusServiceUnavailable || resp.Header.Get("Retry-After") == "" {
+		t.Errorf("open breaker: status %d Retry-After %q", resp.StatusCode, resp.Header.Get("Retry-After"))
+	}
+	if m := tc.metrics(); m.BreakerRejects != before.BreakerRejects+1 {
+		t.Errorf("open breaker: rejects %d -> %d, want +1", before.BreakerRejects, m.BreakerRejects)
+	}
+}
+
+// TestSweepProbePanicReleasesBreaker: a sweep admitted as a half-open
+// probe that panics outside planning's containment (here the injected
+// server/sweep fault) answers 500 and must still settle the breaker as a
+// failure. The probe slot is released, so after a fresh cooldown a
+// healthy question is admitted as the next probe and closes the breaker
+// instead of being shed forever.
+func TestSweepProbePanicReleasesBreaker(t *testing.T) {
+	restore := faults.Activate(faults.New().
+		Enable("server", "reachability", faults.Rule{Kind: faults.Panic, Count: 2}))
+	defer restore()
+	const cooldown = 50 * time.Millisecond
+	_, ts := newServer(t, server.Config{Retries: -1, BreakerThreshold: 2, BreakerCooldown: cooldown})
+	tc := newTestClient(t, ts)
+	tc.load("s", smallFabric())
+
+	for i := 0; i < 2; i++ {
+		if resp, ar := tc.do(http.MethodGet, "/snapshots/s/reachability", nil); ar.ExitCode != server.ExitDegraded {
+			t.Fatalf("failing question %d: %d exit %d", i, resp.StatusCode, ar.ExitCode)
+		}
+	}
+	if resp, _ := tc.do(http.MethodGet, "/snapshots/s/reachability", nil); resp.StatusCode != http.StatusServiceUnavailable {
+		t.Fatalf("breaker did not trip: %d", resp.StatusCode)
+	}
+
+	restore()
+	defer faults.Activate(faults.New().
+		Enable("server", "sweep", faults.Rule{Kind: faults.Panic, Count: 1}))()
+	time.Sleep(cooldown + 20*time.Millisecond)
+	if resp, ar := tc.do(http.MethodPost, "/snapshots/s/sweep", nil); resp.StatusCode != http.StatusInternalServerError {
+		t.Fatalf("panicking sweep probe: %d exit %d (%s)", resp.StatusCode, ar.ExitCode, ar.Error)
+	}
+
+	time.Sleep(cooldown + 20*time.Millisecond)
+	resp, ar := tc.do(http.MethodGet, "/snapshots/s/reachability", nil)
+	if resp.StatusCode != http.StatusOK || ar.ExitCode != server.ExitOK {
+		t.Fatalf("breaker wedged by the panicking probe: %d exit %d (%s)", resp.StatusCode, ar.ExitCode, ar.Error)
 	}
 }
