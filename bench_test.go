@@ -171,7 +171,7 @@ func BenchmarkFigure3(b *testing.B) {
 		dp := dataplane.Run(net1Mini(), dataplane.Options{})
 		for i := 0; i < b.N; i++ {
 			a := reach.New(fwdgraph.New(dp))
-			_ = a.MultipathConsistency(bdd.True)
+			_ = a.MultipathConsistency(context.Background(), bdd.True)
 		}
 	})
 }
@@ -219,7 +219,7 @@ func BenchmarkTable2(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				a := reach.New(fwdgraph.New(dp))
-				if len(a.DestReachability(dst, bdd.True)) == 0 {
+				if len(a.DestReachability(context.Background(), dst, bdd.True)) == 0 {
 					b.Fatal("nothing reaches dst")
 				}
 			}
@@ -248,7 +248,7 @@ func BenchmarkAPT(b *testing.B) {
 	b.Run("bdd-engine", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			a := reach.New(fwdgraph.New(dp))
-			if len(a.DestReachability(dst, bdd.True)) == 0 {
+			if len(a.DestReachability(context.Background(), dst, bdd.True)) == 0 {
 				b.Fatal("no reachability")
 			}
 		}
@@ -457,7 +457,7 @@ func BenchmarkCompress(b *testing.B) {
 				a := reach.NewWithOptions(fwdgraph.New(dp), reach.Options{Compress: mode.compress})
 				edges = a.EdgeCount()
 				b.StartTimer()
-				a.Forward(a.SourceSets(bdd.True))
+				a.Forward(context.Background(), a.SourceSets(bdd.True))
 			}
 			b.ReportMetric(float64(edges), "edges")
 		})
@@ -481,8 +481,8 @@ func BenchmarkReverse(b *testing.B) {
 	dst := net.DeviceNames()[3]
 	// Sanity: both must agree.
 	a := reach.New(fwdgraph.New(dp))
-	back := a.DestReachability(dst, bdd.True)
-	fwd := a.DestReachabilityForward(dst, bdd.True)
+	back := a.DestReachability(context.Background(), dst, bdd.True)
+	fwd := a.DestReachabilityForward(context.Background(), dst, bdd.True)
 	if len(back) != len(fwd) {
 		b.Fatalf("reverse/forward disagree: %d vs %d sources", len(back), len(fwd))
 	}
@@ -490,9 +490,11 @@ func BenchmarkReverse(b *testing.B) {
 		name  string
 		query func(a *reach.Analysis) map[reach.SourceLoc]bdd.Ref
 	}{
-		{"backward", func(a *reach.Analysis) map[reach.SourceLoc]bdd.Ref { return a.DestReachability(dst, bdd.True) }},
+		{"backward", func(a *reach.Analysis) map[reach.SourceLoc]bdd.Ref {
+			return a.DestReachability(context.Background(), dst, bdd.True)
+		}},
 		{"forward-per-source", func(a *reach.Analysis) map[reach.SourceLoc]bdd.Ref {
-			return a.DestReachabilityForward(dst, bdd.True)
+			return a.DestReachabilityForward(context.Background(), dst, bdd.True)
 		}},
 	} {
 		arm := arm

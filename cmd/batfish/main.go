@@ -499,7 +499,7 @@ func runTable2(nets int) {
 		t2 := time.Now()
 		an := reachFor(dp)
 		dst := net.DeviceNames()[len(net.DeviceNames())/2]
-		res := an.DestReachability(dst, bdd.True)
+		res := an.DestReachability(context.Background(), dst, bdd.True)
 		reachDur := time.Since(t2)
 		_ = res
 

@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"sort"
 
@@ -40,7 +41,7 @@ func main() {
 	a := reach.New(g)
 	enc := a.Enc
 	// All TCP packets entering the network at R1.i0 (the paper's query).
-	res, _ := a.Reachability(reach.SourceLoc{Device: "r1", Iface: "i0"},
+	res, _ := a.Reachability(context.Background(), reach.SourceLoc{Device: "r1", Iface: "i0"},
 		enc.FieldEq(hdr.Protocol, hdr.ProtoTCP))
 
 	toP3 := enc.Prefix(hdr.DstIP, ip4.MustParsePrefix("10.0.3.0/24"))

@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/bdd"
@@ -32,7 +33,7 @@ func main() {
 		enc.Prefix(hdr.DstIP, ip4.MustParsePrefix("10.2.0.0/24")),
 		enc.FieldEq(hdr.Protocol, hdr.ProtoTCP),
 	)
-	res, _ := a.Bidirectional(reach.SourceLoc{Device: "client", Iface: "eth0"}, "server", hs)
+	res, _ := a.Bidirectional(context.Background(), reach.SourceLoc{Device: "client", Iface: "eth0"}, "server", hs)
 	fmt.Println("symbolic engine:")
 	fmt.Printf("  forward delivery is HTTP-only: %v\n",
 		enc.F.Implies(res.Forward, enc.FieldEq(hdr.DstPort, 80)))

@@ -1,6 +1,7 @@
 package apt
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/bdd"
@@ -69,7 +70,7 @@ func TestDestReachabilityMatchesBDDEngine(t *testing.T) {
 				if g.Device(dstDev) == nil {
 					continue
 				}
-				want := r.DestReachability(dstDev, bdd.True)
+				want := r.DestReachability(context.Background(), dstDev, bdd.True)
 				got := a.DestReachability(dstDev)
 				if len(want) != len(got) {
 					t.Fatalf("dst %s: source count %d (bdd) vs %d (apt)", dstDev, len(want), len(got))

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"strings"
@@ -23,12 +24,15 @@ import (
 // snapshot instead of crashing the caller, and the question returns
 // whatever partial answer was assembled before the failure. The device
 // field carries the question scope — a source device for per-source
-// guards, the question name for whole-question guards.
+// guards, the question name for whole-question guards. A body that ends
+// with the snapshot's context expired records the cancellation
+// diagnostic (cut).
 func (s *Snapshot) guardQuestion(scope string, fn func()) bool {
 	d := diag.Capture(diag.StageQuestion, scope, func() {
 		faults.Fire("question", scope)
 		fn()
 	})
+	s.cut(s.context())
 	if d != nil {
 		s.addDiag(*d)
 		return false
@@ -272,34 +276,35 @@ func (s *Snapshot) allPairs() *reach.AllPairs {
 	if s.bddBudget > 0 {
 		return nil
 	}
-	return s.sharedPasses(s.Analysis())
+	return s.sharedPasses(s.context(), s.Analysis())
 }
 
-// sharedPasses returns an's shared backward passes, or nil on graphs with
-// NAT, whose backward sets are pre-images rather than the post-transform
-// sets a forward pass reports, and when the pass fails, which records its
-// question-stage diagnostic on s.
-func (s *Snapshot) sharedPasses(an *reach.Analysis) (ap *reach.AllPairs) {
+// sharedPasses returns an's shared backward passes run under ctx, or nil
+// on graphs with NAT, whose backward sets are pre-images rather than the
+// post-transform sets a forward pass reports, and when the pass fails or
+// the deadline expires, which records its diagnostic on s.
+func (s *Snapshot) sharedPasses(ctx context.Context, an *reach.Analysis) (ap *reach.AllPairs) {
 	if reach.HasTransforms(an.G) {
 		return nil
 	}
 	s.guardQuestion(allPairsScope, func() {
-		ap, _ = an.AllPairs()
+		ap, _ = an.AllPairs(ctx)
 	})
 	return ap
 }
 
 // sinkSetsFor answers "what reaches each sink kind from src over hs",
-// memoized per snapshot: read off the shared passes when ap is non-nil,
-// else one forward pass from src.
+// memoized per snapshot unless the deadline expired: read off the
+// shared passes when ap is non-nil, else one forward pass from src.
 func (s *Snapshot) sinkSetsFor(src reach.SourceLoc, hs bdd.Ref, ap *reach.AllPairs) (map[string]bdd.Ref, bool) {
 	k := memoKey{src: src, hs: hs}
 	if v, ok := s.reachMemo[k]; ok {
 		return v, true
 	}
-	sinks, ok := sinksOf(s.Analysis(), ap, src, hs)
-	if !ok {
-		return nil, false
+	ctx := s.context()
+	sinks, ok := sinksOf(ctx, s.Analysis(), ap, src, hs)
+	if !ok || s.cut(ctx) {
+		return sinks, ok
 	}
 	if s.reachMemo == nil {
 		s.reachMemo = make(map[memoKey]map[string]bdd.Ref)
@@ -309,12 +314,12 @@ func (s *Snapshot) sinkSetsFor(src reach.SourceLoc, hs bdd.Ref, ap *reach.AllPai
 }
 
 // sinksOf reads src's sink sets over hs off ap when it is non-nil, else
-// runs one forward pass of an from src.
-func sinksOf(an *reach.Analysis, ap *reach.AllPairs, src reach.SourceLoc, hs bdd.Ref) (map[string]bdd.Ref, bool) {
+// runs one forward pass of an from src under ctx.
+func sinksOf(ctx context.Context, an *reach.Analysis, ap *reach.AllPairs, src reach.SourceLoc, hs bdd.Ref) (map[string]bdd.Ref, bool) {
 	if ap != nil {
 		return ap.Sinks(src, hs)
 	}
-	res, ok := an.Reachability(src, hs)
+	res, ok := an.Reachability(ctx, src, hs)
 	return res.Sinks, ok
 }
 
@@ -384,7 +389,7 @@ func (s *Snapshot) reachOne(src reach.SourceLoc, params ReachabilityParams, ap *
 // the query becomes a question-stage diagnostic and nil violations.
 func (s *Snapshot) MultipathConsistency() (out []reach.MultipathViolation) {
 	s.guardQuestion("multipath-consistency", func() {
-		out = s.Analysis().MultipathConsistency(bdd.True)
+		out = s.Analysis().MultipathConsistency(s.context(), bdd.True)
 	})
 	return out
 }
@@ -405,7 +410,10 @@ type DifferentialFlows struct {
 // directly comparable: snapshots of one pipeline use their own
 // analyses, others a fresh pair built on this snapshot's encoder. Each
 // source's sink sets come from the analyses' shared backward passes,
-// under the rules Reachability follows with its default sources.
+// under the rules Reachability follows with its default sources. This
+// snapshot's context governs the whole comparison: the candidate's data
+// plane, graph and analysis are built, and both snapshots' fixed points
+// run, under it.
 func (s *Snapshot) CompareWith(after *Snapshot) (out []DifferentialFlows) {
 	s.guardQuestion("compare", func() {
 		out = s.compareWith(after)
@@ -414,29 +422,30 @@ func (s *Snapshot) CompareWith(after *Snapshot) (out []DifferentialFlows) {
 }
 
 func (s *Snapshot) compareWith(after *Snapshot) []DifferentialFlows {
+	ctx := s.context()
 	g1 := s.Graph()
 	var a1, a2 *reach.Analysis
-	if g2 := after.Graph(); g2.Enc == g1.Enc {
+	if g2 := after.graph(ctx); g2.Enc == g1.Enc {
 		// Same pipeline encoder: the snapshots' own (possibly cached)
 		// analyses are directly comparable.
 		a1 = s.Analysis()
-		a2 = after.Analysis()
+		a2 = after.analysis(ctx)
 	} else {
 		// Rebuild the after-graph sharing the encoder.
-		g2 := fwdgraph.NewWithEnc(after.DataPlane(), g1.Enc)
+		g2 := fwdgraph.NewWithEncContext(ctx, after.dataPlane(ctx), g1.Enc)
 		a1 = reach.New(g1)
 		a2 = reach.New(g2)
 	}
 	var ap1, ap2 *reach.AllPairs
 	if s.bddBudget == 0 && after.bddBudget == 0 {
-		ap1, ap2 = s.sharedPasses(a1), s.sharedPasses(a2)
+		ap1, ap2 = s.sharedPasses(ctx, a1), s.sharedPasses(ctx, a2)
 	}
 	enc := g1.Enc
 	f := enc.F
 	var out []DifferentialFlows
 	for _, src := range a1.Sources() {
-		k1, ok1 := sinksOf(a1, ap1, src, bdd.True)
-		k2, ok2 := sinksOf(a2, ap2, src, bdd.True)
+		k1, ok1 := sinksOf(ctx, a1, ap1, src, bdd.True)
+		k2, ok2 := sinksOf(ctx, a2, ap2, src, bdd.True)
 		if !ok1 || !ok2 {
 			continue
 		}
@@ -456,11 +465,6 @@ func (s *Snapshot) compareWith(after *Snapshot) []DifferentialFlows {
 	return out
 }
 
-// AcceptedAt exposes the per-device accepted packet sets.
-func (s *Snapshot) AcceptedAt() map[string]bdd.Ref {
-	return s.Analysis().AcceptedAt(bdd.True)
-}
-
 // Disposition names re-exported for callers inspecting FlowResult traces.
 const (
 	SinkAccepted        = fwdgraph.SinkAccepted
@@ -474,7 +478,7 @@ const (
 // nil results.
 func (s *Snapshot) DetectLoops() (out []reach.LoopResult) {
 	s.guardQuestion("detect-loops", func() {
-		out = s.Analysis().DetectLoops(bdd.True)
+		out = s.Analysis().DetectLoops(s.context(), bdd.True)
 	})
 	return out
 }

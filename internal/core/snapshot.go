@@ -70,13 +70,14 @@ type Snapshot struct {
 	// questions skip recomputing them.
 	reachMemo map[memoKey]map[string]bdd.Ref
 
-	// ctx governs every stage this snapshot runs; nil means Background.
+	// ctx governs every stage this snapshot runs and every fixed point its
+	// questions run; nil means Background.
 	ctx context.Context
 	// parseDiags are the containment diagnostics from the parse stage
 	// (quarantined devices, cancellation).
 	parseDiags []diag.Diagnostic
 	// qDiags collects question-stage diagnostics (recovered panics, budget
-	// exhaustion) as questions run.
+	// exhaustion, a deadline expired during a question) as questions run.
 	qMu    sync.Mutex
 	qDiags []diag.Diagnostic
 	// bddBudget, when positive, bounds the BDD factory's node count for
@@ -106,12 +107,13 @@ func LoadTextWith(pl *pipeline.Pipeline, texts map[string]string) *Snapshot {
 }
 
 // LoadTextWithContext is LoadTextWith under a context. The context governs
-// the parse stage now and every later stage this snapshot runs (data
-// plane, graph, analysis): when it expires, in-flight stages stop at their
-// next checkpoint and the snapshot degrades to partial results with
-// cancellation diagnostics instead of blocking. A device whose parser
-// panics is quarantined — excluded from the network, reported via Diags —
-// and the rest of the snapshot stays usable.
+// the parse stage now and everything this snapshot runs later (data plane,
+// graph, and the reachability fixed points of its questions): when it
+// expires, in-flight work stops at its next checkpoint and the snapshot
+// degrades to partial results with cancellation diagnostics instead of
+// blocking. A device whose parser panics is quarantined — excluded from
+// the network, reported via Diags — and the rest of the snapshot stays
+// usable.
 func LoadTextWithContext(ctx context.Context, pl *pipeline.Pipeline, texts map[string]string) *Snapshot {
 	if pl == nil {
 		pl = pipeline.Disabled()
@@ -124,23 +126,17 @@ func LoadTextWithContext(ctx context.Context, pl *pipeline.Pipeline, texts map[s
 	for n, t := range texts {
 		own[n] = t
 	}
-	s := &Snapshot{Net: net, Warnings: warns, pl: pl, texts: own, devKeys: devKeys,
-		parseDiags: diags}
-	if ctx != context.Background() {
-		s.ctx = ctx
-	}
-	return s
+	return &Snapshot{Net: net, Warnings: warns, pl: pl, texts: own, devKeys: devKeys,
+		parseDiags: diags, ctx: ctx}
 }
 
-// WithContext rebinds the context used by stages this snapshot has not run
-// yet and returns the snapshot for chaining. Background (and nil) unbinds:
-// stages then run uncancellable and shared-cache-eligible again.
+// WithContext rebinds the context that governs the stages this snapshot
+// has not run yet and the fixed points of the questions asked from now
+// on, and returns the snapshot for chaining; nil unbinds. The context is
+// an argument of each stage and pass, never stored in an artifact, so
+// every clean artifact stays shareable through the pipeline's store.
 func (s *Snapshot) WithContext(ctx context.Context) *Snapshot {
-	if ctx == nil || ctx == context.Background() {
-		s.ctx = nil
-	} else {
-		s.ctx = ctx
-	}
+	s.ctx = ctx
 	return s
 }
 
@@ -173,8 +169,10 @@ func (s *Snapshot) addDiag(d diag.Diagnostic) {
 
 // Diags returns every containment diagnostic accumulated so far, in stage
 // order: parse (quarantines, cancellation), data plane (quarantines,
-// budget exhaustion, non-convergence, cancellation), graph/analysis
-// cancellation, then question-stage recoveries. The slice is a copy.
+// budget exhaustion, non-convergence, cancellation), graph cancellation,
+// then what questions recorded as they ran: recovered panics and budget
+// trips, and a deadline that expired during a reachability question. The
+// slice is a copy.
 func (s *Snapshot) Diags() []diag.Diagnostic {
 	var out []diag.Diagnostic
 	out = append(out, s.parseDiags...)
@@ -185,14 +183,29 @@ func (s *Snapshot) Diags() []diag.Diagnostic {
 		out = append(out, diag.Diagnostic{Stage: diag.StageGraph, Kind: diag.KindCancelled,
 			Message: "forwarding graph construction cancelled; graph covers a device prefix"})
 	}
-	if s.an != nil && s.an.Cancelled {
-		out = append(out, diag.Diagnostic{Stage: diag.StageAnalysis, Kind: diag.KindCancelled,
-			Message: "reachability fixed point cancelled; sets are under-approximate"})
-	}
 	s.qMu.Lock()
 	out = append(out, s.qDiags...)
 	s.qMu.Unlock()
 	return out
+}
+
+// cut reports whether ctx has expired, so that a fixed point just run
+// under it may have stopped early with under-approximate sets. The first
+// time it does, cut records the analysis-stage cancellation diagnostic,
+// which says the deadline expired during a question, not that a pass
+// stopped early: the sets may still be complete, but nothing computed
+// under an expired context is memoized.
+func (s *Snapshot) cut(ctx context.Context) bool {
+	if ctx.Err() == nil {
+		return false
+	}
+	s.qMu.Lock()
+	defer s.qMu.Unlock()
+	if !diag.Has(s.qDiags, diag.KindCancelled) {
+		s.qDiags = append(s.qDiags, diag.Diagnostic{Stage: diag.StageAnalysis, Kind: diag.KindCancelled,
+			Message: "deadline expired during a reachability question; sets may be under-approximate"})
+	}
+	return true
 }
 
 // Quarantined returns the sorted device names excluded from this snapshot
@@ -226,7 +239,8 @@ func (s *Snapshot) Degraded() bool {
 	return len(s.Diags()) > 0
 }
 
-// Cancelled reports whether any stage observed an expired context.
+// Cancelled reports whether any stage observed an expired context, or a
+// question ended with its context expired.
 func (s *Snapshot) Cancelled() bool {
 	if s.dp != nil && s.dp.Cancelled {
 		return true
@@ -234,10 +248,9 @@ func (s *Snapshot) Cancelled() bool {
 	if s.g != nil && s.g.Cancelled {
 		return true
 	}
-	if s.an != nil && s.an.Cancelled {
-		return true
-	}
-	return diag.Has(s.parseDiags, diag.KindCancelled)
+	s.qMu.Lock()
+	defer s.qMu.Unlock()
+	return diag.Has(s.parseDiags, diag.KindCancelled) || diag.Has(s.qDiags, diag.KindCancelled)
 }
 
 // LoadDir reads every *.cfg / *.conf / *.txt file in dir as one device.
@@ -316,9 +329,15 @@ func (s *Snapshot) Edit(changes map[string]string) *Snapshot {
 	return s.Apply(Scenario{ConfigEdits: changes})
 }
 
-// Pipeline returns the pipeline this snapshot is bound to (nil for
-// directly constructed Snapshot literals).
-func (s *Snapshot) Pipeline() *pipeline.Pipeline { return s.pl }
+// Pipeline returns the pipeline this snapshot is bound to. A directly
+// built Snapshot literal gets its own pipeline.Disabled() on first use:
+// its stages run cold, on a private encoder.
+func (s *Snapshot) Pipeline() *pipeline.Pipeline {
+	if s.pl == nil {
+		s.pl = pipeline.Disabled()
+	}
+	return s.pl
+}
 
 // SetDataPlaneOptions overrides simulation options (before the first
 // DataPlane call). The edit base, computed under the old options, is
@@ -326,26 +345,29 @@ func (s *Snapshot) Pipeline() *pipeline.Pipeline { return s.pl }
 func (s *Snapshot) SetDataPlaneOptions(o dataplane.Options) { s.opts, s.base = o, nil }
 
 // DataPlane computes (once) and returns the data plane.
-func (s *Snapshot) DataPlane() *dataplane.Result {
+func (s *Snapshot) DataPlane() *dataplane.Result { return s.dataPlane(s.context()) }
+
+// Graph returns the forwarding graph, building the data plane if needed.
+func (s *Snapshot) Graph() *fwdgraph.Graph { return s.graph(s.context()) }
+
+// Analysis returns the BDD reachability analysis (graph-compressed),
+// through the pipeline's artifact store like every other stage.
+func (s *Snapshot) Analysis() *reach.Analysis { return s.analysis(s.context()) }
+
+// dataPlane, graph and analysis are the stages under an explicit context:
+// the snapshot's own for its exported accessors, a comparison's receiver's
+// for the candidate of CompareWith.
+func (s *Snapshot) dataPlane(ctx context.Context) *dataplane.Result {
 	if s.dp == nil {
-		if s.pl != nil {
-			s.dp, s.dpKey = s.pl.DataPlaneCtx(s.context(), s.Net, s.devKeys, s.opts, s.base)
-		} else {
-			s.dp = dataplane.RunContext(s.context(), s.Net, s.opts)
-		}
+		s.dp, s.dpKey = s.Pipeline().DataPlaneCtx(ctx, s.Net, s.devKeys, s.opts, s.base)
 		s.base = nil
 	}
 	return s.dp
 }
 
-// Graph returns the forwarding graph, building the data plane if needed.
-func (s *Snapshot) Graph() *fwdgraph.Graph {
+func (s *Snapshot) graph(ctx context.Context) *fwdgraph.Graph {
 	if s.g == nil {
-		if s.pl != nil {
-			s.g, s.gKey = s.pl.GraphCtx(s.context(), s.DataPlane(), s.dpKey)
-		} else {
-			s.g = fwdgraph.NewContext(s.context(), s.DataPlane())
-		}
+		s.g, s.gKey = s.Pipeline().GraphCtx(ctx, s.dataPlane(ctx), s.dpKey)
 		if s.bddBudget > 0 {
 			s.g.Enc.F.SetNodeBudget(s.bddBudget)
 		}
@@ -353,20 +375,9 @@ func (s *Snapshot) Graph() *fwdgraph.Graph {
 	return s.g
 }
 
-// Analysis returns the BDD reachability analysis (graph-compressed).
-func (s *Snapshot) Analysis() *reach.Analysis {
+func (s *Snapshot) analysis(ctx context.Context) *reach.Analysis {
 	if s.an == nil {
-		switch {
-		case s.ctx != nil:
-			// A context-bound analysis carries mutable cancellation state,
-			// so it must be private to this snapshot: build fresh and skip
-			// the shared artifact store entirely.
-			s.an = reach.New(s.Graph()).WithContext(s.ctx)
-		case s.pl != nil:
-			s.an, _ = s.pl.Analysis(s.Graph(), s.gKey)
-		default:
-			s.an = reach.New(s.Graph())
-		}
+		s.an, _ = s.Pipeline().Analysis(s.graph(ctx), s.gKey)
 	}
 	return s.an
 }

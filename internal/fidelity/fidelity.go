@@ -14,6 +14,7 @@
 package fidelity
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 
@@ -43,7 +44,8 @@ func (m Mismatch) String() string {
 
 // CrossValidate runs both differential directions over a computed data
 // plane. packetsPerSource bounds the representative packets per
-// (source, disposition) pair; fibSamples bounds direction-2 probes.
+// (source, disposition) pair; fibSamples bounds direction-2 probes. Its
+// fixed points run uncancellable, as a cut set would read as a mismatch.
 func CrossValidate(dp *dataplane.Result, packetsPerSource, fibSamples int, seed int64) []Mismatch {
 	g := fwdgraph.New(dp)
 	an := reach.New(g)
@@ -75,7 +77,7 @@ func symbolicToConcrete(dp *dataplane.Result, an *reach.Analysis, perSource int)
 		if !ok {
 			continue
 		}
-		sets := an.Forward(start)
+		sets := an.Forward(context.Background(), start)
 		d := dp.Network.Devices[src.Device]
 		vrf := d.Interfaces[src.Iface].VRFOrDefault()
 		for id, set := range sets {
@@ -143,7 +145,7 @@ func concreteToSymbolic(dp *dataplane.Result, an *reach.Analysis, samples int, s
 		if startIface == "" {
 			continue
 		}
-		res, ok := an.Reachability(reach.SourceLoc{Device: name, Iface: startIface}, bdd.True)
+		res, ok := an.Reachability(context.Background(), reach.SourceLoc{Device: name, Iface: startIface}, bdd.True)
 		if !ok {
 			continue
 		}

@@ -149,23 +149,7 @@ const WaypointBits = 2
 // runs in parallel builds a separate graph per worker rather than sharing
 // one.
 func New(dp *dataplane.Result) *Graph {
-	return NewContext(context.Background(), dp)
-}
-
-// NewContext is New with cooperative cancellation: construction checks the
-// context between devices and stops early when it expires, returning a
-// partial graph with Cancelled set. A partial graph is structurally valid
-// (indexes are built) but covers only a prefix of the devices, so queries
-// against it see a degraded network.
-func NewContext(ctx context.Context, dp *dataplane.Result) *Graph {
-	g := &Graph{
-		Enc: hdr.NewEnc(ZoneBits + WaypointBits),
-		ids: make(map[string]int),
-		dp:  dp,
-	}
-	g.build(ctx, lpmSets)
-	g.index()
-	return g
+	return NewWithEnc(dp, hdr.NewEnc(ZoneBits+WaypointBits))
 }
 
 // NewWithEnc builds the graph reusing an existing encoder (for tests that
@@ -174,8 +158,11 @@ func NewWithEnc(dp *dataplane.Result, enc *hdr.Enc) *Graph {
 	return NewWithEncContext(context.Background(), dp, enc)
 }
 
-// NewWithEncContext is NewWithEnc with the cancellation behavior of
-// NewContext.
+// NewWithEncContext is NewWithEnc with cooperative cancellation:
+// construction checks the context between devices and stops early when it
+// expires, returning a partial graph with Cancelled set. A partial graph
+// is structurally valid (indexes are built) but covers only a prefix of
+// the devices, so queries against it see a degraded network.
 func NewWithEncContext(ctx context.Context, dp *dataplane.Result, enc *hdr.Enc) *Graph {
 	g := &Graph{Enc: enc, ids: make(map[string]int), dp: dp}
 	g.build(ctx, lpmSets)

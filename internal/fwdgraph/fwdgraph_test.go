@@ -122,9 +122,10 @@ func (c *expireAfter) Err() error {
 	return nil
 }
 
-// TestNewContextCancelled checks that a cancelled build returns a graph
-// flagged Cancelled whose adjacency index covers exactly the nodes and
-// edges it did build, both when cancelled up front and between devices.
+// TestNewContextCancelled checks that a cancelled NewWithEncContext build
+// returns a graph flagged Cancelled whose adjacency index covers exactly
+// the nodes and edges it did build, both when cancelled up front and
+// between devices.
 func TestNewContextCancelled(t *testing.T) {
 	dp := converged(t, testnet.Figure2())
 	full := New(dp)
@@ -139,7 +140,7 @@ func TestNewContextCancelled(t *testing.T) {
 		{"before-first-device", done, 0},
 		{"after-first-device", &expireAfter{Context: context.Background(), n: 1}, 1},
 	} {
-		g := NewContext(tc.ctx, dp)
+		g := NewWithEncContext(tc.ctx, dp, hdr.NewEnc(ZoneBits+WaypointBits))
 		if !g.Cancelled {
 			t.Fatalf("%s: Cancelled not set", tc.name)
 		}

@@ -1,6 +1,7 @@
 package netgen
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -99,7 +100,7 @@ func TestFabricConverges(t *testing.T) {
 	// Symbolic check: a host behind tor p01 can reach a host behind p02.
 	g := fwdgraph.New(dp)
 	a := reach.New(g)
-	res, ok := a.Reachability(reach.SourceLoc{Device: "tf-p01-tor01", Iface: "host1"}, bdd.True)
+	res, ok := a.Reachability(context.Background(), reach.SourceLoc{Device: "tf-p01-tor01", Iface: "host1"}, bdd.True)
 	if !ok {
 		t.Fatal("source missing")
 	}

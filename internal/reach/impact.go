@@ -1,6 +1,8 @@
 package reach
 
 import (
+	"context"
+
 	"repro/internal/bdd"
 	"repro/internal/fwdgraph"
 )
@@ -43,7 +45,7 @@ func ImpactSets(g *fwdgraph.Graph, changed map[string]bool) map[SourceLoc]bdd.Re
 	if len(seeds) == 0 {
 		return map[SourceLoc]bdd.Ref{}
 	}
-	sets := a.Backward(seeds)
+	sets := a.Backward(context.Background(), seeds)
 
 	ext := bdd.True
 	if a.Enc.L.ExtBits() > 0 {
@@ -102,7 +104,7 @@ func ImpactCone(g *fwdgraph.Graph, sources map[SourceLoc]bdd.Ref) map[string]bdd
 	if len(start) == 0 {
 		return map[string]bdd.Ref{}
 	}
-	sets := a.Forward(start)
+	sets := a.Forward(context.Background(), start)
 	out := make(map[string]bdd.Ref)
 	for id, set := range sets {
 		n := a.G.Nodes[id]

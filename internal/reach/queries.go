@@ -1,6 +1,7 @@
 package reach
 
 import (
+	"context"
 	"sort"
 
 	"repro/internal/bdd"
@@ -39,20 +40,21 @@ type ReachabilityResult struct {
 }
 
 // Reachability runs a forward analysis from one source over the given
-// header space and classifies the outcome by disposition.
-func (a *Analysis) Reachability(src SourceLoc, hs bdd.Ref) (ReachabilityResult, bool) {
+// header space and classifies the outcome by disposition. Like every
+// query here, it runs its fixed points under ctx (see Forward).
+func (a *Analysis) Reachability(ctx context.Context, src SourceLoc, hs bdd.Ref) (ReachabilityResult, bool) {
 	start, ok := a.SingleSource(src.Device, src.Iface, hs)
 	if !ok {
 		return ReachabilityResult{}, false
 	}
-	r := a.Forward(start)
+	r := a.Forward(ctx, start)
 	return ReachabilityResult{Source: src, Sinks: a.SinkSets(r)}, true
 }
 
 // AcceptedAt runs a forward analysis from all sources and returns, per
 // device, the packet set that is accepted there.
-func (a *Analysis) AcceptedAt(hs bdd.Ref) map[string]bdd.Ref {
-	r := a.Forward(a.SourceSets(hs))
+func (a *Analysis) AcceptedAt(ctx context.Context, hs bdd.Ref) map[string]bdd.Ref {
+	r := a.Forward(ctx, a.SourceSets(hs))
 	out := make(map[string]bdd.Ref)
 	for id, set := range r {
 		n := a.G.Nodes[id]
@@ -68,12 +70,12 @@ func (a *Analysis) AcceptedAt(hs bdd.Ref) map[string]bdd.Ref {
 // accepted at dstDevice (paper §4.2.3: reverse propagation "saves us from
 // walking the edges that do not lie on the destination's forwarding
 // tree").
-func (a *Analysis) DestReachability(dstDevice string, hs bdd.Ref) map[SourceLoc]bdd.Ref {
+func (a *Analysis) DestReachability(ctx context.Context, dstDevice string, hs bdd.Ref) map[SourceLoc]bdd.Ref {
 	sinkID, ok := a.G.Lookup(fwdgraph.SinkName(fwdgraph.SinkAccepted, dstDevice))
 	if !ok {
 		return nil
 	}
-	sets := a.Backward(map[int]bdd.Ref{sinkID: hs})
+	sets := a.Backward(ctx, map[int]bdd.Ref{sinkID: hs})
 	out := make(map[SourceLoc]bdd.Ref)
 	f := a.Enc.F
 	ext := bdd.True
@@ -96,7 +98,7 @@ func (a *Analysis) DestReachability(dstDevice string, hs bdd.Ref) map[SourceLoc]
 // DestReachabilityForward is the forward-propagation equivalent of
 // DestReachability, kept as the ablation baseline for the reverse
 // optimization benchmark. It runs one forward pass per source.
-func (a *Analysis) DestReachabilityForward(dstDevice string, hs bdd.Ref) map[SourceLoc]bdd.Ref {
+func (a *Analysis) DestReachabilityForward(ctx context.Context, dstDevice string, hs bdd.Ref) map[SourceLoc]bdd.Ref {
 	sinkID, ok := a.G.Lookup(fwdgraph.SinkName(fwdgraph.SinkAccepted, dstDevice))
 	if !ok {
 		return nil
@@ -107,7 +109,7 @@ func (a *Analysis) DestReachabilityForward(dstDevice string, hs bdd.Ref) map[Sou
 		if !ok {
 			continue
 		}
-		r := a.Forward(start)
+		r := a.Forward(ctx, start)
 		if r[sinkID] != bdd.False {
 			out[src] = a.Enc.ClearExt(r[sinkID])
 		}
@@ -128,13 +130,13 @@ type MultipathViolation struct {
 // some packet from that source can reach both a success sink and a failure
 // sink (multipath divergence). The sink sets come from AllPairs when the
 // graph allows it, else from one forward pass per source.
-func (a *Analysis) MultipathConsistency(hs bdd.Ref) []MultipathViolation {
+func (a *Analysis) MultipathConsistency(ctx context.Context, hs bdd.Ref) []MultipathViolation {
 	f := a.Enc.F
 	sinksOf := func(src SourceLoc) (map[string]bdd.Ref, bool) {
-		res, ok := a.Reachability(src, hs)
+		res, ok := a.Reachability(ctx, src, hs)
 		return res.Sinks, ok
 	}
-	if ap, ok := a.AllPairs(); ok {
+	if ap, ok := a.AllPairs(ctx); ok {
 		sinksOf = func(src SourceLoc) (map[string]bdd.Ref, bool) { return ap.Sinks(src, hs) }
 	}
 	var out []MultipathViolation
@@ -166,7 +168,7 @@ type WaypointResult struct {
 // Waypoint answers "does traffic from src to dstDevice traverse waypoint?"
 // using one extension bit that is set when the packet crosses the waypoint
 // device (paper §4.2.3: the typical verification "requires only 1 bit").
-func (a *Analysis) Waypoint(src SourceLoc, dstDevice, waypoint string, hs bdd.Ref) (WaypointResult, bool) {
+func (a *Analysis) Waypoint(ctx context.Context, src SourceLoc, dstDevice, waypoint string, hs bdd.Ref) (WaypointResult, bool) {
 	wpVar := a.Enc.L.ExtVar(fwdgraph.ZoneBits) // first waypoint bit
 	// Instrument: edges into the waypoint's forwarding node(s) set the bit.
 	saved := make(map[int][]int)
@@ -188,7 +190,7 @@ func (a *Analysis) Waypoint(src SourceLoc, dstDevice, waypoint string, hs bdd.Re
 	if !ok {
 		return WaypointResult{}, false
 	}
-	r := a.Forward(start)
+	r := a.Forward(ctx, start)
 	f := a.Enc.F
 	delivered := bdd.False
 	for id, set := range r {
@@ -217,13 +219,13 @@ type BidirResult struct {
 // a forward pass collects delivered flows and the firewall sessions they
 // install; the return pass (on swapped headers) then traverses stateful
 // devices through the session fast path (paper §4.2.3).
-func (a *Analysis) Bidirectional(src SourceLoc, dstDevice string, hs bdd.Ref) (BidirResult, bool) {
+func (a *Analysis) Bidirectional(ctx context.Context, src SourceLoc, dstDevice string, hs bdd.Ref) (BidirResult, bool) {
 	f := a.Enc.F
 	start, ok := a.SingleSource(src.Device, src.Iface, hs)
 	if !ok {
 		return BidirResult{}, false
 	}
-	fwd := a.Forward(start)
+	fwd := a.Forward(ctx, start)
 
 	// Sessions: flows that crossed each stateful device's forwarding node.
 	fastPath := make(map[string]bdd.Ref)
@@ -265,7 +267,7 @@ func (a *Analysis) Bidirectional(src SourceLoc, dstDevice string, hs bdd.Ref) (B
 			retStart[id] = ret
 		}
 	}
-	rev := a.forward(retStart, fastPath)
+	rev := a.forward(ctx, retStart, fastPath)
 
 	// Return flows that arrive back at the source device.
 	returned := bdd.False
@@ -293,7 +295,7 @@ type LoopResult struct {
 // path from its entry point necessarily cycles forever. Computed with one
 // backward pass from all sinks — the complement at each source is the
 // loop set.
-func (a *Analysis) DetectLoops(hs bdd.Ref) []LoopResult {
+func (a *Analysis) DetectLoops(ctx context.Context, hs bdd.Ref) []LoopResult {
 	f := a.Enc.F
 	if a.Enc.L.ExtBits() > 0 {
 		hs = f.And(hs, a.Enc.ExtEq(0, a.Enc.L.ExtBits(), 0))
@@ -304,7 +306,7 @@ func (a *Analysis) DetectLoops(hs bdd.Ref) []LoopResult {
 			sinks[id] = bdd.True
 		}
 	}
-	reachesSink := a.Backward(sinks)
+	reachesSink := a.Backward(ctx, sinks)
 	var out []LoopResult
 	for id := range a.G.Nodes {
 		n := a.G.Nodes[id]

@@ -6,6 +6,11 @@
 // single-destination and all-pairs queries, waypoint tracking,
 // multipath-consistency checking, and bidirectional reachability through
 // stateful devices.
+//
+// Every fixed point (Forward, Backward, AllPairs and the queries built on
+// them) takes its caller's context and stops early, under-approximate, once
+// it expires. A pass cut short is memoized nowhere, so an Analysis holds no
+// per-request state and may serve many snapshots and requests.
 package reach
 
 import (
@@ -31,41 +36,17 @@ type Analysis struct {
 	edges []fwdgraph.Edge
 	out   [][]int32
 	in    [][]int32
-	// origin maps compressed-away node ids to themselves; kept for sinks
-	// and sources which are never compressed.
-
-	ctx context.Context // nil means context.Background()
-
-	// Cancelled latches when a fixed-point loop observed an expired
-	// context and returned an under-approximate result.
-	Cancelled bool
 
 	// allPairs memoises AllPairs once a pass completes uncancelled.
 	allPairs *AllPairs
 }
 
-// WithContext attaches a context checked periodically inside the
-// Forward/Backward fixed-point loops. When it expires the loop stops
-// early: the returned sets are a sound under-approximation (every packet
-// reported reachable truly is) and Cancelled is set. Returns the analysis
-// for chaining.
-func (a *Analysis) WithContext(ctx context.Context) *Analysis {
-	a.ctx = ctx
-	return a
-}
-
 // checkEvery is how many queue pops pass between context checks in the
 // fixed-point loops — frequent enough for sub-millisecond cancellation
-// latency, rare enough that the atomic load in ctx.Err is invisible.
+// latency, rare enough that the atomic load in ctx.Err is invisible. The
+// first check is before the first pop, so a pass under an expired context
+// returns its start sets at once.
 const checkEvery = 64
-
-func (a *Analysis) expired(pops int) bool {
-	if a.ctx == nil || pops%checkEvery != 0 || a.ctx.Err() == nil {
-		return false
-	}
-	a.Cancelled = true
-	return true
-}
 
 // New builds an analysis with graph compression enabled.
 func New(g *fwdgraph.Graph) *Analysis {
@@ -197,14 +178,16 @@ func pureLabel(e *fwdgraph.Edge) bool {
 // Forward runs the forward dataflow fixed point from the given start sets
 // (node id -> packet set) and returns the reachable set per node. Sets only
 // grow, unions are monotone, and the variable count is fixed, so the fixed
-// point terminates even on cyclic graphs (forwarding loops).
-func (a *Analysis) Forward(start map[int]bdd.Ref) []bdd.Ref {
-	return a.forward(start, nil)
+// point terminates even on cyclic graphs (forwarding loops). Once ctx has
+// expired the loop stops early with a sound under-approximation: every
+// packet reported reachable truly is.
+func (a *Analysis) Forward(ctx context.Context, start map[int]bdd.Ref) []bdd.Ref {
+	return a.forward(ctx, start, nil)
 }
 
 // forward optionally takes a per-device session fast-path map (device ->
 // return-flow set) used by bidirectional analysis.
-func (a *Analysis) forward(start map[int]bdd.Ref, fastPath map[string]bdd.Ref) []bdd.Ref {
+func (a *Analysis) forward(ctx context.Context, start map[int]bdd.Ref, fastPath map[string]bdd.Ref) []bdd.Ref {
 	f := a.Enc.F
 	reach := make([]bdd.Ref, len(a.G.Nodes))
 	inQueue := make([]bool, len(a.G.Nodes))
@@ -224,10 +207,8 @@ func (a *Analysis) forward(start map[int]bdd.Ref, fastPath map[string]bdd.Ref) [
 		reach[n] = f.Or(reach[n], start[n])
 		push(n)
 	}
-	pops := 0
-	for len(queue) > 0 {
-		pops++
-		if a.expired(pops) {
+	for pops := 0; len(queue) > 0; pops++ {
+		if pops%checkEvery == 0 && ctx.Err() != nil {
 			return reach
 		}
 		n := queue[0]
@@ -265,8 +246,8 @@ func (a *Analysis) forward(start map[int]bdd.Ref, fastPath map[string]bdd.Ref) [
 // at that node — would eventually reach one of the given sink sets. For a
 // single-destination query this walks only the destination's forwarding
 // cone instead of the whole graph (paper §4.2.3 "single-destination
-// reverse propagation").
-func (a *Analysis) Backward(sinks map[int]bdd.Ref) []bdd.Ref {
+// reverse propagation"). It honours ctx as Forward does.
+func (a *Analysis) Backward(ctx context.Context, sinks map[int]bdd.Ref) []bdd.Ref {
 	f := a.Enc.F
 	sets := make([]bdd.Ref, len(a.G.Nodes))
 	inQueue := make([]bool, len(a.G.Nodes))
@@ -286,10 +267,8 @@ func (a *Analysis) Backward(sinks map[int]bdd.Ref) []bdd.Ref {
 		sets[n] = f.Or(sets[n], sinks[n])
 		push(n)
 	}
-	pops := 0
-	for len(queue) > 0 {
-		pops++
-		if a.expired(pops) {
+	for pops := 0; len(queue) > 0; pops++ {
+		if pops%checkEvery == 0 && ctx.Err() != nil {
 			return sets
 		}
 		n := queue[0]
@@ -331,12 +310,13 @@ type AllPairs struct {
 // ok is false when the graph rewrites headers (NAT): a backward set is
 // then a pre-image, not the post-transform set a forward pass reports at
 // the sink, so callers answer per source with Reachability. A pass cut
-// short by cancellation is not memoised and also reports ok=false.
-func (a *Analysis) AllPairs() (*AllPairs, bool) {
+// short by ctx is not memoised and also reports ok=false; a later call
+// under a live context runs the passes again.
+func (a *Analysis) AllPairs(ctx context.Context) (*AllPairs, bool) {
 	if a.allPairs != nil {
 		return a.allPairs, true
 	}
-	if a.Cancelled || HasTransforms(a.G) {
+	if HasTransforms(a.G) {
 		return nil, false
 	}
 	seeds := make(map[string]map[int]bdd.Ref)
@@ -359,8 +339,8 @@ func (a *Analysis) AllPairs() (*AllPairs, bool) {
 	}
 	sort.Strings(p.kinds)
 	for _, kind := range p.kinds {
-		p.sets = append(p.sets, a.Backward(seeds[kind]))
-		if a.Cancelled {
+		p.sets = append(p.sets, a.Backward(ctx, seeds[kind]))
+		if ctx.Err() != nil {
 			return nil, false
 		}
 	}

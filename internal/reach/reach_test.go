@@ -1,6 +1,7 @@
 package reach
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -24,10 +25,11 @@ func analyze(t *testing.T, net *config.Network) (*dataplane.Result, *Analysis) {
 }
 
 func TestReachabilityLine(t *testing.T) {
+	ctx := context.Background()
 	_, a := analyze(t, testnet.Line3())
 	enc := a.Enc
 	hs := enc.FieldEq(hdr.Protocol, hdr.ProtoTCP)
-	res, ok := a.Reachability(SourceLoc{Device: "r1", Iface: "lan0"}, hs)
+	res, ok := a.Reachability(ctx, SourceLoc{Device: "r1", Iface: "lan0"}, hs)
 	if !ok {
 		t.Fatal("source not found")
 	}
@@ -45,9 +47,10 @@ func TestReachabilityLine(t *testing.T) {
 }
 
 func TestAcceptedAt(t *testing.T) {
+	ctx := context.Background()
 	_, a := analyze(t, testnet.Line3())
 	enc := a.Enc
-	acc := a.AcceptedAt(bdd.True)
+	acc := a.AcceptedAt(ctx, bdd.True)
 	r3set := acc["r3"]
 	if r3set == bdd.False || r3set == 0 {
 		t.Fatal("nothing accepted at r3")
@@ -63,6 +66,7 @@ func TestAcceptedAt(t *testing.T) {
 // miniature: packets picked from every sink set must traceroute to the
 // same disposition.
 func TestDifferentialReachVsTraceroute(t *testing.T) {
+	ctx := context.Background()
 	nets := map[string]*config.Network{
 		"line":    testnet.Line3(),
 		"diamond": testnet.Diamond(),
@@ -77,7 +81,7 @@ func TestDifferentialReachVsTraceroute(t *testing.T) {
 			enc := a.Enc
 			hs := bdd.True
 			for _, src := range a.Sources() {
-				res, _ := a.Reachability(src, hs)
+				res, _ := a.Reachability(ctx, src, hs)
 				for sink, set := range res.Sinks {
 					if set == bdd.False {
 						continue
@@ -115,6 +119,7 @@ func TestDifferentialReachVsTraceroute(t *testing.T) {
 // random concrete packets traced to a disposition must be members of the
 // corresponding symbolic sink set.
 func TestDifferentialTracerouteVsReach(t *testing.T) {
+	ctx := context.Background()
 	rnd := rand.New(rand.NewSource(99))
 	for name, net := range map[string]*config.Network{
 		"broken":  testnet.ECMPWithBrokenBranch(),
@@ -125,7 +130,7 @@ func TestDifferentialTracerouteVsReach(t *testing.T) {
 			tr := traceroute.New(dp)
 			enc := a.Enc
 			for _, src := range a.Sources() {
-				res, _ := a.Reachability(src, bdd.True)
+				res, _ := a.Reachability(ctx, src, bdd.True)
 				d := dp.Network.Devices[src.Device]
 				vrf := d.Interfaces[src.Iface].VRFOrDefault()
 				for i := 0; i < 40; i++ {
@@ -153,6 +158,7 @@ func TestDifferentialTracerouteVsReach(t *testing.T) {
 }
 
 func TestCompressionEquivalence(t *testing.T) {
+	ctx := context.Background()
 	for name, net := range map[string]*config.Network{
 		"line":    testnet.Line3(),
 		"broken":  testnet.ECMPWithBrokenBranch(),
@@ -167,8 +173,8 @@ func TestCompressionEquivalence(t *testing.T) {
 				t.Errorf("compression did not shrink graph: %d vs %d", comp.EdgeCount(), plain.EdgeCount())
 			}
 			for _, src := range plain.Sources() {
-				r1, _ := plain.Reachability(src, bdd.True)
-				r2, _ := comp.Reachability(src, bdd.True)
+				r1, _ := plain.Reachability(ctx, src, bdd.True)
+				r2, _ := comp.Reachability(ctx, src, bdd.True)
 				for sink, set := range r1.Sinks {
 					if r2.Sinks[sink] != set {
 						t.Fatalf("%v sink %s differs under compression", src, sink)
@@ -190,6 +196,7 @@ func TestCompressionEquivalence(t *testing.T) {
 // used to drop the written zone, so fw's zone policy admitted every
 // ingress zone in reverse.
 func TestDestReachBackwardMatchesForward(t *testing.T) {
+	ctx := context.Background()
 	for name, net := range map[string]*config.Network{
 		"line":     testnet.Line3(),
 		"firewall": testnet.Firewall(),
@@ -197,8 +204,8 @@ func TestDestReachBackwardMatchesForward(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			_, a := analyze(t, net)
 			for _, dst := range net.DeviceNames() {
-				back := a.DestReachability(dst, bdd.True)
-				fwd := a.DestReachabilityForward(dst, bdd.True)
+				back := a.DestReachability(ctx, dst, bdd.True)
+				fwd := a.DestReachabilityForward(ctx, dst, bdd.True)
 				if len(fwd) == 0 {
 					t.Fatalf("no sources reach %s", dst)
 				}
@@ -216,10 +223,11 @@ func TestDestReachBackwardMatchesForward(t *testing.T) {
 }
 
 func TestFigure2SSHOnly(t *testing.T) {
+	ctx := context.Background()
 	// Only ssh traffic to P3 makes it through R1.i3 (paper Figure 2a).
 	_, a := analyze(t, testnet.Figure2())
 	enc := a.Enc
-	res, ok := a.Reachability(SourceLoc{Device: "r1", Iface: "i0"}, enc.FieldEq(hdr.Protocol, hdr.ProtoTCP))
+	res, ok := a.Reachability(ctx, SourceLoc{Device: "r1", Iface: "i0"}, enc.FieldEq(hdr.Protocol, hdr.ProtoTCP))
 	if !ok {
 		t.Fatal("source missing")
 	}
@@ -241,13 +249,14 @@ func TestFigure2SSHOnly(t *testing.T) {
 }
 
 func TestMultipathConsistency(t *testing.T) {
+	ctx := context.Background()
 	_, a := analyze(t, testnet.Diamond())
-	if v := a.MultipathConsistency(bdd.True); len(v) != 0 {
+	if v := a.MultipathConsistency(ctx, bdd.True); len(v) != 0 {
 		t.Errorf("clean diamond should have no violations, got %d", len(v))
 	}
 	_, a = analyze(t, testnet.ECMPWithBrokenBranch())
 	enc := a.Enc
-	vs := a.MultipathConsistency(enc.FieldEq(hdr.Protocol, hdr.ProtoTCP))
+	vs := a.MultipathConsistency(ctx, enc.FieldEq(hdr.Protocol, hdr.ProtoTCP))
 	if len(vs) == 0 {
 		t.Fatal("broken branch should violate multipath consistency")
 	}
@@ -263,12 +272,13 @@ func TestMultipathConsistency(t *testing.T) {
 }
 
 func TestWaypoint(t *testing.T) {
+	ctx := context.Background()
 	_, a := analyze(t, testnet.Line3())
 	enc := a.Enc
 	hs := enc.F.And(
 		enc.Prefix(hdr.DstIP, ip4.MustParsePrefix("192.168.3.0/24")),
 		enc.FieldEq(hdr.Protocol, hdr.ProtoTCP))
-	res, ok := a.Waypoint(SourceLoc{Device: "r1", Iface: "lan0"}, "r3", "r2", hs)
+	res, ok := a.Waypoint(ctx, SourceLoc{Device: "r1", Iface: "lan0"}, "r3", "r2", hs)
 	if !ok {
 		t.Fatal("waypoint query failed")
 	}
@@ -279,13 +289,14 @@ func TestWaypoint(t *testing.T) {
 		t.Error("nothing can bypass r2 on a line topology")
 	}
 	// A waypoint off the path: everything bypasses.
-	res2, _ := a.Waypoint(SourceLoc{Device: "r1", Iface: "lan0"}, "r3", "nonexistent", hs)
+	res2, _ := a.Waypoint(ctx, SourceLoc{Device: "r1", Iface: "lan0"}, "r3", "nonexistent", hs)
 	if res2.Through != bdd.False {
 		t.Error("nothing can traverse a nonexistent waypoint")
 	}
 }
 
 func TestBidirectionalFirewall(t *testing.T) {
+	ctx := context.Background()
 	_, a := analyze(t, testnet.Firewall())
 	enc := a.Enc
 	hs := enc.F.AndN(
@@ -293,7 +304,7 @@ func TestBidirectionalFirewall(t *testing.T) {
 		enc.Prefix(hdr.DstIP, ip4.MustParsePrefix("10.2.0.0/24")),
 		enc.FieldEq(hdr.Protocol, hdr.ProtoTCP),
 	)
-	res, ok := a.Bidirectional(SourceLoc{Device: "client", Iface: "eth0"}, "server", hs)
+	res, ok := a.Bidirectional(ctx, SourceLoc{Device: "client", Iface: "eth0"}, "server", hs)
 	if !ok {
 		t.Fatal("bidir query failed")
 	}
@@ -313,7 +324,7 @@ func TestBidirectionalFirewall(t *testing.T) {
 		t.Error("round-trip set must be a subset of forward set")
 	}
 	// Direct outside->inside traffic (no session) must be blocked.
-	rev, _ := a.Reachability(SourceLoc{Device: "server", Iface: "eth0"}, enc.F.AndN(
+	rev, _ := a.Reachability(ctx, SourceLoc{Device: "server", Iface: "eth0"}, enc.F.AndN(
 		enc.Prefix(hdr.DstIP, ip4.MustParsePrefix("10.1.0.0/24")),
 		enc.FieldEq(hdr.Protocol, hdr.ProtoTCP),
 	))
@@ -323,9 +334,10 @@ func TestBidirectionalFirewall(t *testing.T) {
 }
 
 func TestZoneBitsDoNotLeak(t *testing.T) {
+	ctx := context.Background()
 	// Sink sets must not depend on extension variables after ClearExt.
 	_, a := analyze(t, testnet.Firewall())
-	res, _ := a.Reachability(SourceLoc{Device: "client", Iface: "eth0"}, bdd.True)
+	res, _ := a.Reachability(ctx, SourceLoc{Device: "client", Iface: "eth0"}, bdd.True)
 	for sink, set := range res.Sinks {
 		for _, v := range a.Enc.F.Support(set) {
 			if v >= hdr.BaseVars {
@@ -350,6 +362,7 @@ func TestGraphNodeCounts(t *testing.T) {
 }
 
 func TestDetectLoops(t *testing.T) {
+	ctx := context.Background()
 	// Two routers pointing default routes at each other: everything that
 	// is not link-local loops forever.
 	net := config.NewNetwork()
@@ -362,7 +375,7 @@ func TestDetectLoops(t *testing.T) {
 	dp := dataplane.Run(net, dataplane.Options{})
 	a := New(fwdgraph.New(dp))
 	enc := a.Enc
-	loops := a.DetectLoops(bdd.True)
+	loops := a.DetectLoops(ctx, bdd.True)
 	if len(loops) == 0 {
 		t.Fatal("mutual default routes must loop")
 	}
@@ -391,7 +404,7 @@ func TestDetectLoops(t *testing.T) {
 	// A loop-free network reports nothing.
 	dp2 := dataplane.Run(testnet.Line3(), dataplane.Options{})
 	a2 := New(fwdgraph.New(dp2))
-	if l := a2.DetectLoops(bdd.True); len(l) != 0 {
+	if l := a2.DetectLoops(ctx, bdd.True); len(l) != 0 {
 		t.Errorf("loop-free network reported loops: %v", l)
 	}
 }

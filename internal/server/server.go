@@ -10,10 +10,15 @@
 // slot; the handler defers the finish func admit returns, which is the
 // only place an outcome reaches the breaker and the counters, so even a
 // panic escaping the handler settles a half-open probe. Each try of a
-// question — and sweep planning, tried once — is one attempt: the
-// request context bound to the snapshot, the body run under
+// question — and sweep planning, tried once — is one attempt: an
+// already-expired deadline answered as cancelled before anything runs,
+// else the request context bound to the snapshot, the body run under
 // diag.Capture, the context unbound, and a poisoned snapshot marked
-// stale. Loads and edits take only admission's deadline-and-slot step.
+// stale. Binding the snapshot is the only context step: every stage and
+// fixed point takes the snapshot's context as an argument, so the
+// analyses the pipeline's store shares between snapshots and requests
+// carry no request's deadline. Loads and edits take only admission's
+// deadline-and-slot step.
 //
 // The hardening layers, outermost first:
 //
@@ -24,8 +29,9 @@
 //     503 — both with Retry-After — rather than queued without bound.
 //   - Per-request deadlines: every request runs under a context with a
 //     deadline (server default, optionally tightened per request), which
-//     propagates through the snapshot's existing context plumbing into
-//     parse, simulation, and the BDD fixed points.
+//     propagates through the snapshot's context into parse, simulation,
+//     graph construction, and the BDD fixed points — a compare's into
+//     the candidate snapshot's stages and passes too.
 //   - Retry with backoff: transient failures (recovered panics) are
 //     retried against a freshly rebuilt snapshot with jittered
 //     exponential backoff; deterministic degradation (quarantines,
@@ -61,7 +67,6 @@ import (
 	"repro/internal/diag"
 	"repro/internal/diskcache"
 	"repro/internal/pipeline"
-	"repro/internal/reach"
 )
 
 // Config tunes a Server. Zero values take the documented defaults.
@@ -380,11 +385,11 @@ func (s *Server) names() []string {
 }
 
 // snapshotFor returns the entry's live snapshot, first rebuilding it from
-// its own SourceTexts when a past request poisoned it (cancellation
-// latches inside stage artifacts; question-stage diagnostics accumulate).
-// A rebuild re-parses through the pipeline, so every clean cached
-// artifact — in memory or on disk — is reused; only analyses private to
-// the old snapshot recompute.
+// its own SourceTexts when a past request poisoned it (a cancelled stage
+// leaves a partial artifact on the snapshot; question-stage diagnostics
+// accumulate). A rebuild re-parses through the pipeline, so every clean
+// cached artifact — in memory or on disk — is reused; only what the
+// cancelled stages left partial recomputes.
 //
 // Callers must hold anMu: both the Cancelled fast path and a rebuild
 // read/write snapshot internals that questions mutate, and a published
@@ -457,37 +462,23 @@ func (s *Server) runQuestion(ctx context.Context, e *snapEntry, q string, fn fun
 }
 
 // attempt runs fn once against the entry's live snapshot under the BDD
-// mutex, with the request context bound for the duration of the call. It
-// returns the diagnostics the run added (a recovered panic among them)
-// and whether the snapshot observed ctx expiry.
-//
-// Context hygiene is the subtle part: a context-bound snapshot builds a
-// private analysis that checks its context during later queries, so
-// after a clean run the context is unbound from both the snapshot and
-// its analysis before the next request can see them; a poisoned run
-// (cancelled or newly degraded) marks the snapshot stale instead. Either
-// way no request ever observes another request's expired context.
+// mutex, with the request context bound to the snapshot for the duration
+// of the call. It returns the diagnostics the run added (a recovered
+// panic among them) and whether the snapshot observed ctx expiry; a run
+// that did (or newly degraded) marks the snapshot stale. A deadline that
+// has already expired is reported before fn runs, so a warm snapshot
+// whose answers are memoized answers it as a cold one does.
 func (s *Server) attempt(ctx context.Context, e *snapEntry, q string, fn func(*core.Snapshot)) (diags []diag.Diagnostic, cancelled bool) {
+	if ctx.Err() != nil {
+		return nil, true
+	}
 	s.anMu.Lock()
 	snap := s.snapshotFor(e)
-	var an *reach.Analysis
 	before := len(snap.Diags())
 	snap.WithContext(ctx)
-	panicDiag := diag.Capture(diag.StageQuestion, q, func() {
-		// The analysis is memoized across requests, so binding the
-		// snapshot alone is not enough: an analysis built by an earlier
-		// request still holds that request's (unbound) context. Rebind so
-		// this request's deadline reaches the BDD fixed points too. Inside
-		// Capture because a first call may build data plane and graph,
-		// which can trip budgets.
-		an = snap.Analysis().WithContext(ctx)
-		fn(snap)
-	})
+	panicDiag := diag.Capture(diag.StageQuestion, q, func() { fn(snap) })
 	snap.WithContext(nil)
 	cancelled = snap.Cancelled()
-	if !cancelled && panicDiag == nil {
-		an.WithContext(nil)
-	}
 	diags = snap.Diags()[before:]
 	s.anMu.Unlock()
 

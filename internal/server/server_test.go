@@ -295,12 +295,19 @@ func TestEndToEndFabric(t *testing.T) {
 	if resp, _ := tc.do(http.MethodGet, "/snapshots/doomed/diagnostics", nil); resp.StatusCode != http.StatusNotFound {
 		t.Errorf("cancelled load was stored: %d", resp.StatusCode)
 	}
-	//   deadline on a question → 504 / cancelled (3). An unqueried source
-	//   forces a fresh fixed point, whose pop-count deadline checks fire
-	//   on a 204-device graph.
-	resp, ar = tc.do(http.MethodGet, "/snapshots/prod/reachability?src=cx-p03-tor01/host1&timeout=1ns", nil)
+	//   deadline inside a question's fixed point → 504 / cancelled (3). An
+	//   injected sleep in the guard of an unqueried source outlasts the
+	//   deadline, so the source's fresh forward pass runs under an expired
+	//   context and stops at its first check.
+	restore := faults.Activate(faults.New().Enable("question", "cx-p03-tor01",
+		faults.Rule{Kind: faults.Sleep, Sleep: 100 * time.Millisecond}))
+	resp, ar = tc.do(http.MethodGet, "/snapshots/prod/reachability?src=cx-p03-tor01/host1&timeout=30ms", nil)
+	restore()
 	if resp.StatusCode != http.StatusGatewayTimeout || ar.ExitCode != server.ExitCancelled {
 		t.Errorf("cancelled question: %d exit %d (%s)", resp.StatusCode, ar.ExitCode, ar.Error)
+	}
+	if !strings.Contains(strings.Join(ar.Diags, "\n"), "deadline expired during a reachability question") {
+		t.Errorf("cancelled question: no analysis-stage cancellation among diags %v", ar.Diags)
 	}
 	//   ...and the poisoned snapshot recovers: the next question rebuilds
 	//   from cached artifacts and answers cleanly.
@@ -312,6 +319,58 @@ func TestEndToEndFabric(t *testing.T) {
 	resp, ar = tc.do(http.MethodGet, query, nil)
 	if resp.StatusCode != http.StatusOK || ar.Text != want {
 		t.Errorf("answer drifted after rebuild (status %d)", resp.StatusCode)
+	}
+}
+
+// TestCompareDeadlineReachesCandidate: a compare's deadline governs the
+// candidate snapshot's stages too. The primary is warmed first, so the
+// injected sleep in every data-plane exchange step slows only the
+// candidate's simulation, and the deadline lands while it runs. The
+// compare answers 504 / exit 3 promptly, and a following compare without
+// a timeout, on the rebuilt snapshots, renders byte-identically to a cold
+// recompute.
+func TestCompareDeadlineReachesCandidate(t *testing.T) {
+	texts := smallFabric()
+	const victim = "sm-p02-tor01"
+	edited := make(map[string]string, len(texts))
+	for n, text := range texts {
+		edited[n] = text
+	}
+	edited[victim] = addRoute(t, texts[victim], "ip route 10.0.0.0 255.255.255.128 Null0")
+	pl := pipeline.New(pipeline.Config{})
+	want := server.RenderDiffs(core.LoadTextWith(pl, texts).CompareWith(core.LoadTextWith(pl, edited)))
+	if want == "no differences\n" {
+		t.Fatal("reference compare found no differences; edit is vacuous")
+	}
+
+	_, ts := newServer(t, server.Config{})
+	tc := newTestClient(t, ts)
+	tc.load("a", texts)
+	tc.load("b", edited)
+	if resp, ar := tc.do(http.MethodGet, "/snapshots/a/reachability", nil); resp.StatusCode != http.StatusOK {
+		t.Fatalf("warming a: %d exit %d (%s)", resp.StatusCode, ar.ExitCode, ar.Error)
+	}
+
+	restore := faults.Activate(faults.New().Enable("dataplane", "*",
+		faults.Rule{Kind: faults.Sleep, Sleep: 10 * time.Millisecond}))
+	const deadline = 50 * time.Millisecond
+	start := time.Now()
+	resp, ar := tc.do(http.MethodGet, "/snapshots/a/compare?with=b&timeout=50ms", nil)
+	elapsed := time.Since(start)
+	restore()
+	if resp.StatusCode != http.StatusGatewayTimeout || ar.ExitCode != server.ExitCancelled {
+		t.Fatalf("compare past its deadline: %d exit %d (%s), after %v", resp.StatusCode, ar.ExitCode, ar.Error, elapsed)
+	}
+	if elapsed > deadline+time.Second {
+		t.Errorf("cancelled compare took %v, want within 1s of the %v deadline", elapsed, deadline)
+	}
+
+	resp, ar = tc.do(http.MethodGet, "/snapshots/a/compare?with=b", nil)
+	if resp.StatusCode != http.StatusOK || ar.ExitCode != server.ExitOK {
+		t.Fatalf("compare after cancellation: %d exit %d diags %v", resp.StatusCode, ar.ExitCode, ar.Diags)
+	}
+	if ar.Text != want {
+		t.Errorf("compare after cancellation differs from a cold recompute:\n--- got ---\n%s\n--- want ---\n%s", ar.Text, want)
 	}
 }
 

@@ -157,8 +157,9 @@ func TestSweepEndpointErrors(t *testing.T) {
 	tc := newTestClient(t, ts)
 	tc.load("sm", smallFabric())
 
-	// First, while nothing is computed: the expired deadline cancels the
-	// data-plane run that planning starts with.
+	// An expired deadline is answered before planning runs, so a cold
+	// snapshot and a warm one (whose planning would otherwise finish
+	// before any cancellation point) both answer 504.
 	before := tc.metrics()
 	resp, ar := tc.do(http.MethodPost, "/snapshots/sm/sweep?timeout=1ns", nil)
 	if resp.StatusCode != http.StatusGatewayTimeout || ar.ExitCode != server.ExitCancelled {
@@ -227,6 +228,32 @@ func TestSweepEndpointErrors(t *testing.T) {
 	}
 	if m := tc.metrics(); m.BreakerRejects != before.BreakerRejects+1 {
 		t.Errorf("open breaker: rejects %d -> %d, want +1", before.BreakerRejects, m.BreakerRejects)
+	}
+}
+
+// TestExpiredDeadlineOnWarmSnapshot: a deadline that has already expired
+// is answered 504 / exit 3 and counted as cancelled on a warm snapshot,
+// whose memoized answers need no cancellation point, as on a cold one —
+// for a question and for a sweep's planning alike.
+func TestExpiredDeadlineOnWarmSnapshot(t *testing.T) {
+	_, ts := newServer(t, server.Config{})
+	tc := newTestClient(t, ts)
+	tc.load("sm", smallFabric())
+	if resp, ar := tc.do(http.MethodGet, "/snapshots/sm/reachability", nil); resp.StatusCode != http.StatusOK {
+		t.Fatalf("warming: %d exit %d (%s)", resp.StatusCode, ar.ExitCode, ar.Error)
+	}
+	for _, req := range []struct{ method, path string }{
+		{http.MethodGet, "/snapshots/sm/reachability?timeout=1ns"},
+		{http.MethodPost, "/snapshots/sm/sweep?timeout=1ns"},
+	} {
+		before := tc.metrics()
+		resp, ar := tc.do(req.method, req.path, nil)
+		if resp.StatusCode != http.StatusGatewayTimeout || ar.ExitCode != server.ExitCancelled {
+			t.Errorf("%s %s: status %d exit %d (%s)", req.method, req.path, resp.StatusCode, ar.ExitCode, ar.Error)
+		}
+		if m := tc.metrics(); m.Cancelled != before.Cancelled+1 {
+			t.Errorf("%s %s: cancelled %d -> %d, want +1", req.method, req.path, before.Cancelled, m.Cancelled)
+		}
 	}
 }
 

@@ -218,10 +218,10 @@ func (p *Plan) assemble(results []outcome) *Result {
 	res := &Result{
 		Enumerated: len(p.scenarios),
 		Classes:    p.Classes(),
-		Executed:   len(p.classIDs),
+		Executed:   len(results),
+		Pruned:     len(p.scenarios) - len(p.classIDs),
 		Baseline:   p.baseline,
 	}
-	res.Pruned = res.Enumerated - res.Executed
 
 	outcomes := make(map[string]outcome, len(results)+1)
 	// The baseline class needs no execution: no failed element touches any

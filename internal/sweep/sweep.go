@@ -159,8 +159,8 @@ type Verdict struct {
 	// Violations counts regressions: monitored sources delivered at
 	// baseline but not under this scenario.
 	Violations int `json:"violations"`
-	// Degraded marks a verdict from a degraded run (budget trip,
-	// repeated worker failure, cancellation); its sources may be partial.
+	// Degraded marks a verdict from a degraded run (diagnostics on the class
+	// run, repeated worker failure, cancellation); its sources may be partial.
 	Degraded bool `json:"degraded,omitempty"`
 }
 
@@ -168,8 +168,11 @@ type Verdict struct {
 type Result struct {
 	Enumerated int `json:"enumerated"`
 	Classes    int `json:"classes"`
-	Executed   int `json:"executed"`
-	Pruned     int `json:"pruned"`
+	// Executed counts the class outcomes delivered (the verdicts with
+	// Executed set), so a cancelled sweep counts only the classes it ran.
+	// Pruned counts the scenarios stamped rather than run, as planned.
+	Executed int `json:"executed"`
+	Pruned   int `json:"pruned"`
 	// Violations counts scenarios with at least one regressed source.
 	Violations int             `json:"violations"`
 	Baseline   []SourceVerdict `json:"baseline"`

@@ -499,6 +499,10 @@ func TestSweepCancellation(t *testing.T) {
 	if res == nil || !res.Degraded {
 		t.Fatal("cancelled sweep must return a degraded partial result")
 	}
+	if res.Executed != 0 || res.Pruned != res.Enumerated-len(plan.classIDs) {
+		t.Errorf("pre-cancelled sweep: executed %d, pruned %d; want 0 executed, %d pruned",
+			res.Executed, res.Pruned, res.Enumerated-len(plan.classIDs))
+	}
 }
 
 func TestSweepSpecValidation(t *testing.T) {
