@@ -114,9 +114,9 @@ bench:
 # b.Fatalf inside the benchmark that measures it: dev-204 sched-speedup
 # at 8 workers and the parse pool's real 2-worker speedup (Parallelism),
 # interned vs not-interned cost (Intern), failover p99s, forward overhead
-# and heir warm-hit rate (Cluster), the sweep's prune bound (Sweep/plan)
-# and decode-over-run (DataPlaneArtifact); GraphBuild runs alongside as
-# the graph layer's benchmark. Sweep/k1-links-nodes carries the executed
+# and heir warm-hit rate (Cluster), the sweep's prune bound (Sweep/plan),
+# decode-over-run (DataPlaneArtifact) and the stitched graph's speed over
+# a cold build (GraphBuild/update). Sweep/k1-links-nodes carries the executed
 # sweep's floors (prune ratio, speedup over cold replays); with each class
 # simulating only the monitored destinations, on one store-less runtime
 # per worker, it peaks near 0.62 GB RSS on a 2-vCPU host

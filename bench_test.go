@@ -9,9 +9,11 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"maps"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"syscall"
@@ -86,32 +88,77 @@ func BenchmarkFigure2GraphBuild(b *testing.B) {
 	}
 }
 
-// BenchmarkGraphBuild: the forwarding-graph layer alone on NET2. The data
-// plane is computed once; each op builds the graph on a fresh encoder made
-// outside the timer, so no op reads another's BDD caches. bdd-ops and
+// BenchmarkGraphBuild: the forwarding-graph layer alone on NET2, whose
+// data planes are computed once. /cold builds the graph on a fresh
+// encoder made outside the timer per op, so no op reads another's BDD
+// caches. /update stitches the graph of a one-device edit (graphEdit)
+// from the base graph with fwdgraph.Update on the base's warm factory, as
+// an edit loop does; its floor is 5x the speed of /cold. bdd-ops and
 // bdd-nodes are the factory's apply ops and allocated nodes per build.
 func BenchmarkGraphBuild(b *testing.B) {
-	net, _ := netgen.Catalog()[1].Gen().Parse() // NET2
-	dp := dataplane.Run(net, dataplane.Options{})
-	if !dp.Converged {
-		b.Fatal("no convergence")
-	}
-	var ops, nodes int
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		enc := hdr.NewEnc(fwdgraph.ZoneBits + fwdgraph.WaypointBits)
-		ops0, nodes0 := enc.F.OpCount(), enc.F.Size()
-		b.StartTimer()
-		g := fwdgraph.NewWithEnc(dp, enc)
-		if len(g.Edges) == 0 {
-			b.Fatal("empty graph")
+	dp, edited := graphEdit(b)
+	var coldNs float64
+	b.Run("cold", func(b *testing.B) {
+		var ops, nodes int
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			enc := hdr.NewEnc(fwdgraph.ZoneBits + fwdgraph.WaypointBits)
+			ops0, nodes0 := enc.F.OpCount(), enc.F.Size()
+			b.StartTimer()
+			g := fwdgraph.NewWithEnc(dp, enc)
+			if len(g.Edges) == 0 {
+				b.Fatal("empty graph")
+			}
+			ops += int(enc.F.OpCount() - ops0)
+			nodes += enc.F.Size() - nodes0
 		}
-		ops += int(enc.F.OpCount() - ops0)
-		nodes += enc.F.Size() - nodes0
+		coldNs = float64(b.Elapsed().Nanoseconds()) / float64(b.N)
+		b.ReportMetric(float64(ops)/float64(b.N), "bdd-ops")
+		b.ReportMetric(float64(nodes)/float64(b.N), "bdd-nodes")
+	})
+	b.Run("update", func(b *testing.B) {
+		enc := hdr.NewEnc(fwdgraph.ZoneBits + fwdgraph.WaypointBits)
+		base := fwdgraph.NewWithEnc(dp, enc)
+		ops0, nodes0 := enc.F.OpCount(), enc.F.Size()
+		b.ResetTimer()
+		reused := 0
+		for i := 0; i < b.N; i++ {
+			g := fwdgraph.Update(context.Background(), base, edited, enc)
+			reused += g.Reused
+		}
+		updateNs := float64(b.Elapsed().Nanoseconds()) / float64(b.N)
+		b.ReportMetric(float64(enc.F.OpCount()-ops0)/float64(b.N), "bdd-ops")
+		b.ReportMetric(float64(enc.F.Size()-nodes0)/float64(b.N), "bdd-nodes")
+		b.ReportMetric(float64(reused)/float64(b.N), "reused")
+		if coldNs > 0 && 5*updateNs > coldNs {
+			b.Fatalf("update %.0f ns/op is not 5x faster than cold %.0f ns/op", updateNs, coldNs)
+		}
+	})
+}
+
+// graphEdit returns NET2's data plane and the data plane of a one-device
+// edit of it: a null route for an unused /24 on one device, spliced by
+// dataplane.Update, so the other devices keep their NodeStates.
+func graphEdit(tb testing.TB) (base, edited *dataplane.Result) {
+	net, _ := netgen.Catalog()[1].Gen().Parse() // NET2
+	base = dataplane.Run(net, dataplane.Options{})
+	if !base.Converged {
+		tb.Fatal("no convergence")
 	}
-	b.ReportMetric(float64(ops)/float64(b.N), "bdd-ops")
-	b.ReportMetric(float64(nodes)/float64(b.N), "bdd-nodes")
+	name := net.DeviceNames()[len(net.Devices)/2]
+	d := *net.Devices[name]
+	d.VRFs = maps.Clone(d.VRFs)
+	v := *d.VRFs[config.DefaultVRF]
+	v.StaticRoutes = append(slices.Clone(v.StaticRoutes),
+		config.StaticRoute{Prefix: ip4.MustParsePrefix("198.51.100.0/24"), Drop: true})
+	d.VRFs[config.DefaultVRF] = &v
+	enet := &config.Network{Devices: maps.Clone(net.Devices), Warnings: net.Warnings}
+	enet.Devices[name] = &d
+	edited, ok := dataplane.Update(context.Background(), base, enet, dataplane.Options{})
+	if !ok {
+		tb.Fatalf("dataplane.Update declined the edit of %s", name)
+	}
+	return base, edited
 }
 
 // ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 package repro_test
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/bdd"
@@ -27,6 +28,20 @@ func TestPaperCountClaims(t *testing.T) {
 	compressEdges := func(compress bool) int {
 		return reach.NewWithOptions(fwdgraph.New(compressDataPlane()), reach.Options{Compress: compress}).EdgeCount()
 	}
+	// editGraphOps builds NET2's graph, then the graph of a one-device
+	// edit of it on the same factory (stitched from the first or rebuilt),
+	// and counts the second build's BDD operations.
+	dp, edited := graphEdit(t)
+	editGraphOps := func(stitch bool) int {
+		enc := hdr.NewEnc(fwdgraph.ZoneBits + fwdgraph.WaypointBits)
+		base := fwdgraph.NewWithEnc(dp, enc)
+		if !stitch {
+			base = nil
+		}
+		ops0 := enc.F.OpCount()
+		fwdgraph.Update(context.Background(), base, edited, enc)
+		return int(enc.F.OpCount() - ops0)
+	}
 	for _, c := range []struct {
 		claim string
 		// better is the optimized arm's count, worse the baseline's; the
@@ -40,6 +55,8 @@ func TestPaperCountClaims(t *testing.T) {
 			func() int { return relProdOps((*hdr.Enc).Apply) }, func() int { return relProdOps((*hdr.Enc).ApplyNaive) }, 1},
 		{"§4.2.3 the compressed graph has fewer edges than the uncompressed one",
 			func() int { return compressEdges(true) }, func() int { return compressEdges(false) }, 1},
+		{"§4.2.1 an edit's stitched graph needs >=10x fewer BDD ops than a rebuild on the same factory",
+			func() int { return editGraphOps(true) }, func() int { return editGraphOps(false) }, 10},
 	} {
 		better, worse := c.better(), c.worse()
 		t.Logf("%s: %d vs %d", c.claim, better, worse)

@@ -3,10 +3,12 @@ package core
 import (
 	"context"
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
 	"repro/internal/dataplane"
+	"repro/internal/fwdgraph"
 	"repro/internal/ip4"
 	"repro/internal/netgen"
 	"repro/internal/pipeline"
@@ -305,4 +307,104 @@ func TestEditUpdateFallbacks(t *testing.T) {
 	if _, ok := dataplane.Update(context.Background(), base.DataPlane(), after.Net, dataplane.Options{Suppress: sup}); ok {
 		t.Error("Update ran across a failure-overlay change")
 	}
+}
+
+// TestGraphUpdateFallbacks pins which graphs fwdgraph.Update stitches
+// from the graph of the snapshot they were derived from, counted by
+// Stats().Graph.Updates: a config edit and link and node failures on a
+// caching pipeline, and a failure on a Disabled() one (a sweep worker's
+// class). A derived snapshot without a base graph, one whose base graph
+// is on another encoder or was cancelled, and a config edit on a
+// Disabled() pipeline, which re-parses every device so no parsed model
+// is the base's, build cold. Every graph must equal a cold build of its
+// data plane on the same factory, node for node and edge for edge, with
+// Ref-equal labels. A cancelled build gives a partial graph with a zero
+// key.
+func TestGraphUpdateFallbacks(t *testing.T) {
+	texts := fabricTexts(t, "gf")
+	const tor = "gf-p01-tor01"
+	nullRoute := addRoute(t, texts[tor], "ip route 198.51.100.0 255.255.255.0 Null0")
+	edit := func(*Snapshot) Scenario { return Scenario{ConfigEdits: map[string]string{tor: nullRoute}} }
+	linkDown := func(s *Snapshot) Scenario { return Scenario{LinksDown: s.DataPlane().Topology.Links()[:1]} }
+	// withGraph builds the base's graph, as a snapshot that answered a
+	// question has.
+	withGraph := func(s *Snapshot) { s.Graph() }
+	// scoped builds the base's graph scoped to another pod's host subnet,
+	// as a sweep runtime's base is: a failure then changes only the FIBs
+	// of the devices whose routes to that subnet it touches.
+	scoped := func(s *Snapshot) {
+		for _, src := range LoadTextWith(pipeline.Disabled(), texts).HostFacing() {
+			if src.Device == "gf-p02-tor02" {
+				p, _ := s.Net.Devices[src.Device].Interfaces[src.Iface].Primary()
+				s.SetDataPlaneOptions(dataplane.Options{Scope: dataplane.Scope{p}})
+			}
+		}
+		s.Graph()
+	}
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, tc := range []struct {
+		name string
+		pl   func() *pipeline.Pipeline
+		prep func(*Snapshot)          // readies the base before Apply
+		sc   func(*Snapshot) Scenario // the scenario applied
+		bind func(after *Snapshot)    // adjusts the derived snapshot
+		want bool
+	}{
+		{name: "static edit", prep: withGraph, sc: edit, want: true},
+		{name: "link failure", prep: withGraph, sc: linkDown, want: true},
+		{name: "node failure", prep: scoped, want: true,
+			sc: func(*Snapshot) Scenario { return Scenario{NodesDown: []string{tor}} }},
+		{name: "failure on Disabled()", pl: pipeline.Disabled, prep: withGraph, sc: linkDown, want: true},
+		{name: "no base graph", prep: func(s *Snapshot) { s.DataPlane() }, sc: edit},
+		{name: "base graph on another encoder", prep: withGraph, sc: edit,
+			bind: func(after *Snapshot) { after.baseG = LoadTextWith(pipeline.Disabled(), texts).Graph() }},
+		{name: "cancelled base graph", sc: edit, prep: func(s *Snapshot) {
+			s.DataPlane()
+			if !s.WithContext(cancelled).Graph().Cancelled {
+				t.Fatal("base graph built under a cancelled context is not Cancelled")
+			}
+			s.WithContext(nil)
+		}},
+		{name: "config edit on Disabled()", pl: pipeline.Disabled, prep: withGraph, sc: edit},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			pl := pipeline.New(pipeline.Config{})
+			if tc.pl != nil {
+				pl = tc.pl()
+			}
+			base := LoadTextWith(pl, texts)
+			tc.prep(base)
+			after := base.Apply(tc.sc(base))
+			if tc.bind != nil {
+				tc.bind(after)
+			}
+			dp := after.DataPlane()
+			before := pl.Stats().Graph.Updates
+			g := after.Graph()
+			if got := pl.Stats().Graph.Updates - before; got != map[bool]int64{true: 1}[tc.want] {
+				t.Errorf("%d updates (%d fragments reused), want update path %v", got, g.Reused, tc.want)
+			}
+			if after.baseG != nil {
+				t.Error("base graph kept after the graph was built")
+			}
+			cold := fwdgraph.NewWithEnc(dp, g.Enc)
+			if !reflect.DeepEqual(g.Nodes, cold.Nodes) || !reflect.DeepEqual(g.Edges, cold.Edges) {
+				t.Errorf("graph (%d nodes, %d edges, %d fragments reused) differs from a cold build (%d nodes, %d edges)",
+					len(g.Nodes), len(g.Edges), g.Reused, len(cold.Nodes), len(cold.Edges))
+			}
+		})
+	}
+	t.Run("cancelled update", func(t *testing.T) {
+		pl := pipeline.New(pipeline.Config{})
+		base := LoadTextWith(pl, texts)
+		base.Graph()
+		after := base.Edit(map[string]string{tor: nullRoute})
+		after.DataPlane()
+		g := after.WithContext(cancelled).Graph()
+		if !g.Cancelled || !after.gKey.IsZero() || len(g.Nodes) != 0 {
+			t.Errorf("cancelled update: Cancelled %v, key zero %v, %d nodes; want a partial graph with a zero key",
+				g.Cancelled, after.gKey.IsZero(), len(g.Nodes))
+		}
+	})
 }

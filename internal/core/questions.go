@@ -432,7 +432,7 @@ func (s *Snapshot) compareWith(after *Snapshot) []DifferentialFlows {
 		a2 = after.analysis(ctx)
 	} else {
 		// Rebuild the after-graph sharing the encoder.
-		g2 := fwdgraph.NewWithEncContext(ctx, after.dataPlane(ctx), g1.Enc)
+		g2 := fwdgraph.Update(ctx, nil, after.dataPlane(ctx), g1.Enc)
 		a1 = reach.New(g1)
 		a2 = reach.New(g2)
 	}

@@ -74,7 +74,10 @@ func (sc Scenario) ID() string {
 // parse diagnostics are shared with the baseline — while scenarios with
 // config edits go through the same overlay-parse path as Edit. A
 // config-only scenario applied to a snapshot whose data plane is computed
-// records that data plane as the new snapshot's edit base (see Edit).
+// records that data plane as the new snapshot's edit base (see Edit), and
+// any scenario applied to a snapshot whose graph is built records that
+// graph, whose unchanged device fragments the new graph reuses
+// (fwdgraph.Update, which builds cold from a cancelled graph).
 // Failure suppressions compose: applying a scenario to an
 // already-suppressed snapshot merges the overlays.
 func (s *Snapshot) Apply(sc Scenario) *Snapshot {
@@ -102,6 +105,7 @@ func (s *Snapshot) Apply(sc Scenario) *Snapshot {
 			ns.base = s.dp
 		}
 	}
+	ns.baseG = s.g
 	ns.opts = s.opts
 	ns.opts.Suppress = s.opts.Suppress.Merge(sc.suppression())
 	ns.bddBudget = s.bddBudget

@@ -61,6 +61,10 @@ type Snapshot struct {
 	base  *dataplane.Result
 	dp    *dataplane.Result
 	dpKey pipeline.Key
+	// baseG is the graph of the snapshot this one was derived from, when
+	// it was already built: the fragments fwdgraph.Update may reuse. It is
+	// dropped once g is built.
+	baseG *fwdgraph.Graph
 	g     *fwdgraph.Graph
 	gKey  pipeline.Key
 	an    *reach.Analysis
@@ -367,7 +371,8 @@ func (s *Snapshot) dataPlane(ctx context.Context) *dataplane.Result {
 
 func (s *Snapshot) graph(ctx context.Context) *fwdgraph.Graph {
 	if s.g == nil {
-		s.g, s.gKey = s.Pipeline().GraphCtx(ctx, s.dataPlane(ctx), s.dpKey)
+		s.g, s.gKey = s.Pipeline().GraphCtx(ctx, s.dataPlane(ctx), s.dpKey, s.baseG)
+		s.baseG = nil
 		if s.bddBudget > 0 {
 			s.g.Enc.F.SetNodeBudget(s.bddBudget)
 		}

@@ -10,6 +10,7 @@ package fwdgraph
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/acl"
@@ -18,6 +19,7 @@ import (
 	"repro/internal/dataplane"
 	"repro/internal/fib"
 	"repro/internal/hdr"
+	"repro/internal/ip4"
 )
 
 // Kind classifies graph nodes.
@@ -127,9 +129,30 @@ type Graph struct {
 	// context expired; the graph covers a prefix of the devices.
 	Cancelled bool
 
+	// Reused counts the device fragments Update took from its base graph
+	// instead of building them; 0 for a cold build.
+	Reused int
+
 	ids map[string]int
 
 	dp *dataplane.Result
+
+	// frags holds each built device's fragment by hostname, for a later
+	// Update that takes this graph as its base.
+	frags map[string]fragment
+	// cur is the fragment being built. named[id] is the seq of the last
+	// fragment that named node id, so each fragment records a node once.
+	cur   *fragment
+	seq   int
+	named []int
+}
+
+// fragment is one device's share of a graph: the nodes its construction
+// named (created or looked up), in first-use order, and its edges, which
+// construction appends contiguously as Edges[lo:hi].
+type fragment struct {
+	nodes  []int
+	lo, hi int
 }
 
 // ZoneBits is the number of extension variables reserved for firewall
@@ -155,28 +178,48 @@ func New(dp *dataplane.Result) *Graph {
 // NewWithEnc builds the graph reusing an existing encoder (for tests that
 // need to construct query BDDs with the same factory).
 func NewWithEnc(dp *dataplane.Result, enc *hdr.Enc) *Graph {
-	return NewWithEncContext(context.Background(), dp, enc)
+	return Update(context.Background(), nil, dp, enc)
 }
 
-// NewWithEncContext is NewWithEnc with cooperative cancellation:
-// construction checks the context between devices and stops early when it
-// expires, returning a partial graph with Cancelled set. A partial graph
-// is structurally valid (indexes are built) but covers only a prefix of
-// the devices, so queries against it see a degraded network.
-func NewWithEncContext(ctx context.Context, dp *dataplane.Result, enc *hdr.Enc) *Graph {
-	g := &Graph{Enc: enc, ids: make(map[string]int), dp: dp}
-	g.build(ctx, lpmSets)
+// Update builds the graph of dp on enc, taking from base every device
+// fragment whose inputs are unchanged; a nil base, one built on another
+// encoder, or a cancelled one gives a cold build. A device's fragment
+// reads its parsed model (by pointer), its VRFs' FIBs (by NodeState
+// pointer, else by entries), its adjacencies under the failure mask and
+// the addresses of the interfaces at their far ends; a down device has
+// none. A reused fragment names its nodes in the order its build did and
+// then appends its edges, so node ids, edge order and every label (the
+// same function on the same hash-consed factory, hence the same Ref) are
+// those of a cold build.
+//
+// Construction checks the context between devices and stops early when
+// it expires, returning a partial graph with Cancelled set. A partial
+// graph is structurally valid (indexes are built) but covers only a
+// prefix of the devices, so queries against it see a degraded network.
+func Update(ctx context.Context, base *Graph, dp *dataplane.Result, enc *hdr.Enc) *Graph {
+	if base != nil && (base.Enc != enc || base.Cancelled) {
+		base = nil
+	}
+	g := &Graph{Enc: enc, dp: dp}
+	g.build(ctx, lpmSets, base)
 	g.index()
 	return g
 }
 
+// node returns the id of the node called name, creating it if needed, and
+// records it in the fragment being built.
 func (g *Graph) node(kind Kind, name, device, extra string) int {
-	if id, ok := g.ids[name]; ok {
-		return id
+	id, ok := g.ids[name]
+	if !ok {
+		id = len(g.Nodes)
+		g.Nodes = append(g.Nodes, Node{ID: id, Kind: kind, Name: name, Node_: device, Extra: extra})
+		g.ids[name] = id
+		g.named = append(g.named, 0)
 	}
-	id := len(g.Nodes)
-	g.Nodes = append(g.Nodes, Node{ID: id, Kind: kind, Name: name, Node_: device, Extra: extra})
-	g.ids[name] = id
+	if g.named[id] != g.seq {
+		g.named[id] = g.seq
+		g.cur.nodes = append(g.cur.nodes, id)
+	}
 	return id
 }
 
@@ -250,10 +293,21 @@ func zoneIDs(d *config.Device) map[string]uint32 {
 // computation through the same graph construction.
 type lpmFunc func(enc *hdr.Enc, t *fib.FIB, own bdd.Ref) map[fib.NextHop]bdd.Ref
 
-func (g *Graph) build(ctx context.Context, lpm lpmFunc) {
+func (g *Graph) build(ctx context.Context, lpm lpmFunc, base *Graph) {
 	aclCache := make(map[string]bdd.Ref)
 	net := g.dp.Network
 	down := g.dp.DownSet()
+	var remap []int // base node id -> id in g, for replayed fragments
+	if base != nil {
+		g.Nodes = make([]Node, 0, len(base.Nodes))
+		g.Edges = make([]Edge, 0, len(base.Edges))
+		g.ids = make(map[string]int, len(base.Nodes))
+		remap = make([]int, len(base.Nodes))
+	} else {
+		g.ids = make(map[string]int)
+	}
+	g.frags = make(map[string]fragment, len(net.Devices))
+	defer func() { g.cur, g.named = nil, nil }()
 	for _, name := range net.DeviceNames() {
 		if ctx.Err() != nil {
 			g.Cancelled = true
@@ -264,9 +318,100 @@ func (g *Graph) build(ctx context.Context, lpm lpmFunc) {
 			// no sources, no sinks — packets cannot enter or traverse them.
 			continue
 		}
-		d := net.Devices[name]
-		g.buildDevice(d, aclCache, lpm)
+		g.seq++
+		g.cur = &fragment{lo: len(g.Edges)}
+		if bf, ok := base.fragment(name); ok && sameInputs(base.dp, g.dp, name) {
+			g.replay(base, bf, remap)
+			g.Reused++
+		} else {
+			g.buildDevice(net.Devices[name], aclCache, lpm)
+		}
+		g.cur.hi = len(g.Edges)
+		g.frags[name] = *g.cur
 	}
+}
+
+// fragment returns the fragment g built for device name; a nil g has
+// none.
+func (g *Graph) fragment(name string) (fragment, bool) {
+	if g == nil {
+		return fragment{}, false
+	}
+	f, ok := g.frags[name]
+	return f, ok
+}
+
+// replay appends base's fragment f to g. Naming f's nodes in their
+// first-use order creates exactly the nodes a build of the device would
+// create here, in the same order; f's edges follow, moved onto g's ids.
+func (g *Graph) replay(base *Graph, f fragment, remap []int) {
+	for _, id := range f.nodes {
+		n := &base.Nodes[id]
+		remap[id] = g.node(n.Kind, n.Name, n.Node_, n.Extra)
+	}
+	for _, e := range base.Edges[f.lo:f.hi] {
+		e.From, e.To = remap[e.From], remap[e.To]
+		g.Edges = append(g.Edges, e)
+	}
+}
+
+// sameInputs reports whether device name's fragment reads the same inputs
+// in dp as in base: the same parsed model, FIBs with the same entries,
+// the same adjacencies under the failure mask, and the same addresses on
+// the interfaces at their far ends (they feed linkOwn, peerIface and
+// deliverEdge).
+func sameInputs(base, dp *dataplane.Result, name string) bool {
+	d := dp.Network.Devices[name]
+	if base.Network.Devices[name] != d {
+		return false
+	}
+	if bns, ns := base.Nodes[name], dp.Nodes[name]; bns != ns {
+		for vrf := range d.VRFs {
+			if !sameFIB(bns.VRFs[vrf], ns.VRFs[vrf]) {
+				return false
+			}
+		}
+	}
+	edges := dp.Topology.Neighbors(name)
+	if !slices.Equal(base.Topology.Neighbors(name), edges) {
+		return false
+	}
+	for _, ed := range edges {
+		if !slices.Equal(ifaceAddrs(base.Network, ed.Node2, ed.Iface2), ifaceAddrs(dp.Network, ed.Node2, ed.Iface2)) {
+			return false
+		}
+	}
+	return true
+}
+
+// sameFIB reports whether two VRF states hold FIBs with the same entries
+// (a missing state and a missing FIB both mean none).
+func sameFIB(a, b *dataplane.VRFState) bool {
+	var fa, fb *fib.FIB
+	if a != nil {
+		fa = a.FIB
+	}
+	if b != nil {
+		fb = b.FIB
+	}
+	if fa == fb {
+		return true
+	}
+	if fa == nil || fb == nil || fa.Len() != fb.Len() {
+		return false
+	}
+	return slices.EqualFunc(fa.Entries(), fb.Entries(), func(x, y fib.Entry) bool {
+		return x.Prefix == y.Prefix && slices.Equal(x.NextHops, y.NextHops)
+	})
+}
+
+// ifaceAddrs returns the addresses of a device's interface (none if the
+// interface is missing).
+func ifaceAddrs(net *config.Network, device, iface string) []ip4.Prefix {
+	if i := net.Devices[device].Interfaces[iface]; i != nil {
+		return i.Addresses
+	}
+	return nil
 }
 
 // deviceIPs returns the packets addressed to one of the device's active
@@ -314,20 +459,10 @@ func (g *Graph) buildDevice(d *config.Device, aclCache map[string]bdd.Ref, lpm l
 			g.edge(fwd, acceptSink, ownIPs)
 		}
 
-		// LPM dst sets per forwarding action.
+		// LPM dst sets per forwarding action, in a fixed next-hop order:
+		// every union below runs in it, so rebuilding an unchanged data
+		// plane on the same factory makes no new intermediate nodes.
 		perNH := lpm(enc, vs.FIB, ownIPs)
-
-		// No-route sink: everything with no FIB match (minus own IPs).
-		matched := bdd.False
-		for _, s := range perNH {
-			matched = f.Or(matched, s)
-		}
-		noRoute := f.Diff(f.Diff(bdd.True, matched), ownIPs)
-		if noRoute != bdd.False {
-			g.edge(fwd, g.node(KindSink, SinkName(SinkNoRoute, name), name, SinkNoRoute), noRoute)
-		}
-
-		// Group next hops per egress interface.
 		nhs := make([]fib.NextHop, 0, len(perNH))
 		for nh := range perNH {
 			nhs = append(nhs, nh)
@@ -338,6 +473,18 @@ func (g *Graph) buildDevice(d *config.Device, aclCache map[string]bdd.Ref, lpm l
 			}
 			return nhs[i].IP < nhs[j].IP
 		})
+
+		// No-route sink: everything with no FIB match (minus own IPs).
+		matched := bdd.False
+		for _, nh := range nhs {
+			matched = f.Or(matched, perNH[nh])
+		}
+		noRoute := f.Diff(f.Diff(bdd.True, matched), ownIPs)
+		if noRoute != bdd.False {
+			g.edge(fwd, g.node(KindSink, SinkName(SinkNoRoute, name), name, SinkNoRoute), noRoute)
+		}
+
+		// Group next hops per egress interface.
 		byIface := make(map[string][]fib.NextHop)
 		for _, nh := range nhs {
 			if nh.Drop {
@@ -508,10 +655,7 @@ func (g *Graph) buildEgress(d *config.Device, vrfName string, fwd int, ifName st
 // deliverEdge connects an egress node to the neighbor's preIn, clearing
 // extension (zone) bits as the packet leaves the device.
 func (g *Graph) deliverEdge(out int, neighbor, neighborIface string, set bdd.Ref) {
-	preIn, ok := g.Lookup("preIn:" + neighbor + ":" + neighborIface)
-	if !ok {
-		preIn = g.node(KindPreIn, "preIn:"+neighbor+":"+neighborIface, neighbor, neighborIface)
-	}
+	preIn := g.node(KindPreIn, "preIn:"+neighbor+":"+neighborIface, neighbor, neighborIface)
 	e := g.edge(out, preIn, set)
 	e.ClearZone = true
 }

@@ -122,7 +122,7 @@ func (c *expireAfter) Err() error {
 	return nil
 }
 
-// TestNewContextCancelled checks that a cancelled NewWithEncContext build
+// TestNewContextCancelled checks that a cancelled cold Update build
 // returns a graph flagged Cancelled whose adjacency index covers exactly
 // the nodes and edges it did build, both when cancelled up front and
 // between devices.
@@ -140,7 +140,7 @@ func TestNewContextCancelled(t *testing.T) {
 		{"before-first-device", done, 0},
 		{"after-first-device", &expireAfter{Context: context.Background(), n: 1}, 1},
 	} {
-		g := NewWithEncContext(tc.ctx, dp, hdr.NewEnc(ZoneBits+WaypointBits))
+		g := Update(tc.ctx, nil, dp, hdr.NewEnc(ZoneBits+WaypointBits))
 		if !g.Cancelled {
 			t.Fatalf("%s: Cancelled not set", tc.name)
 		}
@@ -228,9 +228,9 @@ func meshNet(seed int64) *config.Network {
 // buildOps builds the graph of dp on a fresh encoder with the given LPM
 // computation and returns it with the BDD apply ops the build took.
 func buildOps(dp *dataplane.Result, lpm lpmFunc) (*Graph, uint64) {
-	g := &Graph{Enc: hdr.NewEnc(ZoneBits + WaypointBits), ids: make(map[string]int), dp: dp}
+	g := &Graph{Enc: hdr.NewEnc(ZoneBits + WaypointBits), dp: dp}
 	ops0 := g.Enc.F.OpCount()
-	g.build(context.Background(), lpm)
+	g.build(context.Background(), lpm, nil)
 	g.index()
 	return g, g.Enc.F.OpCount() - ops0
 }
@@ -372,5 +372,32 @@ func TestLPMSetsMatchLookup(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestRebuildAddsNoNodes checks that building one data plane's graph
+// twice on a single factory adds no BDD node the second time: every
+// label, and every intermediate set it is built from, is computed in a
+// fixed order, so a rebuild finds each of them in the unique table. A
+// union in map order made new intermediate nodes on every rebuild, and a
+// long-lived shared factory grew with every edit.
+func TestRebuildAddsNoNodes(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		net  func() *config.Network
+	}{
+		{"NET2", func() *config.Network { return catalogNet(t, "NET2") }},
+		{"firewall-nat", testnet.FirewallNAT},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dp := converged(t, tc.net())
+			enc := hdr.NewEnc(ZoneBits + WaypointBits)
+			NewWithEnc(dp, enc)
+			nodes := enc.F.Size()
+			NewWithEnc(dp, enc)
+			if grown := enc.F.Size() - nodes; grown != 0 {
+				t.Errorf("rebuilding the graph added %d BDD nodes, want 0", grown)
+			}
+		})
 	}
 }

@@ -23,6 +23,15 @@
 // counts, which describe the work done, differ. The cold path
 // (Disabled(), and every store-less reference check) never splices.
 //
+// A graph is stitched, on caching and Disabled() pipelines alike, when
+// the snapshot it is built for was derived from one whose graph was
+// already built: fwdgraph.Update takes every device fragment whose inputs
+// are unchanged from that graph, and the result equals a cold build on
+// the same encoder node for node and Ref for Ref. What Disabled() still
+// guarantees is that nothing is kept or looked up by key and no data
+// plane is spliced: a freshly loaded snapshot has no base graph, so a
+// reference check that loads fresh snapshots builds every stage cold.
+//
 // Graphs built by one Pipeline, caching or not, share a single
 // header-space encoder, so analyses from different snapshots are directly
 // comparable (CompareWith in internal/core diffs them without
@@ -66,10 +75,10 @@ type Config struct {
 // artifact came from the store (warm) or was computed (cold). A parse run
 // counts as warm only when every device hit the cache. DiskHits counts
 // artifacts served from the persistent tier (a subset of warm activity:
-// a disk hit is decoded, promoted to memory, and reused), and Updates the
-// artifacts computed by dataplane.Update from an edit's base (a subset of
-// cold runs); only the data-plane stage has either, so both are zero for
-// the others.
+// a disk hit is decoded, promoted to memory, and reused; data plane
+// only), and Updates the artifacts computed from a base (a subset of cold
+// runs): data planes spliced by dataplane.Update, graphs that took at
+// least one device fragment through fwdgraph.Update.
 type StageTimes struct {
 	ColdNs   int64
 	ColdRuns int64
@@ -126,8 +135,9 @@ func New(cfg Config) *Pipeline {
 // Disabled returns a Pipeline with no artifact store: every stage
 // recomputes, nothing is kept. Its graphs still share the Pipeline's
 // encoder, so a fresh Disabled() per load gives each snapshot (and the
-// scenarios applied to it) a private BDD factory. It is the reference
-// implementation the caching path is validated against.
+// scenarios applied to it) a private BDD factory, and a scenario's graph
+// is stitched from its base snapshot's (see the package doc). It is the
+// reference implementation the caching path is validated against.
 func Disabled() *Pipeline {
 	return &Pipeline{}
 }
@@ -264,13 +274,18 @@ func (p *Pipeline) DataPlaneCtx(ctx context.Context, net *config.Network, devKey
 // Graph builds (or reuses) the forwarding graph for a data plane on the
 // Pipeline's shared encoder.
 func (p *Pipeline) Graph(dp *dataplane.Result, dpKey Key) (*fwdgraph.Graph, Key) {
-	return p.GraphCtx(context.Background(), dp, dpKey)
+	return p.GraphCtx(context.Background(), dp, dpKey, nil)
 }
 
-// GraphCtx is Graph with cooperative cancellation. A partial graph
-// (construction stopped by the context) is returned with a zero Key and
-// never cached.
-func (p *Pipeline) GraphCtx(ctx context.Context, dp *dataplane.Result, dpKey Key) (*fwdgraph.Graph, Key) {
+// GraphCtx is Graph with cooperative cancellation and an optional base:
+// the graph of the snapshot dp's snapshot was derived from. After a store
+// miss the graph is built by fwdgraph.Update, which stitches it from
+// base's fragments for every device whose inputs are unchanged, on
+// caching and Disabled() pipelines alike (reuse is exact, so a stitched
+// graph equals a cold build); a graph that took any fragment counts as an
+// update. A partial graph (construction stopped by the context) is
+// returned with a zero Key and never cached.
+func (p *Pipeline) GraphCtx(ctx context.Context, dp *dataplane.Result, dpKey Key, base *fwdgraph.Graph) (*fwdgraph.Graph, Key) {
 	start := time.Now()
 	var k Key
 	if p.store != nil && !dpKey.IsZero() {
@@ -281,7 +296,12 @@ func (p *Pipeline) GraphCtx(ctx context.Context, dp *dataplane.Result, dpKey Key
 			return g, k
 		}
 	}
-	g := fwdgraph.NewWithEncContext(ctx, dp, p.sharedEnc())
+	g := fwdgraph.Update(ctx, base, dp, p.sharedEnc())
+	if g.Reused > 0 {
+		p.statMu.Lock()
+		p.graph.Updates++
+		p.statMu.Unlock()
+	}
 	if g.Cancelled {
 		k = Key{}
 	}
