@@ -115,11 +115,14 @@ bench:
 # at 8 workers and the parse pool's real 2-worker speedup (Parallelism),
 # interned vs not-interned cost (Intern), failover p99s, forward overhead
 # and heir warm-hit rate (Cluster), the sweep's prune bound (Sweep/plan),
-# decode-over-run (DataPlaneArtifact) and the stitched graph's speed over
-# a cold build (GraphBuild/update). Sweep/k1-links-nodes carries the executed
+# decode-over-run (DataPlaneArtifact), the stitched graph's speed over
+# a cold build (GraphBuild/update) and the Delta-restricted passes' speed
+# over full ones (IncrementalCompare/compare, 20 edits; its other
+# sub-benchmarks carry no floor). Sweep/k1-links-nodes carries the executed
 # sweep's floors (prune ratio, speedup over cold replays); with each class
 # simulating only the monitored destinations, on one store-less runtime
 # per worker, it peaks near 0.62 GB RSS on a 2-vCPU host
 # (EXPERIMENTS E13).
 bench-check:
 	$(GO) test -run '^$$' -bench '^Benchmark(Parallelism|Intern|Cluster|Sweep|GraphBuild|DataPlaneArtifact)$$' -benchmem .
+	$(GO) test -run '^$$' -bench '^BenchmarkIncrementalCompare$$/^compare$$' -benchtime 20x -benchmem .

@@ -772,7 +772,12 @@ func BenchmarkParallelism(b *testing.B) {
 // shared backward passes stay memoized on its analysis, and the edited
 // snapshot's Reachability and CompareWith read its own passes. The
 // incremental variant reports a speedup-vs-cold metric plus the pipeline
-// cache/stage counters and the routing intern-pool counters.
+// cache/stage counters and the routing intern-pool counters. "compare"
+// times CompareWith alone, with both graphs and analyses warm and the
+// candidate's passes not yet run, so it diffs within the graphs' Delta;
+// beside it, on a second edit, it times the candidate's passes restricted
+// to the Delta against full passes on a fresh analysis of the same graph,
+// and fails unless the restricted passes are at least 2x faster.
 func BenchmarkIncrementalCompare(b *testing.B) {
 	gen := netgen.Fabric(netgen.FabricParams{Name: "inc", Spines: 4, Pods: 10,
 		AggPerPod: 2, TorPerPod: 18, HostNetsPerTor: 1, Multipath: true})
@@ -856,6 +861,59 @@ func BenchmarkIncrementalCompare(b *testing.B) {
 		b.ReportMetric(float64(ist.AttrMisses), "intern-attr-misses")
 		b.ReportMetric(float64(ist.PathHits), "intern-path-hits")
 		b.ReportMetric(float64(ist.PathMisses), "intern-path-misses")
+	})
+
+	b.Run("compare", func(b *testing.B) {
+		ctx := context.Background()
+		base := core.LoadTextWith(pipeline.New(pipeline.Config{}), texts)
+		if len(base.Reachability(core.ReachabilityParams{})) == 0 {
+			b.Fatal("no baseline flows")
+		}
+		warm := func(i int) *core.Snapshot {
+			after := base.Edit(map[string]string{tor: edited(i)})
+			after.Analysis()
+			return after
+		}
+		var restricted, full time.Duration
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			after := warm(2 * i)
+			b.StartTimer()
+			diffs := base.CompareWith(after)
+			b.StopTimer()
+			if len(diffs) == 0 {
+				b.Fatal("blackhole edit must break flows")
+			}
+			// The passes alone, on another edit, so neither arm finds
+			// the other's or the compare's results in the op cache; the
+			// arms alternate which goes first.
+			g := warm(2*i + 1).Graph()
+			h := fwdgraph.Delta(base.Graph(), g)
+			if h == bdd.False || h == bdd.True {
+				b.Fatalf("Delta of a one-ToR edit is %d, want a strict subset", h)
+			}
+			for j := 0; j < 2; j++ {
+				an := reach.New(g)
+				t0 := time.Now()
+				if (i+j)%2 == 0 {
+					an.AllPairsWithin(ctx, h)
+					restricted += time.Since(t0)
+				} else {
+					an.AllPairs(ctx)
+					full += time.Since(t0)
+				}
+			}
+			b.StartTimer()
+		}
+		b.StopTimer()
+		ratio := float64(full) / float64(restricted)
+		b.ReportMetric(float64(restricted.Nanoseconds())/1e6/float64(b.N), "restricted-ms")
+		b.ReportMetric(float64(full.Nanoseconds())/1e6/float64(b.N), "full-ms")
+		b.ReportMetric(ratio, "passes-speedup")
+		if ratio < 2 {
+			b.Fatalf("Delta-restricted passes only %.2fx faster than full passes, below the 2x floor", ratio)
+		}
 	})
 }
 

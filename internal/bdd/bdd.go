@@ -788,9 +788,9 @@ func (f *Factory) satCount(r Ref) float64 {
 	return c
 }
 
-// Assignment maps variable index to value. Variables not mentioned are
-// don't-cares.
-type Assignment map[int]bool
+// Assignment holds one value per variable, indexed by variable: 0 or 1
+// on the chosen path, -1 (don't-care) off it.
+type Assignment []int8
 
 // AnySat returns one satisfying assignment of r, or nil if r is False.
 // At each node it prefers the low (0) branch, which together with MSB-first
@@ -799,14 +799,17 @@ func (f *Factory) AnySat(r Ref) Assignment {
 	if r == False {
 		return nil
 	}
-	a := make(Assignment)
+	a := make(Assignment, f.nvars)
+	for i := range a {
+		a[i] = -1
+	}
 	for r != True {
 		n := f.nodes[r]
 		if n.low != False {
-			a[int(n.level)] = false
+			a[n.level] = 0
 			r = n.low
 		} else {
-			a[int(n.level)] = true
+			a[n.level] = 1
 			r = n.high
 		}
 	}

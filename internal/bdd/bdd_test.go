@@ -2,6 +2,7 @@ package bdd
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -344,6 +345,9 @@ func TestSatCountAdditive(t *testing.T) {
 	}
 }
 
+// TestAnySat: the assignment is a model, takes the low branch wherever
+// it leads somewhere, and is -1 exactly on the variables off the chosen
+// path.
 func TestAnySat(t *testing.T) {
 	f := NewFactory(6)
 	rnd := rand.New(rand.NewSource(8))
@@ -356,13 +360,39 @@ func TestAnySat(t *testing.T) {
 			continue
 		}
 		sat := f.AnySat(a)
-		assign := make([]bool, 6)
+		if len(sat) != f.NumVars() {
+			t.Fatalf("AnySat gave %d values for %d variables", len(sat), f.NumVars())
+		}
+		onPath := make([]bool, f.NumVars())
+		for r := a; r != True; {
+			n := f.nodes[r]
+			onPath[n.level] = true
+			want := int8(0)
+			if n.low == False {
+				want = 1
+			}
+			if sat[n.level] != want {
+				t.Fatalf("AnySat set variable %d to %d, want %d (low branch first)", n.level, sat[n.level], want)
+			}
+			if want == 0 {
+				r = n.low
+			} else {
+				r = n.high
+			}
+		}
+		assign := make([]bool, f.NumVars())
 		for v, val := range sat {
-			assign[v] = val
+			if (val == -1) == onPath[v] {
+				t.Fatalf("AnySat variable %d = %d, on path %v", v, val, onPath[v])
+			}
+			assign[v] = val == 1
 		}
 		if !eval(f, a, assign) {
 			t.Fatalf("AnySat produced non-model")
 		}
+	}
+	if sat := f.AnySat(True); len(sat) != f.NumVars() || slices.ContainsFunc(sat, func(v int8) bool { return v != -1 }) {
+		t.Errorf("AnySat(True) = %v, want all don't-cares", sat)
 	}
 }
 
@@ -372,15 +402,15 @@ func TestPickPreferring(t *testing.T) {
 	set := f.Or(x0, x1)
 	// Prefer x1: should pick a model with x1 true.
 	sat := f.PickPreferring(set, x1)
-	if v, ok := sat[1]; !ok || !v {
+	if sat[1] != 1 {
 		t.Errorf("preference for x1 not honored: %v", sat)
 	}
 	// Impossible preference is skipped, possible later one still applied.
 	sat = f.PickPreferring(x0, f.Not(x0), x1)
-	if v, ok := sat[0]; !ok || !v {
+	if sat[0] != 1 {
 		t.Errorf("impossible preference should be skipped: %v", sat)
 	}
-	if v, ok := sat[1]; !ok || !v {
+	if sat[1] != 1 {
 		t.Errorf("later preference should still apply: %v", sat)
 	}
 }

@@ -276,19 +276,20 @@ func (s *Snapshot) allPairs() *reach.AllPairs {
 	if s.bddBudget > 0 {
 		return nil
 	}
-	return s.sharedPasses(s.context(), s.Analysis())
+	return s.sharedPasses(s.context(), s.Analysis(), bdd.True)
 }
 
-// sharedPasses returns an's shared backward passes run under ctx, or nil
-// on graphs with NAT, whose backward sets are pre-images rather than the
-// post-transform sets a forward pass reports, and when the pass fails or
-// the deadline expires, which records its diagnostic on s.
-func (s *Snapshot) sharedPasses(ctx context.Context, an *reach.Analysis) (ap *reach.AllPairs) {
-	if reach.HasTransforms(an.G) {
+// sharedPasses returns an's shared backward passes within h (see
+// reach.AllPairsWithin) run under ctx, or nil on graphs with NAT, whose
+// backward sets are pre-images rather than the post-transform sets a
+// forward pass reports, and when the pass fails or the deadline expires,
+// which records its diagnostic on s.
+func (s *Snapshot) sharedPasses(ctx context.Context, an *reach.Analysis, h bdd.Ref) (ap *reach.AllPairs) {
+	if an.G.HasTransforms() {
 		return nil
 	}
 	s.guardQuestion(allPairsScope, func() {
-		ap, _ = an.AllPairs(ctx)
+		ap, _ = an.AllPairsWithin(ctx, h)
 	})
 	return ap
 }
@@ -414,6 +415,12 @@ type DifferentialFlows struct {
 // snapshot's context governs the whole comparison: the candidate's data
 // plane, graph and analysis are built, and both snapshots' fixed points
 // run, under it.
+//
+// Only the headers the edit can change are diffed: outside the graphs'
+// Delta every packet is forwarded alike, so each source's sink sets are
+// read within it on both sides — this snapshot's from its memoised full
+// passes, the candidate's from passes restricted to it — and every diff
+// is the Ref a full comparison gives (DESIGN §8, "Incremental compare").
 func (s *Snapshot) CompareWith(after *Snapshot) (out []DifferentialFlows) {
 	s.guardQuestion("compare", func() {
 		out = s.compareWith(after)
@@ -423,29 +430,40 @@ func (s *Snapshot) CompareWith(after *Snapshot) (out []DifferentialFlows) {
 
 func (s *Snapshot) compareWith(after *Snapshot) []DifferentialFlows {
 	ctx := s.context()
-	g1 := s.Graph()
+	g1, g2 := s.Graph(), after.graph(ctx)
 	var a1, a2 *reach.Analysis
-	if g2 := after.graph(ctx); g2.Enc == g1.Enc {
+	if g2.Enc == g1.Enc {
 		// Same pipeline encoder: the snapshots' own (possibly cached)
 		// analyses are directly comparable.
 		a1 = s.Analysis()
 		a2 = after.analysis(ctx)
 	} else {
 		// Rebuild the after-graph sharing the encoder.
-		g2 := fwdgraph.Update(ctx, nil, after.dataPlane(ctx), g1.Enc)
+		g2 = fwdgraph.Update(ctx, nil, after.dataPlane(ctx), g1.Enc)
 		a1 = reach.New(g1)
 		a2 = reach.New(g2)
 	}
+	h := fwdgraph.Delta(g1, g2)
+	if h == bdd.False {
+		return nil
+	}
 	var ap1, ap2 *reach.AllPairs
 	if s.bddBudget == 0 && after.bddBudget == 0 {
-		ap1, ap2 = s.sharedPasses(ctx, a1), s.sharedPasses(ctx, a2)
+		ap1, ap2 = s.sharedPasses(ctx, a1, bdd.True), s.sharedPasses(ctx, a2, h)
 	}
-	enc := g1.Enc
+	return diffFlows(ctx, a1, a2, ap1, ap2, h)
+}
+
+// diffFlows diffs the delivered sets of every source of a1 against a2's,
+// read within h off ap1 and ap2 where they are non-nil, else by one
+// forward pass per source.
+func diffFlows(ctx context.Context, a1, a2 *reach.Analysis, ap1, ap2 *reach.AllPairs, h bdd.Ref) []DifferentialFlows {
+	enc := a1.Enc
 	f := enc.F
 	var out []DifferentialFlows
 	for _, src := range a1.Sources() {
-		k1, ok1 := sinksOf(ctx, a1, ap1, src, bdd.True)
-		k2, ok2 := sinksOf(ctx, a2, ap2, src, bdd.True)
+		k1, ok1 := sinksOf(ctx, a1, ap1, src, h)
+		k2, ok2 := sinksOf(ctx, a2, ap2, src, h)
 		if !ok1 || !ok2 {
 			continue
 		}

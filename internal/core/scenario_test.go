@@ -1,11 +1,13 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/bdd"
 	"repro/internal/dataplane"
 	"repro/internal/faults"
+	"repro/internal/fwdgraph"
 	"repro/internal/ip4"
 	"repro/internal/pipeline"
 	"repro/internal/reach"
@@ -150,11 +152,58 @@ func TestScenarioIncrementalEquivalence(t *testing.T) {
 	}
 }
 
-// --- reach.ImpactSets edge cases (satellite) ---
+// --- impactSets edge cases ---
+
+// impactSets computes, per source location, the set of headers whose
+// trajectory from that source can touch any node of a changed device —
+// the "blast radius" of a config edit. It runs one backward pass over the
+// uncompressed graph (compression would merge device nodes away), seeded
+// with the full packet space at every node belonging to a changed device.
+//
+// The result is a sound overapproximation: a header absent from a
+// source's impact set provably never visits a changed device, so its
+// forwarding outcome is unaffected by the edit (unchanged nodes keep
+// identical transfer functions). Sources with an empty impact set are
+// omitted entirely. It is the backward reference that
+// TestImpactConeDuality checks reach.ImpactCone, the sweep's one forward
+// pass, against.
+func impactSets(g *fwdgraph.Graph, changed map[string]bool) map[reach.SourceLoc]bdd.Ref {
+	a := reach.NewWithOptions(g, reach.Options{Compress: false})
+	f := a.Enc.F
+	seeds := make(map[int]bdd.Ref)
+	for id := range a.G.Nodes {
+		if changed[a.G.Nodes[id].Node_] {
+			seeds[id] = bdd.True
+		}
+	}
+	if len(seeds) == 0 {
+		return map[reach.SourceLoc]bdd.Ref{}
+	}
+	sets := a.Backward(context.Background(), seeds)
+
+	ext := bdd.True
+	if a.Enc.L.ExtBits() > 0 {
+		ext = a.Enc.ExtEq(0, a.Enc.L.ExtBits(), 0)
+	}
+	out := make(map[reach.SourceLoc]bdd.Ref)
+	for id, set := range sets {
+		n := a.G.Nodes[id]
+		if n.Kind != fwdgraph.KindSource || set == bdd.False {
+			continue
+		}
+		// Injected packets carry ext bits = 0; restrict to that slice and
+		// erase the ext bits to get the header-only impact set.
+		b := a.Enc.ClearExt(f.And(set, ext))
+		if b != bdd.False {
+			out[reach.SourceLoc{Device: n.Node_, Iface: n.Extra}] = b
+		}
+	}
+	return out
+}
 
 func TestImpactSetsEmptyChangedSet(t *testing.T) {
 	s := LoadTextWith(pipeline.New(pipeline.Config{}), fabricTexts(t, "ie"))
-	out := reach.ImpactSets(s.Graph(), map[string]bool{})
+	out := impactSets(s.Graph(), map[string]bool{})
 	if len(out) != 0 {
 		t.Errorf("empty changed set must yield an empty impact map, got %d entries", len(out))
 	}
@@ -172,7 +221,7 @@ func TestImpactSetsAllDevicesChanged(t *testing.T) {
 	for _, n := range s.Net.DeviceNames() {
 		changed[n] = true
 	}
-	out := reach.ImpactSets(s.Graph(), changed)
+	out := impactSets(s.Graph(), changed)
 	srcs := s.Analysis().Sources()
 	if len(srcs) == 0 {
 		t.Fatal("fabric has no sources")
@@ -202,8 +251,8 @@ func TestImpactSetsQuarantinedDeviceInChangedSet(t *testing.T) {
 	}
 	g := s.Graph()
 	const live = "iq-p01-tor01"
-	with := reach.ImpactSets(g, map[string]bool{quarantined: true, live: true})
-	without := reach.ImpactSets(g, map[string]bool{live: true})
+	with := impactSets(g, map[string]bool{quarantined: true, live: true})
+	without := impactSets(g, map[string]bool{live: true})
 	if len(with) != len(without) {
 		t.Fatalf("quarantined name changed the impact map size: %d vs %d", len(with), len(without))
 	}
@@ -212,12 +261,12 @@ func TestImpactSetsQuarantinedDeviceInChangedSet(t *testing.T) {
 			t.Errorf("impact for %v differs when a quarantined name is added", src)
 		}
 	}
-	if only := reach.ImpactSets(g, map[string]bool{quarantined: true}); len(only) != 0 {
+	if only := impactSets(g, map[string]bool{quarantined: true}); len(only) != 0 {
 		t.Errorf("a changed set of only quarantined devices must be empty, got %d", len(only))
 	}
 }
 
-// TestImpactConeDuality cross-checks ImpactCone against ImpactSets on the
+// TestImpactConeDuality cross-checks ImpactCone against impactSets on the
 // fabric: a device is in some monitored flow's cone iff the device's
 // backward blast radius intersects that flow's injectable space.
 func TestImpactConeDuality(t *testing.T) {
@@ -235,7 +284,7 @@ func TestImpactConeDuality(t *testing.T) {
 	}
 	cone := reach.ImpactCone(g, sources)
 	for _, dev := range s.Net.DeviceNames() {
-		back := reach.ImpactSets(g, map[string]bool{dev: true})
+		back := impactSets(g, map[string]bool{dev: true})
 		backHit := false
 		for _, src := range srcs {
 			if set, ok := back[src]; ok && set != bdd.False {

@@ -206,6 +206,118 @@ func Update(ctx context.Context, base *Graph, dp *dataplane.Result, enc *hdr.Enc
 	return g
 }
 
+// HasTransforms reports whether any edge of g rewrites packet headers
+// (NAT). A backward set on such a graph is a pre-image, not the
+// post-transform set a forward pass reports at a sink, and a packet's
+// trajectory can leave the header it entered with.
+func (g *Graph) HasTransforms() bool {
+	for i := range g.Edges {
+		if g.Edges[i].Tr != nil {
+			return true
+		}
+	}
+	return false
+}
+
+// Delta returns a header set H, free of extension variables, outside
+// which a and b forward every packet alike: for a header outside H, every
+// edge either graph has between two named nodes with given zone and
+// waypoint effects admits it, for every extension-bit value, in both
+// graphs or in neither, so its trajectories, and the sink sets of every
+// source read over it, are the same in both. Raw, the session fast path
+// of bidirectional analysis, is not compared.
+//
+// It walks each device's fragment in both graphs edge by edge. A device
+// whose edges match pair by pair (label, endpoint names, effects)
+// contributes nothing; the edges of every other device, and of a device
+// only one graph has, are OR-ed per key (from name, to name, effects) on
+// each side, and H is the union of each key's two sides XOR-ed, with the
+// extension bits quantified out. An edge leaves its own device's nodes,
+// so keys of different devices never meet. H is True when the graphs are
+// on different encoders, either was cancelled, or either rewrites headers.
+func Delta(a, b *Graph) bdd.Ref {
+	if a.Enc != b.Enc || a.Cancelled || b.Cancelled || a.HasTransforms() || b.HasTransforms() {
+		return bdd.True
+	}
+	names := make([]string, 0, len(a.frags))
+	for name := range a.frags {
+		names = append(names, name)
+	}
+	for name := range b.frags {
+		if _, ok := a.frags[name]; !ok {
+			names = append(names, name)
+		}
+	}
+	sort.Strings(names)
+	// Each key's label unions, one per side; keys in first-use order, so
+	// that the unions below do not depend on map order.
+	var keys []edgeKey
+	sets := make(map[edgeKey][2]bdd.Ref)
+	f := a.Enc.F
+	add := func(g *Graph, fr fragment, side int) {
+		for _, e := range g.Edges[fr.lo:fr.hi] {
+			k := edgeKey{from: g.Nodes[e.From].Name, to: g.Nodes[e.To].Name, zone: -1, clear: e.ClearZone}
+			if e.ZoneSet != nil {
+				k.zone = int64(*e.ZoneSet)
+			}
+			if len(e.SetBits) > 0 {
+				k.bits = fmt.Sprint(e.SetBits)
+			}
+			sides, ok := sets[k]
+			if !ok {
+				keys = append(keys, k)
+			}
+			sides[side] = f.Or(sides[side], e.Label)
+			sets[k] = sides
+		}
+	}
+	for _, name := range names {
+		fa, inA := a.frags[name]
+		fb, inB := b.frags[name]
+		if inA && inB && sameRun(a, fa, b, fb) {
+			continue
+		}
+		if inA {
+			add(a, fa, 0)
+		}
+		if inB {
+			add(b, fb, 1)
+		}
+	}
+	h := bdd.False
+	for _, k := range keys {
+		h = f.Or(h, f.Xor(sets[k][0], sets[k][1]))
+	}
+	return a.Enc.ClearExt(h)
+}
+
+// edgeKey identifies, across two graphs, the edges Delta unions: their
+// endpoints by name and their effects on the extension bits.
+type edgeKey struct {
+	from, to string
+	zone     int64 // the ZoneSet value, -1 for none
+	clear    bool
+	bits     string // SetBits
+}
+
+// sameRun reports whether fragment fa of a and fb of b hold the same
+// edges in the same order: equal labels, endpoint names and effects.
+func sameRun(a *Graph, fa fragment, b *Graph, fb fragment) bool {
+	if fa.hi-fa.lo != fb.hi-fb.lo {
+		return false
+	}
+	for i := 0; i < fa.hi-fa.lo; i++ {
+		ea, eb := &a.Edges[fa.lo+i], &b.Edges[fb.lo+i]
+		if ea.Label != eb.Label || ea.ClearZone != eb.ClearZone ||
+			(ea.ZoneSet == nil) != (eb.ZoneSet == nil) || (ea.ZoneSet != nil && *ea.ZoneSet != *eb.ZoneSet) ||
+			!slices.Equal(ea.SetBits, eb.SetBits) ||
+			a.Nodes[ea.From].Name != b.Nodes[eb.From].Name || a.Nodes[ea.To].Name != b.Nodes[eb.To].Name {
+			return false
+		}
+	}
+	return true
+}
+
 // node returns the id of the node called name, creating it if needed, and
 // records it in the fragment being built.
 func (g *Graph) node(kind Kind, name, device, extra string) int {

@@ -401,3 +401,48 @@ func TestRebuildAddsNoNodes(t *testing.T) {
 		})
 	}
 }
+
+// TestDelta pins Delta's cases that need no edit (the differential test
+// in internal/core checks it against full compares under edits): a graph
+// against itself and against a cold rebuild on the same encoder forwards
+// alike everywhere, while a graph that rewrites headers, one on another
+// encoder, or a cancelled one leaves every header in question.
+func TestDelta(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		net  func() *config.Network
+	}{
+		{"NET2", func() *config.Network { return catalogNet(t, "NET2") }},
+		{"firewall", testnet.Firewall},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dp := converged(t, tc.net())
+			enc := hdr.NewEnc(ZoneBits + WaypointBits)
+			g := NewWithEnc(dp, enc)
+			if h := Delta(g, g); h != bdd.False {
+				t.Errorf("Delta(g, g) = %d, want False", h)
+			}
+			if h := Delta(g, NewWithEnc(dp, enc)); h != bdd.False {
+				t.Errorf("Delta(g, cold rebuild) = %d, want False", h)
+			}
+			if h := Delta(g, New(dp)); h != bdd.True {
+				t.Errorf("Delta across encoders = %d, want True", h)
+			}
+			cut := Update(&expireAfter{Context: context.Background(), n: 1}, nil, dp, enc)
+			if h := Delta(g, cut); h != bdd.True {
+				t.Errorf("Delta against a cancelled graph = %d, want True", h)
+			}
+		})
+	}
+	t.Run("firewall-nat", func(t *testing.T) {
+		dp := converged(t, testnet.FirewallNAT())
+		enc := hdr.NewEnc(ZoneBits + WaypointBits)
+		g := NewWithEnc(dp, enc)
+		if !g.HasTransforms() {
+			t.Fatal("firewall-nat graph has no transform edge")
+		}
+		if h := Delta(g, NewWithEnc(dp, enc)); h != bdd.True {
+			t.Errorf("Delta on a NAT graph = %d, want True", h)
+		}
+	})
+}

@@ -400,7 +400,7 @@ func (e *Enc) PacketFromAssignment(a bdd.Assignment) Packet {
 		var v uint32
 		w := fieldWidths[f]
 		for b := 0; b < w; b++ {
-			if val, ok := a[e.L.Var(f, b)]; ok && val {
+			if a[e.L.Var(f, b)] == 1 {
 				v |= 1 << (w - 1 - b)
 			}
 		}

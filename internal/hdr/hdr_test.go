@@ -380,3 +380,48 @@ func TestSwapSrcDst(t *testing.T) {
 		t.Error("SwapSrcDst not involutive")
 	}
 }
+
+// TestPickPacketPinned pins PickPacket's witness for fixed sets and
+// preferences, so a change to how witnesses are extracted cannot move the
+// examples that question answers and rendering goldens show. The packets
+// were recorded from the map-based assignment this package used before
+// the slice one.
+func TestPickPacketPinned(t *testing.T) {
+	e := NewEnc(6)
+	f := e.F
+	pfx := func(fl Field, s string) bdd.Ref { return e.Prefix(fl, ip4.MustParsePrefix(s)) }
+	prefs := []bdd.Ref{
+		e.FieldEq(Protocol, ProtoTCP),
+		e.FieldEq(DstPort, 80),
+		e.FieldGE(SrcPort, 1024),
+		e.FieldEq(TCPFlags, FlagSYN),
+	}
+	cases := []struct {
+		name  string
+		set   bdd.Ref
+		prefs []bdd.Ref
+		want  Packet
+	}{
+		{"dst-prefix", pfx(DstIP, "10.1.2.128/25"), prefs,
+			Packet{DstIP: 0xa010280, DstPort: 80, SrcPort: 1024, Protocol: ProtoTCP, TCPFlags: FlagSYN}},
+		{"no-prefs", f.And(pfx(DstIP, "10.1.2.128/25"), pfx(SrcIP, "172.16.0.0/12")), nil,
+			Packet{DstIP: 0xa010280, SrcIP: 0xac100000}},
+		{"udp-only", f.AndN(pfx(DstIP, "192.168.4.0/22"), e.FieldEq(Protocol, 17), e.FieldRange(DstPort, 53, 60)), prefs,
+			Packet{DstIP: 0xc0a80400, DstPort: 53, SrcPort: 1024, Protocol: 17, TCPFlags: FlagSYN}},
+		{"not-tcp-low-src", f.AndN(pfx(SrcIP, "10.9.0.0/16"), f.Not(e.FieldEq(Protocol, ProtoTCP)), e.FieldLE(SrcPort, 100)), prefs,
+			Packet{SrcIP: 0xa090000, DstPort: 80, TCPFlags: FlagSYN}},
+		{"port-hole", f.Diff(pfx(DstIP, "10.0.0.0/8"), f.Or(e.FieldEq(DstPort, 80), pfx(DstIP, "10.0.0.0/9"))), prefs,
+			Packet{DstIP: 0xa800000, SrcPort: 1024, Protocol: ProtoTCP, TCPFlags: FlagSYN}},
+		{"with-ext", f.AndN(pfx(DstIP, "10.3.0.0/16"), e.ExtEq(0, 4, 5), e.TCPFlagSet(FlagACK)), prefs,
+			Packet{DstIP: 0xa030000, DstPort: 80, SrcPort: 1024, Protocol: ProtoTCP, TCPFlags: FlagACK}},
+	}
+	for _, c := range cases {
+		p, ok := e.PickPacket(c.set, c.prefs...)
+		if !ok || p != c.want {
+			t.Errorf("%s: picked %#v (found %v), want %#v", c.name, p, ok, c.want)
+		}
+	}
+	if _, ok := e.PickPacket(bdd.False, prefs...); ok {
+		t.Error("PickPacket(False) found a packet")
+	}
+}

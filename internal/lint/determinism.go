@@ -9,8 +9,9 @@ import (
 // Determinism enforces the paper's §4.1.2 lesson: simulation results
 // must be bit-for-bit reproducible. In the deterministic packages it
 // flags (a) map range loops whose bodies append to a slice that is not
-// subsequently sorted, or that write directly into an output/hash
-// stream, and (b) any use of time.Now/time.Since or math/rand.
+// subsequently sorted, write directly into an output/hash stream, or
+// call a RIB, clock or BDD factory method whose effect depends on call
+// order, and (b) any use of time.Now/time.Since or math/rand.
 // Test files are exempt (they are never loaded); the seeded harnesses
 // in internal/faults and internal/netgen are outside the scope list by
 // design.
@@ -26,6 +27,8 @@ var deterministicScope = []string{
 	"repro/internal/diag",
 	"repro/internal/sweep",
 	"repro/internal/cluster",
+	"repro/internal/fwdgraph",
+	"repro/internal/reach",
 }
 
 func (Determinism) Name() string { return "determinism" }
@@ -117,6 +120,9 @@ func checkMapRanges(p *Package, body *ast.BlockStmt) []Finding {
 				} else if name, ok := isClockedMutation(p, v); ok {
 					out = append(out, finding(p, "determinism", v.Pos(),
 						"%s inside map range orders RIB deltas and logical-clock draws by map iteration (§4.1.2); iterate sorted keys instead", name))
+				} else if name, ok := isFactoryCall(p, v); ok {
+					out = append(out, finding(p, "determinism", v.Pos(),
+						"%s inside map range makes the shared BDD factory's nodes depend on map iteration order; iterate sorted keys instead", name))
 				}
 			}
 		})
@@ -195,6 +201,25 @@ func isClockedMutation(p *Package, call *ast.CallExpr) (string, bool) {
 		return "", false
 	}
 	return "(routing." + name + ")." + sel.Sel.Name, true
+}
+
+// isFactoryCall reports whether the call is a method of bdd.Factory. Its
+// results are canonical whatever the order, but the intermediate nodes an
+// operation leaves in the hash-consed table are not: a union taken in map
+// order makes every rebuild of the same answer on a shared factory grow it
+// (the fwdgraph no-route union that did so on every edit).
+func isFactoryCall(p *Package, call *ast.CallExpr) (string, bool) {
+	sel, ok := call.Fun.(*ast.SelectorExpr)
+	if !ok {
+		return "", false
+	}
+	if _, ok := p.Info.Selections[sel]; !ok {
+		return "", false
+	}
+	if pkgPath, name := namedType(p.Info.TypeOf(sel.X)); pkgPath != "repro/internal/bdd" || name != "Factory" {
+		return "", false
+	}
+	return "(*bdd.Factory)." + sel.Sel.Name, true
 }
 
 // ioWriter is a structurally-built io.Writer, so the check does not

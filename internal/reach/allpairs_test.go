@@ -89,7 +89,7 @@ func TestAllPairsMatchesForward(t *testing.T) {
 func TestAllPairsRefusesNAT(t *testing.T) {
 	ctx := context.Background()
 	_, a := analyze(t, testnet.FirewallNAT())
-	if !HasTransforms(a.G) {
+	if !a.G.HasTransforms() {
 		t.Fatal("FirewallNAT has no transformation edge")
 	}
 	if _, ok := a.AllPairs(ctx); ok {

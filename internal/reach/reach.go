@@ -297,8 +297,9 @@ func (a *Analysis) Backward(ctx context.Context, sinks map[int]bdd.Ref) []bdd.Re
 // AllPairs is the all-pairs reachability answer computed backward: per
 // sink kind, the packets that, present at a node, reach some sink of
 // that kind. One backward pass per kind, each seeded with every sink of
-// the kind over all headers, replaces one forward pass per source (paper
-// §4.2.3): a source's sink sets are then one conjunction per kind away.
+// the kind over all headers (over h, from AllPairsWithin), replaces one
+// forward pass per source (paper §4.2.3): a source's sink sets are then
+// one conjunction per kind away.
 type AllPairs struct {
 	a     *Analysis
 	kinds []string    // sink kinds present in the graph, sorted
@@ -316,7 +317,31 @@ func (a *Analysis) AllPairs(ctx context.Context) (*AllPairs, bool) {
 	if a.allPairs != nil {
 		return a.allPairs, true
 	}
-	if HasTransforms(a.G) {
+	p, ok := a.allPairsOver(ctx, bdd.True)
+	if ok {
+		a.allPairs = p
+	}
+	return p, ok
+}
+
+// AllPairsWithin is AllPairs restricted to the header set h, which must
+// not mention extension variables: every sink is seeded with h instead of
+// all headers, so each backward set is the full one intersected with h
+// (no edge rewrites headers, and h commutes with the zone updates) and
+// Sinks(src, hs) answers exactly for hs within h. The restricted passes
+// are not memoised; the memoised full passes are returned when they
+// exist, and h = True runs and memoises them.
+func (a *Analysis) AllPairsWithin(ctx context.Context, h bdd.Ref) (*AllPairs, bool) {
+	if a.allPairs != nil || h == bdd.True {
+		return a.AllPairs(ctx)
+	}
+	return a.allPairsOver(ctx, h)
+}
+
+// allPairsOver runs the backward pass of every sink kind with each sink
+// seeded with h.
+func (a *Analysis) allPairsOver(ctx context.Context, h bdd.Ref) (*AllPairs, bool) {
+	if a.G.HasTransforms() {
 		return nil, false
 	}
 	seeds := make(map[string]map[int]bdd.Ref)
@@ -328,7 +353,7 @@ func (a *Analysis) AllPairs(ctx context.Context) (*AllPairs, bool) {
 		if seeds[n.Extra] == nil {
 			seeds[n.Extra] = make(map[int]bdd.Ref)
 		}
-		seeds[n.Extra][id] = bdd.True
+		seeds[n.Extra][id] = h
 	}
 	p := &AllPairs{a: a, ext0: bdd.True}
 	if bits := a.Enc.L.ExtBits(); bits > 0 {
@@ -344,7 +369,6 @@ func (a *Analysis) AllPairs(ctx context.Context) (*AllPairs, bool) {
 			return nil, false
 		}
 	}
-	a.allPairs = p
 	return p, true
 }
 
@@ -419,14 +443,21 @@ var SuccessSinks = map[string]bool{
 	fwdgraph.SinkDeliveredToHost: true,
 }
 
-// Partition splits sink sets into delivered and failed packet sets.
+// Partition splits sink sets into delivered and failed packet sets. It
+// unions them in sorted kind order, so the factory's intermediate nodes do
+// not depend on map iteration order.
 func Partition(sinks map[string]bdd.Ref, f *bdd.Factory) (success, failure bdd.Ref) {
+	kinds := make([]string, 0, len(sinks))
+	for kind := range sinks {
+		kinds = append(kinds, kind)
+	}
+	sort.Strings(kinds)
 	success, failure = bdd.False, bdd.False
-	for kind, set := range sinks {
+	for _, kind := range kinds {
 		if SuccessSinks[kind] {
-			success = f.Or(success, set)
+			success = f.Or(success, sinks[kind])
 		} else {
-			failure = f.Or(failure, set)
+			failure = f.Or(failure, sinks[kind])
 		}
 	}
 	return success, failure

@@ -13,7 +13,7 @@
 // the non-monotone-policy caveat): the monitored-traffic cone is the set
 // of devices any monitored header can traverse in the baseline, computed
 // by one forward pass (reach.ImpactCone, the exact dual of a per-element
-// backward ImpactSets pass). Failing elements entirely outside the cone
+// backward blast-radius pass). Failing elements entirely outside the cone
 // removes only routes whose data paths lie outside every monitored
 // trajectory, so every in-cone transfer function — and with it every
 // monitored verdict — is unchanged. A k=2 scenario with one out-of-cone
