@@ -53,7 +53,7 @@ test:
 race:
 	$(GO) test -race -short ./...
 	$(GO) test -race -run 'TestParallelismMatchesSerial|TestPoolConcurrentInterning|TestEditUpdateMatchesCold' ./internal/dataplane/ ./internal/routing/
-	$(GO) test -race -run 'TestParallelParseDeterminism|TestIncrementalEquivalence|TestScenarioIncrementalEquivalence|TestCompareWithSharedMatchesPerSource' ./internal/pipeline/ ./internal/core/
+	$(GO) test -race -run 'TestIncrementalEquivalence|TestScenarioIncrementalEquivalence|TestCompareWithSharedMatchesPerSource' ./internal/core/
 	$(GO) test -race -run 'TestChaos|TestCancel' ./internal/faults/
 	$(GO) test -race -run 'TestSweepDeterminismAcrossWorkers|TestSweepWorkerKillRequeue' ./internal/sweep/
 
@@ -112,7 +112,7 @@ bench:
 
 # bench-check: the perf-regression gate, run live. Each floor is a
 # b.Fatalf inside the benchmark that measures it: dev-204 sched-speedup
-# at 8 workers and the parse pool's real 2-worker speedup (Parallelism),
+# at 8 workers (Parallelism),
 # interned vs not-interned cost (Intern), failover p99s, forward overhead
 # and heir warm-hit rate (Cluster), the sweep's prune bound (Sweep/plan),
 # decode-over-run (DataPlaneArtifact), the stitched graph's speed over

@@ -88,15 +88,10 @@ type ServiceReachableResult = core.ServiceReachableResult
 // ServiceExposure is one unintended access path to a protected service.
 type ServiceExposure = core.ServiceExposure
 
-// Options configure the control-plane simulation (schedule, iteration
-// bounds, parallelism).
+// Options configure the control-plane simulation (iteration bounds,
+// parallelism). Its zero Schedule is the colored schedule (paper §4.1.2);
+// the lockstep one exists only for the Figure 1 ablation in cmd/batfish.
 type Options = dataplane.Options
-
-// Simulation schedules (paper §4.1.2).
-const (
-	ScheduleColored  = dataplane.ScheduleColored
-	ScheduleLockstep = dataplane.ScheduleLockstep
-)
 
 // Diagnostic is one structured failure-containment record: a recovered
 // panic, quarantined device, budget trip, cancellation, or detected

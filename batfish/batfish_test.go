@@ -62,11 +62,3 @@ func TestPublicAPIGenerated(t *testing.T) {
 		t.Error("no sessions")
 	}
 }
-
-func TestScheduleConstantsExposed(t *testing.T) {
-	var o batfish.Options
-	o.Schedule = batfish.ScheduleLockstep
-	if o.Schedule == batfish.ScheduleColored {
-		t.Fatal("schedules must differ")
-	}
-}

@@ -47,18 +47,6 @@ func sample(t *testing.T) *Snapshot {
 	return s
 }
 
-func TestDetectDialect(t *testing.T) {
-	if DetectDialect(iosA) != "ios" {
-		t.Error("iosA misdetected")
-	}
-	if DetectDialect(junosB) != "junos" {
-		t.Error("junosB misdetected")
-	}
-	if DetectDialect("# comment\nset system host-name x\n") != "junos" {
-		t.Error("comment prefix misdetected")
-	}
-}
-
 func TestLoadDir(t *testing.T) {
 	dir := t.TempDir()
 	os.WriteFile(filepath.Join(dir, "r1.cfg"), []byte(iosA), 0o644)

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/dataplane"
+	"repro/internal/faults"
 	"repro/internal/fwdgraph"
 	"repro/internal/ip4"
 	"repro/internal/netgen"
@@ -194,6 +195,68 @@ func TestEditSemantics(t *testing.T) {
 	}
 }
 
+// TestEditSharesUnchangedModels: an edit parses only what changed. On a
+// store smaller than the device count (so the base's parse entries are
+// evicted before the edit) and on Disabled() (which keeps nothing), every
+// unedited device of the edited snapshot is the base's model by pointer,
+// a device the base quarantined is parsed afresh, and the edited
+// snapshot's network, warnings and device keys equal a fresh load's.
+func TestEditSharesUnchangedModels(t *testing.T) {
+	texts := fabricTexts(t, "sh")
+	const tor, quarantined, warned = "sh-p02-tor02", "sh-p01-agg1", "sh-p01-tor01"
+	texts[warned] = addRoute(t, texts[warned], "frobnicate the widgets")
+	edit := map[string]string{tor: addRoute(t, texts[tor], "ip route 203.0.113.0 255.255.255.0 Null0")}
+	after := make(map[string]string, len(texts))
+	for n, tx := range texts {
+		after[n] = tx
+	}
+	after[tor] = edit[tor]
+
+	for _, tc := range []struct {
+		name string
+		pl   func() *pipeline.Pipeline
+	}{
+		{"store-4", func() *pipeline.Pipeline { return pipeline.New(pipeline.Config{StoreCapacity: 4}) }},
+		{"disabled", pipeline.Disabled},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			pl := tc.pl()
+			restore := faults.Activate(faults.New().Enable("parse", quarantined, faults.Rule{Kind: faults.Panic}))
+			base := LoadTextWith(pl, texts)
+			restore()
+			if _, ok := base.Net.Devices[quarantined]; ok {
+				t.Fatal("base did not quarantine its device")
+			}
+			ed := base.Edit(edit)
+			if len(ed.Net.Devices) != len(texts) {
+				t.Fatalf("edited snapshot has %d devices, want %d", len(ed.Net.Devices), len(texts))
+			}
+			for name, d := range ed.Net.Devices {
+				switch name {
+				case tor, quarantined:
+					if d == base.Net.Devices[name] {
+						t.Errorf("%s: model shared with the base, want a fresh parse", name)
+					}
+				default:
+					if d != base.Net.Devices[name] {
+						t.Errorf("unedited device %s was re-parsed", name)
+					}
+				}
+			}
+			fresh := LoadTextWith(tc.pl(), after)
+			if !reflect.DeepEqual(ed.Net, fresh.Net) {
+				t.Error("edited network differs from a fresh load's")
+			}
+			if len(fresh.Warnings) == 0 || !reflect.DeepEqual(ed.Warnings, fresh.Warnings) {
+				t.Errorf("warnings %v, fresh load %v", ed.Warnings, fresh.Warnings)
+			}
+			if !reflect.DeepEqual(ed.devKeys, fresh.devKeys) {
+				t.Error("device keys differ from a fresh load's")
+			}
+		})
+	}
+}
+
 // TestCompareWithNoopEdit: an edit that changes bytes but not behavior
 // (a comment-like no-op) produces no diff rows and an unchanged data
 // plane.
@@ -312,14 +375,13 @@ func TestEditUpdateFallbacks(t *testing.T) {
 // TestGraphUpdateFallbacks pins which graphs fwdgraph.Update stitches
 // from the graph of the snapshot they were derived from, counted by
 // Stats().Graph.Updates: a config edit and link and node failures on a
-// caching pipeline, and a failure on a Disabled() one (a sweep worker's
-// class). A derived snapshot without a base graph, one whose base graph
-// is on another encoder or was cancelled, and a config edit on a
-// Disabled() pipeline, which re-parses every device so no parsed model
-// is the base's, build cold. Every graph must equal a cold build of its
-// data plane on the same factory, node for node and edge for edge, with
-// Ref-equal labels. A cancelled build gives a partial graph with a zero
-// key.
+// caching pipeline, and a failure (a sweep worker's class) and a config
+// edit, whose unedited devices keep the base's parsed models, on a
+// Disabled() one. A derived snapshot without a base graph, and one whose
+// base graph is on another encoder or was cancelled, build cold. Every
+// graph must equal a cold build of its data plane on the same factory,
+// node for node and edge for edge, with Ref-equal labels. A cancelled
+// build gives a partial graph with a zero key.
 func TestGraphUpdateFallbacks(t *testing.T) {
 	texts := fabricTexts(t, "gf")
 	const tor = "gf-p01-tor01"
@@ -366,7 +428,7 @@ func TestGraphUpdateFallbacks(t *testing.T) {
 			}
 			s.WithContext(nil)
 		}},
-		{name: "config edit on Disabled()", pl: pipeline.Disabled, prep: withGraph, sc: edit},
+		{name: "config edit on Disabled()", pl: pipeline.Disabled, prep: withGraph, sc: edit, want: true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			pl := pipeline.New(pipeline.Config{})

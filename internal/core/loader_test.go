@@ -7,25 +7,6 @@ import (
 	"testing"
 )
 
-func TestDetectDialectEdgeCases(t *testing.T) {
-	cases := []struct {
-		name, text, want string
-	}{
-		{"empty", "", "ios"},
-		{"whitespace only", "  \n\t\n", "ios"},
-		{"comment only hash", "# nothing here\n# still nothing\n", "ios"},
-		{"comment only bang", "! cisco comment\n!\n", "ios"},
-		{"junos after comments", "# header\n!\nset system host-name x\n", "junos"},
-		{"ios after comments", "!\nhostname x\n", "ios"},
-		{"set requires space", "settings here\n", "ios"},
-	}
-	for _, c := range cases {
-		if got := DetectDialect(c.text); got != c.want {
-			t.Errorf("%s: DetectDialect = %q, want %q", c.name, got, c.want)
-		}
-	}
-}
-
 func TestLoadTextEmptyAndCommentOnlyFiles(t *testing.T) {
 	s := LoadText(map[string]string{
 		"empty.cfg":    "",

@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"repro/internal/dataplane"
+	"repro/internal/pipeline"
 	"repro/internal/topo"
 )
 
@@ -72,7 +73,9 @@ func (sc Scenario) ID() string {
 // shares this snapshot's pipeline and options. Pure-failure scenarios
 // skip the parse stage entirely — the parsed network, device keys, and
 // parse diagnostics are shared with the baseline — while scenarios with
-// config edits go through the same overlay-parse path as Edit. A
+// config edits parse only the files whose text changed (or that the
+// baseline quarantined or never reached), and every other file keeps the
+// baseline's parsed model by pointer (see Edit). A
 // config-only scenario applied to a snapshot whose data plane is computed
 // records that data plane as the new snapshot's edit base (see Edit), and
 // any scenario applied to a snapshot whose graph is built records that
@@ -85,7 +88,7 @@ func (s *Snapshot) Apply(sc Scenario) *Snapshot {
 	if sc.PureFailure() {
 		ns = &Snapshot{
 			Net: s.Net, Warnings: s.Warnings,
-			pl: s.pl, texts: s.texts, devKeys: s.devKeys,
+			pl: s.pl, texts: s.texts, files: s.files, devKeys: s.devKeys,
 			parseDiags: s.parseDiags, ctx: s.ctx,
 		}
 	} else {
@@ -100,7 +103,13 @@ func (s *Snapshot) Apply(sc Scenario) *Snapshot {
 				texts[n] = t
 			}
 		}
-		ns = LoadTextWithContext(s.context(), s.pl, texts)
+		unchanged := make(map[string]pipeline.ParseArtifact, len(s.files))
+		for n, a := range s.files {
+			if texts[n] == s.texts[n] {
+				unchanged[n] = a
+			}
+		}
+		ns = load(s.context(), s.pl, texts, unchanged)
 		if sc.suppression().Empty() {
 			ns.base = s.dp
 		}

@@ -51,8 +51,9 @@ type Snapshot struct {
 	Warnings []config.Warning
 
 	pl      *pipeline.Pipeline
-	texts   map[string]string       // source texts (name → config), for Edit
-	devKeys map[string]pipeline.Key // hostname → parse-artifact key
+	texts   map[string]string                 // source texts (name → config), for Edit
+	files   map[string]pipeline.ParseArtifact // file name → parse artifact, for Edit
+	devKeys map[string]pipeline.Key           // hostname → parse-artifact key
 
 	opts dataplane.Options
 	// base is the data plane of the snapshot this one was edited from,
@@ -94,18 +95,14 @@ type memoKey struct {
 	hs  bdd.Ref
 }
 
-// DetectDialect guesses the configuration dialect from text: Junos
-// configurations are "set ..." command lists, IOS ones are hierarchical.
-func DetectDialect(text string) string { return pipeline.DetectDialect(text) }
-
 // LoadText parses a map of filename (or hostname) to configuration text
 // using the default shared pipeline.
 func LoadText(texts map[string]string) *Snapshot {
 	return LoadTextWith(defaultPipeline, texts)
 }
 
-// LoadTextWith parses texts with an explicit pipeline. Devices parse in
-// parallel; the resulting model is deterministic and ordered by name.
+// LoadTextWith parses texts with an explicit pipeline. The resulting
+// model is deterministic and ordered by name.
 func LoadTextWith(pl *pipeline.Pipeline, texts map[string]string) *Snapshot {
 	return LoadTextWithContext(context.Background(), pl, texts)
 }
@@ -125,13 +122,20 @@ func LoadTextWithContext(ctx context.Context, pl *pipeline.Pipeline, texts map[s
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	net, warns, devKeys, diags := pl.ParseCtx(ctx, texts)
 	own := make(map[string]string, len(texts))
 	for n, t := range texts {
 		own[n] = t
 	}
-	return &Snapshot{Net: net, Warnings: warns, pl: pl, texts: own, devKeys: devKeys,
-		parseDiags: diags, ctx: ctx}
+	return load(ctx, pl, own, nil)
+}
+
+// load parses texts, which the new snapshot keeps, reusing base's
+// artifacts for the files whose text they were parsed from (see
+// pipeline.ParseCtx).
+func load(ctx context.Context, pl *pipeline.Pipeline, texts map[string]string, base map[string]pipeline.ParseArtifact) *Snapshot {
+	r := pl.ParseCtx(ctx, texts, base)
+	return &Snapshot{Net: r.Net, Warnings: r.Warnings, pl: pl, texts: texts, files: r.Files,
+		devKeys: r.DevKeys, parseDiags: r.Diags, ctx: ctx}
 }
 
 // WithContext rebinds the context that governs the stages this snapshot
@@ -321,8 +325,9 @@ func LoadGeneratedWithContext(ctx context.Context, pl *pipeline.Pipeline, snap *
 // Edit derives a new snapshot by overlaying config changes (name → new
 // text; an empty string removes the device file). It is the config-edit
 // special case of Apply: the result shares this snapshot's pipeline and
-// options, so unchanged devices reuse their parsed models and the stages
-// below parse recompute under content-addressed keys. The edited snapshot
+// options; every file whose text is unchanged keeps this snapshot's
+// parsed model (the same pointer, with no parse), and the stages below
+// parse recompute under content-addressed keys. The edited snapshot
 // is independent of this one: its questions answer exactly as on a fresh
 // load of the merged texts. When this snapshot's data plane is already
 // computed and the pipeline caches, the edited data plane starts from it:

@@ -17,8 +17,7 @@ import (
 
 	"repro/internal/config"
 	"repro/internal/ip4"
-	"repro/internal/vendors/cisco"
-	"repro/internal/vendors/juniper"
+	"repro/internal/vendors"
 )
 
 // Dialect selects the emitted configuration language.
@@ -57,19 +56,13 @@ func (s *Snapshot) LoC() int {
 	return n
 }
 
-// Parse runs Stage 1 over all device texts.
+// Parse runs Stage 1 over all device texts through the parse stage's
+// dialect dispatch, without the pipeline's cache or fault points.
 func (s *Snapshot) Parse() (*config.Network, []config.Warning) {
 	net := config.NewNetwork()
 	var warns []config.Warning
 	for _, dt := range s.Devices {
-		var d *config.Device
-		var w []config.Warning
-		switch dt.Dialect {
-		case IOS:
-			d, w = cisco.Parse(dt.Text)
-		case Junos:
-			d, w = juniper.Parse(dt.Text)
-		}
+		d, w := vendors.Parse(dt.Hostname, dt.Text)
 		net.Devices[d.Hostname] = d
 		warns = append(warns, w...)
 	}

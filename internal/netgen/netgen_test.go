@@ -10,6 +10,7 @@ import (
 	"repro/internal/fwdgraph"
 	"repro/internal/reach"
 	"repro/internal/routing"
+	"repro/internal/vendors"
 )
 
 func TestCatalogSizes(t *testing.T) {
@@ -43,6 +44,15 @@ func TestGeneratedConfigsParseCleanly(t *testing.T) {
 			snap := sp.Gen()
 			if got := len(snap.Devices); got != sp.ExpectDevices {
 				t.Fatalf("generated %d devices, want %d", got, sp.ExpectDevices)
+			}
+			for _, dt := range snap.Devices {
+				want := "ios"
+				if dt.Dialect == Junos {
+					want = "junos"
+				}
+				if got := vendors.DetectDialect(dt.Text); got != want {
+					t.Errorf("%s: detected dialect %q, generated %q", dt.Hostname, got, want)
+				}
 			}
 			net, warns := snap.Parse()
 			for _, w := range warns {

@@ -29,7 +29,7 @@ func TestWarmRestartServesFromDisk(t *testing.T) {
 	texts := testTexts()
 
 	p1 := New(Config{Disk: openDisk(t, dir)})
-	net1, _, keys1 := p1.Parse(texts)
+	net1, keys1 := parse(p1, texts)
 	dp1, dpk1 := p1.DataPlane(net1, keys1, dataplane.Options{})
 	if dpk1.IsZero() {
 		t.Fatal("baseline run degraded")
@@ -37,7 +37,7 @@ func TestWarmRestartServesFromDisk(t *testing.T) {
 
 	// "Restart": fresh pipeline and memory store, same directory.
 	p2 := New(Config{Disk: openDisk(t, dir)})
-	net2, _, keys2 := p2.Parse(texts)
+	net2, keys2 := parse(p2, texts)
 	st := p2.Stats()
 	if st.Parse.DiskHits != 0 {
 		t.Errorf("parse disk hits = %d, want 0 (parse artifacts are memory-only)", st.Parse.DiskHits)
@@ -78,7 +78,7 @@ func TestOldDataPlaneArtifactRecomputes(t *testing.T) {
 	dir := t.TempDir()
 	texts := testTexts()
 	p1 := New(Config{Disk: openDisk(t, dir)})
-	net1, _, keys1 := p1.Parse(texts)
+	net1, keys1 := parse(p1, texts)
 	dp1, dpk := p1.DataPlane(net1, keys1, dataplane.Options{})
 	old, err := os.ReadFile("../dataplane/testdata/artifact_v2_figure2.gob")
 	if err != nil {
@@ -87,7 +87,7 @@ func TestOldDataPlaneArtifactRecomputes(t *testing.T) {
 	p1.disk.Put(dpk, old)
 
 	p2 := New(Config{Disk: openDisk(t, dir)})
-	net2, _, keys2 := p2.Parse(texts)
+	net2, keys2 := parse(p2, texts)
 	dp2, _ := p2.DataPlane(net2, keys2, dataplane.Options{})
 	if st := p2.Stats(); st.DataPlane.DiskHits != 0 || st.DataPlane.ColdRuns != 1 {
 		t.Errorf("old artifact was not a miss: %+v", st.DataPlane)
@@ -103,7 +103,7 @@ func TestOldDataPlaneArtifactRecomputes(t *testing.T) {
 func TestDegradedArtifactsNeverPersist(t *testing.T) {
 	dir := t.TempDir()
 	p := New(Config{Disk: openDisk(t, dir)})
-	net, _, keys := p.Parse(testTexts())
+	net, keys := parse(p, testTexts())
 	partial := map[string]Key{}
 	for n, k := range keys {
 		partial[n] = k
@@ -128,7 +128,7 @@ func TestEvictedDataPlaneRehydratesFromDisk(t *testing.T) {
 	dir := t.TempDir()
 	disk := openDisk(t, dir)
 	p := New(Config{StoreCapacity: 4, Disk: disk})
-	net, _, keys := p.Parse(testTexts())
+	net, keys := parse(p, testTexts())
 	dp, dpk := p.DataPlane(net, keys, dataplane.Options{})
 	if dpk.IsZero() || dp == nil {
 		t.Fatal("run degraded")

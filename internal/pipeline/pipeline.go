@@ -23,6 +23,10 @@
 // counts, which describe the work done, differ. The cold path
 // (Disabled(), and every store-less reference check) never splices.
 //
+// An edited snapshot parses only its changed files, on caching and
+// Disabled() pipelines alike: ParseCtx takes every other file's artifact,
+// model pointer included, from the snapshot it was edited from.
+//
 // A graph is stitched, on caching and Disabled() pipelines alike, when
 // the snapshot it is built for was derived from one whose graph was
 // already built: fwdgraph.Update takes every device fragment whose inputs
@@ -60,9 +64,6 @@ import (
 type Config struct {
 	// StoreCapacity bounds the artifact store (DefaultCapacity when 0).
 	StoreCapacity int
-	// ParseWorkers is the per-device parse parallelism; 0 means
-	// runtime.GOMAXPROCS(0), negative forces serial parsing.
-	ParseWorkers int
 	// Disk, when non-nil, adds a persistent second tier under the
 	// in-memory store for data-plane artifacts: lookups fall through
 	// memory → disk → compute, and computes write through to both tiers.
@@ -113,9 +114,8 @@ type Stats struct {
 // Pipeline runs the staged computation against one artifact store. The
 // zero value is not usable; construct with New or Disabled.
 type Pipeline struct {
-	store        *Store           // nil when caching is disabled
-	disk         *diskcache.Cache // nil when no persistent tier
-	parseWorkers int
+	store *Store           // nil when caching is disabled
+	disk  *diskcache.Cache // nil when no persistent tier
 
 	encMu sync.Mutex
 	enc   *hdr.Enc // lazily created, shared by all graphs of this Pipeline
@@ -129,7 +129,7 @@ type Pipeline struct {
 
 // New returns a caching Pipeline.
 func New(cfg Config) *Pipeline {
-	return &Pipeline{store: NewStore(cfg.StoreCapacity), parseWorkers: cfg.ParseWorkers, disk: cfg.Disk}
+	return &Pipeline{store: NewStore(cfg.StoreCapacity), disk: cfg.Disk}
 }
 
 // Disabled returns a Pipeline with no artifact store: every stage

@@ -1,9 +1,10 @@
 package pipeline
 
 import (
-	"fmt"
+	"context"
 	"testing"
 
+	"repro/internal/config"
 	"repro/internal/dataplane"
 	"repro/internal/ip4"
 )
@@ -55,6 +56,12 @@ func TestKeyOfSeparatesSections(t *testing.T) {
 	}
 }
 
+// parse runs the parse stage with no context or base artifacts.
+func parse(p *Pipeline, texts map[string]string) (*config.Network, map[string]Key) {
+	r := p.ParseCtx(context.Background(), texts, nil)
+	return r.Net, r.DevKeys
+}
+
 func testTexts() map[string]string {
 	return map[string]string{
 		"a.cfg": "hostname a\ninterface e0\n ip address 10.0.0.1 255.255.255.252\n ip ospf area 0\nrouter ospf 1\n",
@@ -66,12 +73,12 @@ func TestIdenticalSnapshotsDedupeAllStages(t *testing.T) {
 	p := New(Config{})
 	texts := testTexts()
 
-	net1, _, keys1 := p.Parse(texts)
+	net1, keys1 := parse(p, texts)
 	dp1, dpk1 := p.DataPlane(net1, keys1, dataplane.Options{})
 	g1, gk1 := p.Graph(dp1, dpk1)
 	a1, _ := p.Analysis(g1, gk1)
 
-	net2, _, keys2 := p.Parse(texts)
+	net2, keys2 := parse(p, texts)
 	dp2, dpk2 := p.DataPlane(net2, keys2, dataplane.Options{})
 	g2, gk2 := p.Graph(dp2, dpk2)
 	a2, _ := p.Analysis(g2, gk2)
@@ -112,11 +119,11 @@ func TestIdenticalSnapshotsDedupeAllStages(t *testing.T) {
 func TestSharedConfigsReuseParsedModels(t *testing.T) {
 	p := New(Config{})
 	texts := testTexts()
-	net1, _, keys1 := p.Parse(texts)
+	net1, keys1 := parse(p, texts)
 
 	changed := testTexts()
 	changed["b.cfg"] += "ip route 192.0.2.0 255.255.255.0 Null0\n"
-	net2, _, keys2 := p.Parse(changed)
+	net2, keys2 := parse(p, changed)
 
 	if keys1["a"] != keys2["a"] {
 		t.Error("unchanged device got a new key")
@@ -132,38 +139,9 @@ func TestSharedConfigsReuseParsedModels(t *testing.T) {
 	}
 }
 
-func TestParallelParseDeterminism(t *testing.T) {
-	texts := make(map[string]string)
-	for i := 0; i < 40; i++ {
-		texts[fmt.Sprintf("r%02d.cfg", i)] = fmt.Sprintf(
-			"hostname r%02d\ninterface e0\n ip address 10.0.%d.1 255.255.255.0\n", i, i)
-	}
-	serial := New(Config{ParseWorkers: -1})
-	parallel := New(Config{ParseWorkers: 8})
-	netS, warnS, keysS := serial.Parse(texts)
-	netP, warnP, keysP := parallel.Parse(texts)
-	if len(netS.Devices) != 40 || len(netP.Devices) != 40 {
-		t.Fatalf("device counts: %d vs %d", len(netS.Devices), len(netP.Devices))
-	}
-	nsS, nsP := netS.DeviceNames(), netP.DeviceNames()
-	for i := range nsS {
-		if nsS[i] != nsP[i] {
-			t.Fatalf("device order differs at %d: %s vs %s", i, nsS[i], nsP[i])
-		}
-	}
-	if len(warnS) != len(warnP) {
-		t.Errorf("warning counts differ: %d vs %d", len(warnS), len(warnP))
-	}
-	for n, k := range keysS {
-		if keysP[n] != k {
-			t.Errorf("key for %s differs across worker counts", n)
-		}
-	}
-}
-
 func TestDataPlaneKeyIgnoresParallelism(t *testing.T) {
 	p := New(Config{})
-	net, _, keys := p.Parse(testTexts())
+	net, keys := parse(p, testTexts())
 	k1 := DataPlaneKey(net, keys, dataplane.Options{Parallelism: 1})
 	k8 := DataPlaneKey(net, keys, dataplane.Options{Parallelism: 8})
 	if k1 != k8 {
@@ -184,8 +162,8 @@ func TestDisabledPipelineNeverCaches(t *testing.T) {
 		t.Fatal("Disabled() reports enabled")
 	}
 	texts := testTexts()
-	net1, _, _ := p.Parse(texts)
-	net2, _, _ := p.Parse(texts)
+	net1, _ := parse(p, texts)
+	net2, _ := parse(p, texts)
 	if net1.Devices["a"] == net2.Devices["a"] {
 		t.Error("disabled pipeline reused a parsed model")
 	}
@@ -213,7 +191,7 @@ func TestDisabledPipelineNeverCaches(t *testing.T) {
 
 func TestDataPlaneKeySuppression(t *testing.T) {
 	p := New(Config{})
-	net, _, keys := p.Parse(testTexts())
+	net, keys := parse(p, testTexts())
 	base := DataPlaneKey(net, keys, dataplane.Options{})
 	// An empty suppression must leave the key byte-identical: pre-scenario
 	// caches (memory and disk) stay valid across this change.
@@ -241,7 +219,7 @@ func TestDataPlaneKeyScope(t *testing.T) {
 		t.Errorf("unscoped options key %q, want %q", got, want)
 	}
 	p := New(Config{})
-	net, _, keys := p.Parse(testTexts())
+	net, keys := parse(p, testTexts())
 	key := func(q ...string) Key {
 		var s dataplane.Scope
 		for _, x := range q {

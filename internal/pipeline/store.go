@@ -52,8 +52,9 @@ type StoreStats struct {
 //
 // Parse artifacts live here, one per device, even though parsing is
 // cheap: a hit hands back the very *config.Device an earlier snapshot
-// parsed from the same bytes, which is how snapshots share unchanged
-// device models by pointer (edits and failure scenarios rely on that).
+// parsed from the same bytes, which is how independently loaded
+// snapshots share device models by pointer (an edit takes its unchanged
+// models from its base instead, and still looks each one up here).
 // Capacity counts entries of every stage alike, so those per-device
 // entries take up slots; callers size the store with them in mind.
 type Store struct {
