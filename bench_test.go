@@ -218,7 +218,8 @@ func BenchmarkFigure3(b *testing.B) {
 		dp := dataplane.Run(net1Mini(), dataplane.Options{})
 		for i := 0; i < b.N; i++ {
 			a := reach.New(fwdgraph.New(dp))
-			_ = a.MultipathConsistency(context.Background(), bdd.True)
+			ap, _ := a.AllPairs(context.Background())
+			_ = a.MultipathConsistency(context.Background(), ap, bdd.True)
 		}
 	})
 }

@@ -34,7 +34,7 @@
 // equivalence classes, and run the survivors across a worker pool:
 //
 //	batfish -snapshot DIR -sweep [-k 1|2] [-fail links,nodes,sessions]
-//	        [-sweep-dst CIDR[,CIDR]] [-sweep-src DEV[/IFACE],...]
+//	        [-sweep-dst CIDR[,CIDR]] [-sweep-src DEV/IFACE,...]
 //	        [-sweep-workers N]
 //
 // In -sweep mode the exit code is the number of scenarios that regress a
@@ -64,6 +64,7 @@ import (
 	"repro/internal/netgen"
 	"repro/internal/pipeline"
 	"repro/internal/reach"
+	"repro/internal/server"
 	"repro/internal/sweep"
 	"repro/internal/testnet"
 )
@@ -98,7 +99,7 @@ func main() {
 		sweepFail = flag.String("fail", "links,nodes", "failure kinds to sweep: comma list of links,nodes,sessions")
 		sweepWrk  = flag.Int("sweep-workers", 0, "sweep worker count (0 = GOMAXPROCS)")
 		sweepDst  = flag.String("sweep-dst", "", "monitored destination prefixes, comma-separated CIDRs (default: all)")
-		sweepSrc  = flag.String("sweep-src", "", "monitored sources as DEV or DEV/IFACE, comma-separated (default: host-facing)")
+		sweepSrc  = flag.String("sweep-src", "", "monitored sources as DEV/IFACE, comma-separated (default: host-facing)")
 		cpuProf   = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProf   = flag.String("memprofile", "", "write a heap profile to this file at exit")
 	)
@@ -253,18 +254,7 @@ func runQuestion(ctx context.Context, dir, q, node, iface, src, dst string, dpor
 			fmt.Println(rt)
 		}
 	case "reachability":
-		for _, r := range snap.Reachability(batfish.ReachabilityParams{}) {
-			fmt.Printf("%s/%s:\n", r.Source.Device, r.Source.Iface)
-			if r.HasPositive {
-				fmt.Printf("  delivered example: %v\n", r.PositiveExample)
-			}
-			if r.HasNegative {
-				fmt.Printf("  failed example:    %v\n", r.NegativeExample)
-				for _, t := range r.Traces {
-					fmt.Println("  " + strings.ReplaceAll(t.String(), "\n", "\n  "))
-				}
-			}
-		}
+		fmt.Print(server.RenderFlows(snap.Reachability(batfish.ReachabilityParams{})))
 	case "loops":
 		loops := snap.DetectLoops()
 		if len(loops) == 0 {

@@ -158,7 +158,7 @@ func TestReachabilityNATFallsBack(t *testing.T) {
 	if ds := s.Diags(); len(ds) > 0 {
 		t.Fatalf("the shared pass was attempted on a NAT graph: %s", diag.Summary(ds))
 	}
-	if !s.Graph().HasTransforms() {
+	if s.Analysis().AllPairsExact() {
 		t.Fatal("the graph has no NAT edge")
 	}
 	ref := &Snapshot{Net: natLAN()}
@@ -373,7 +373,7 @@ func TestCompareWithSharedMatchesPerSource(t *testing.T) {
 			t.Fatalf("fw renders NAT %+v and zones %+v, want %+v and %+v",
 				got.NATRules, got.ZonePolicies, want.NATRules, want.ZonePolicies)
 		}
-		if !base.Graph().HasTransforms() {
+		if base.Analysis().AllPairsExact() {
 			t.Fatal("the graph has no NAT edge")
 		}
 		restore := faults.Activate(faults.New().Enable("question", allPairsScope, faults.Rule{Kind: faults.Panic}))

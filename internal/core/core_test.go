@@ -264,6 +264,31 @@ func TestServiceReachable(t *testing.T) {
 	}
 }
 
+// TestUnknownSourceYieldsNoRow: a source or client the snapshot does not
+// have (an unknown device, or an unknown interface of a known one) yields
+// no row and no diagnostic, and a known source beside it answers as it
+// does alone.
+func TestUnknownSourceYieldsNoRow(t *testing.T) {
+	s := sample(t)
+	known := reach.SourceLoc{Device: "r1", Iface: "lan0"}
+	unknown := []reach.SourceLoc{{Device: "nope", Iface: "eth0"}, {Device: "r1", Iface: "nope"}}
+	want := s.Reachability(ReachabilityParams{Sources: []reach.SourceLoc{known}})
+	if len(want) != 1 {
+		t.Fatalf("%d rows for %v alone, want 1", len(want), known)
+	}
+	got := s.Reachability(ReachabilityParams{Sources: append(unknown, known)})
+	if len(got) != 1 || got[0].Source != known || got[0].Delivered != want[0].Delivered {
+		t.Errorf("with unknown sources: %d rows, want only %v's", len(got), known)
+	}
+	svc := ServiceSpec{DstIPs: []ip4.Prefix{ip4.MustParsePrefix("192.168.2.0/24")}, Port: 80, Clients: unknown}
+	if rs := s.ServiceReachable(svc); len(rs) != 0 {
+		t.Errorf("unknown clients: %d rows, want none", len(rs))
+	}
+	if ds := s.Diags(); len(ds) > 0 {
+		t.Errorf("unknown sources left diagnostics: %v", ds)
+	}
+}
+
 func TestServiceProtectedFindsExposure(t *testing.T) {
 	// Protect r2's LAN web service, allowing only r1's LAN as a client.
 	// Every other source location that can deliver is an exposure —

@@ -237,18 +237,18 @@ type ReachabilityParams struct {
 //
 // With the default sources, every source's sink sets are read off one
 // backward pass per sink kind (reach.AllPairs) instead of one forward
-// pass per source; see allPairs for when the forward path stays.
+// pass per source; sharedPasses decides when. A source the snapshot does
+// not have yields no row.
 //
 // Sources are independently guarded: a panic or budget trip while
 // analyzing one source records a question-stage diagnostic naming that
 // source's device and the remaining sources still produce results.
 func (s *Snapshot) Reachability(params ReachabilityParams) []FlowResult {
 	sources := params.Sources
-	var ap *reach.AllPairs
 	if len(sources) == 0 {
 		sources = s.HostFacing()
-		ap = s.allPairs()
 	}
+	ap := s.sharedPasses(s.context(), nil, bdd.True, len(params.Sources) > 0)
 	var out []FlowResult
 	for _, src := range sources {
 		var fr FlowResult
@@ -268,24 +268,24 @@ func (s *Snapshot) Reachability(params ReachabilityParams) []FlowResult {
 // allPairsScope is the question-stage scope of the shared all-pairs pass.
 const allPairsScope = "all-pairs"
 
-// allPairs returns the analysis's shared backward passes, or nil when the
-// question is answered one forward pass per source: on a snapshot with a
-// BDD node budget, so that a budget trip costs one source and not the
-// question, and in the cases sharedPasses lists.
-func (s *Snapshot) allPairs() *reach.AllPairs {
-	if s.bddBudget > 0 {
+// sharedPasses decides where a question's sink sets come from (DESIGN §4,
+// "Stage 3 questions"): an's shared backward passes within h (see
+// reach.AllPairsWithin), or, returned as nil, one forward pass per
+// source. It is per source when the caller says so (perSource: the
+// question names its sources, or a compare's candidate has a BDD node
+// budget), when s has a BDD node budget, so that a budget trip costs one
+// source and not the question, on a graph with NAT (see
+// reach.Analysis.AllPairsExact), and when the shared pass fails or ctx
+// expires, which records its diagnostic on s. A nil an is s's own
+// analysis, built only when the passes are attempted.
+func (s *Snapshot) sharedPasses(ctx context.Context, an *reach.Analysis, h bdd.Ref, perSource bool) (ap *reach.AllPairs) {
+	if perSource || s.bddBudget > 0 {
 		return nil
 	}
-	return s.sharedPasses(s.context(), s.Analysis(), bdd.True)
-}
-
-// sharedPasses returns an's shared backward passes within h (see
-// reach.AllPairsWithin) run under ctx, or nil on graphs with NAT, whose
-// backward sets are pre-images rather than the post-transform sets a
-// forward pass reports, and when the pass fails or the deadline expires,
-// which records its diagnostic on s.
-func (s *Snapshot) sharedPasses(ctx context.Context, an *reach.Analysis, h bdd.Ref) (ap *reach.AllPairs) {
-	if an.G.HasTransforms() {
+	if an == nil {
+		an = s.analysis(ctx)
+	}
+	if !an.AllPairsExact() {
 		return nil
 	}
 	s.guardQuestion(allPairsScope, func() {
@@ -303,7 +303,7 @@ func (s *Snapshot) sinkSetsFor(src reach.SourceLoc, hs bdd.Ref, ap *reach.AllPai
 		return v, true
 	}
 	ctx := s.context()
-	sinks, ok := sinksOf(ctx, s.Analysis(), ap, src, hs)
+	sinks, ok := s.Analysis().SinksOf(ctx, ap, src, hs)
 	if !ok || s.cut(ctx) {
 		return sinks, ok
 	}
@@ -314,44 +314,51 @@ func (s *Snapshot) sinkSetsFor(src reach.SourceLoc, hs bdd.Ref, ap *reach.AllPai
 	return sinks, true
 }
 
-// sinksOf reads src's sink sets over hs off ap when it is non-nil, else
-// runs one forward pass of an from src under ctx.
-func sinksOf(ctx context.Context, an *reach.Analysis, ap *reach.AllPairs, src reach.SourceLoc, hs bdd.Ref) (map[string]bdd.Ref, bool) {
-	if ap != nil {
-		return ap.Sinks(src, hs)
+// iface returns src's interface, or nil when the snapshot has no such
+// device or interface.
+func (s *Snapshot) iface(src reach.SourceLoc) *config.Interface {
+	if d := s.Net.Devices[src.Device]; d != nil {
+		return d.Interfaces[src.Iface]
 	}
-	res, ok := an.Reachability(ctx, src, hs)
-	return res.Sinks, ok
+	return nil
+}
+
+// sourceScope returns the default source-IP constraint for packets
+// injected at src (§4.4.2: "limit the set of source and destination IPs
+// to those that can likely originate at those interfaces"): the
+// interface's subnets minus its own addresses, or True for a source with
+// no subnet or none the snapshot has.
+func (s *Snapshot) sourceScope(enc *hdr.Enc, src reach.SourceLoc) bdd.Ref {
+	i := s.iface(src)
+	if i == nil {
+		return bdd.True
+	}
+	f := enc.F
+	scope := bdd.False
+	for _, p := range i.Addresses {
+		if p.Len < 32 {
+			scope = f.Or(scope, enc.Prefix(hdr.SrcIP, p))
+		}
+	}
+	if scope == bdd.False {
+		return bdd.True
+	}
+	for _, p := range i.Addresses {
+		scope = f.Diff(scope, enc.FieldEq(hdr.SrcIP, uint32(p.Addr)))
+	}
+	return scope
 }
 
 // reachOne answers the reachability question for a single source, from
 // the shared passes when ap is non-nil.
 func (s *Snapshot) reachOne(src reach.SourceLoc, params ReachabilityParams, ap *reach.AllPairs) (FlowResult, bool) {
-	an := s.Analysis()
-	enc := an.Enc
+	enc := s.Analysis().Enc
 	f := enc.F
 	hs := params.Headers
 	if hs == 0 {
 		hs = bdd.True
 	}
-	// Default source-IP scope: the source interface's subnet minus the
-	// gateway itself (§4.4.2 "limit the set of source and destination
-	// IPs to those that can likely originate at those interfaces").
-	d := s.Net.Devices[src.Device]
-	if i, ok := d.Interfaces[src.Iface]; ok {
-		srcScope := bdd.False
-		for _, p := range i.Addresses {
-			if p.Len < 32 {
-				srcScope = f.Or(srcScope, enc.Prefix(hdr.SrcIP, p))
-			}
-		}
-		if srcScope != bdd.False {
-			for _, p := range i.Addresses {
-				srcScope = f.Diff(srcScope, enc.FieldEq(hdr.SrcIP, uint32(p.Addr)))
-			}
-			hs = f.And(hs, srcScope)
-		}
-	}
+	hs = f.And(hs, s.sourceScope(enc, src))
 	for _, dst := range params.DstIPs {
 		hs = f.And(hs, enc.Prefix(hdr.DstIP, dst))
 	}
@@ -376,7 +383,7 @@ func (s *Snapshot) reachOne(src reach.SourceLoc, params ReachabilityParams, ap *
 	if p, ok := enc.PickPacket(failure, prefs...); ok {
 		fr.NegativeExample, fr.HasNegative = p, true
 		vrf := config.DefaultVRF
-		if i, ok := d.Interfaces[src.Iface]; ok {
+		if i := s.iface(src); i != nil {
 			vrf = i.VRFOrDefault()
 		}
 		fr.Traces = s.Traceroute().Run(src.Device, vrf, src.Iface, p)
@@ -386,11 +393,13 @@ func (s *Snapshot) reachOne(src reach.SourceLoc, params ReachabilityParams, ap *
 
 // MultipathConsistency runs the paper's benchmark verification query
 // (§6.1) over the default header space, reading the same shared passes as
-// Reachability when the graph has no NAT. A panic or budget trip inside
-// the query becomes a question-stage diagnostic and nil violations.
+// Reachability where sharedPasses allows them. A panic or budget trip
+// inside the query becomes a question-stage diagnostic and nil
+// violations.
 func (s *Snapshot) MultipathConsistency() (out []reach.MultipathViolation) {
+	ctx := s.context()
 	s.guardQuestion("multipath-consistency", func() {
-		out = s.Analysis().MultipathConsistency(s.context(), bdd.True)
+		out = s.Analysis().MultipathConsistency(ctx, s.sharedPasses(ctx, nil, bdd.True, false), bdd.True)
 	})
 	return out
 }
@@ -410,11 +419,10 @@ type DifferentialFlows struct {
 // snapshots are analyzed with the same BDD encoder so the sets are
 // directly comparable: snapshots of one pipeline use their own
 // analyses, others a fresh pair built on this snapshot's encoder. Each
-// source's sink sets come from the analyses' shared backward passes,
-// under the rules Reachability follows with its default sources. This
-// snapshot's context governs the whole comparison: the candidate's data
-// plane, graph and analysis are built, and both snapshots' fixed points
-// run, under it.
+// source's sink sets come from the analyses' shared backward passes
+// where sharedPasses allows them. This snapshot's context governs the
+// whole comparison: the candidate's data plane, graph and analysis are
+// built, and both snapshots' fixed points run, under it.
 //
 // Only the headers the edit can change are diffed: outside the graphs'
 // Delta every packet is forwarded alike, so each source's sink sets are
@@ -447,10 +455,8 @@ func (s *Snapshot) compareWith(after *Snapshot) []DifferentialFlows {
 	if h == bdd.False {
 		return nil
 	}
-	var ap1, ap2 *reach.AllPairs
-	if s.bddBudget == 0 && after.bddBudget == 0 {
-		ap1, ap2 = s.sharedPasses(ctx, a1, bdd.True), s.sharedPasses(ctx, a2, h)
-	}
+	perSource := after.bddBudget > 0
+	ap1, ap2 := s.sharedPasses(ctx, a1, bdd.True, perSource), s.sharedPasses(ctx, a2, h, perSource)
 	return diffFlows(ctx, a1, a2, ap1, ap2, h)
 }
 
@@ -462,8 +468,8 @@ func diffFlows(ctx context.Context, a1, a2 *reach.Analysis, ap1, ap2 *reach.AllP
 	f := enc.F
 	var out []DifferentialFlows
 	for _, src := range a1.Sources() {
-		k1, ok1 := sinksOf(ctx, a1, ap1, src, h)
-		k2, ok2 := sinksOf(ctx, a2, ap2, src, h)
+		k1, ok1 := a1.SinksOf(ctx, ap1, src, h)
+		k2, ok2 := a2.SinksOf(ctx, ap2, src, h)
 		if !ok1 || !ok2 {
 			continue
 		}

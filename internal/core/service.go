@@ -74,7 +74,7 @@ func (s *Snapshot) serviceReachable(spec ServiceSpec) []ServiceReachableResult {
 	base := spec.headerSpace(an)
 	var out []ServiceReachableResult
 	for _, c := range clients {
-		hs := f.And(base, s.sourceScope(c))
+		hs := f.And(base, s.sourceScope(enc, c))
 		sinks, ok := s.sinkSetsFor(c, hs, nil)
 		if !ok {
 			continue
@@ -140,32 +140,4 @@ func (s *Snapshot) serviceProtected(spec ServiceSpec) []ServiceExposure {
 		out = append(out, ServiceExposure{From: src, Packets: success, Example: ex})
 	}
 	return out
-}
-
-// sourceScope returns the default source-IP constraint for a client
-// location (§4.4.2).
-func (s *Snapshot) sourceScope(c reach.SourceLoc) bdd.Ref {
-	enc := s.Analysis().Enc
-	f := enc.F
-	d := s.Net.Devices[c.Device]
-	if d == nil {
-		return bdd.True
-	}
-	i, ok := d.Interfaces[c.Iface]
-	if !ok {
-		return bdd.True
-	}
-	scope := bdd.False
-	for _, p := range i.Addresses {
-		if p.Len < 32 {
-			scope = f.Or(scope, enc.Prefix(hdr.SrcIP, p))
-		}
-	}
-	if scope == bdd.False {
-		return bdd.True
-	}
-	for _, p := range i.Addresses {
-		scope = f.Diff(scope, enc.FieldEq(hdr.SrcIP, uint32(p.Addr)))
-	}
-	return scope
 }

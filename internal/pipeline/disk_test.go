@@ -1,6 +1,7 @@
 package pipeline
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"sync"
@@ -30,7 +31,7 @@ func TestWarmRestartServesFromDisk(t *testing.T) {
 
 	p1 := New(Config{Disk: openDisk(t, dir)})
 	net1, keys1 := parse(p1, texts)
-	dp1, dpk1 := p1.DataPlane(net1, keys1, dataplane.Options{})
+	dp1, dpk1 := p1.DataPlaneCtx(context.Background(), net1, keys1, dataplane.Options{}, nil)
 	if dpk1.IsZero() {
 		t.Fatal("baseline run degraded")
 	}
@@ -42,7 +43,7 @@ func TestWarmRestartServesFromDisk(t *testing.T) {
 	if st.Parse.DiskHits != 0 {
 		t.Errorf("parse disk hits = %d, want 0 (parse artifacts are memory-only)", st.Parse.DiskHits)
 	}
-	dp2, dpk2 := p2.DataPlane(net2, keys2, dataplane.Options{})
+	dp2, dpk2 := p2.DataPlaneCtx(context.Background(), net2, keys2, dataplane.Options{}, nil)
 	st = p2.Stats()
 	if st.DataPlane.DiskHits != 1 {
 		t.Errorf("dataplane disk hits = %d, want 1", st.DataPlane.DiskHits)
@@ -66,7 +67,7 @@ func TestWarmRestartServesFromDisk(t *testing.T) {
 	if _, ok := p2.store.Get(dpk2); !ok {
 		t.Error("rehydrated artifact was not promoted to memory")
 	}
-	_, _ = p2.DataPlane(net2, keys2, dataplane.Options{})
+	_, _ = p2.DataPlaneCtx(context.Background(), net2, keys2, dataplane.Options{}, nil)
 	if p2.DiskStats().Hits != before {
 		t.Error("memory-resident artifact read disk again")
 	}
@@ -79,7 +80,7 @@ func TestOldDataPlaneArtifactRecomputes(t *testing.T) {
 	texts := testTexts()
 	p1 := New(Config{Disk: openDisk(t, dir)})
 	net1, keys1 := parse(p1, texts)
-	dp1, dpk := p1.DataPlane(net1, keys1, dataplane.Options{})
+	dp1, dpk := p1.DataPlaneCtx(context.Background(), net1, keys1, dataplane.Options{}, nil)
 	old, err := os.ReadFile("../dataplane/testdata/artifact_v2_figure2.gob")
 	if err != nil {
 		t.Fatal(err)
@@ -88,7 +89,7 @@ func TestOldDataPlaneArtifactRecomputes(t *testing.T) {
 
 	p2 := New(Config{Disk: openDisk(t, dir)})
 	net2, keys2 := parse(p2, texts)
-	dp2, _ := p2.DataPlane(net2, keys2, dataplane.Options{})
+	dp2, _ := p2.DataPlaneCtx(context.Background(), net2, keys2, dataplane.Options{}, nil)
 	if st := p2.Stats(); st.DataPlane.DiskHits != 0 || st.DataPlane.ColdRuns != 1 {
 		t.Errorf("old artifact was not a miss: %+v", st.DataPlane)
 	}
@@ -112,7 +113,7 @@ func TestDegradedArtifactsNeverPersist(t *testing.T) {
 	if k := DataPlaneKey(net, partial, dataplane.Options{}); !k.IsZero() {
 		t.Fatal("partial key set should map to the zero key")
 	}
-	if _, k := p.DataPlane(net, partial, dataplane.Options{}); !k.IsZero() {
+	if _, k := p.DataPlaneCtx(context.Background(), net, partial, dataplane.Options{}, nil); !k.IsZero() {
 		t.Fatal("data plane over a partial key set returned a key")
 	}
 	if st := p.DiskStats(); st.Puts != 0 || st.Entries != 0 {
@@ -129,7 +130,7 @@ func TestEvictedDataPlaneRehydratesFromDisk(t *testing.T) {
 	disk := openDisk(t, dir)
 	p := New(Config{StoreCapacity: 4, Disk: disk})
 	net, keys := parse(p, testTexts())
-	dp, dpk := p.DataPlane(net, keys, dataplane.Options{})
+	dp, dpk := p.DataPlaneCtx(context.Background(), net, keys, dataplane.Options{}, nil)
 	if dpk.IsZero() || dp == nil {
 		t.Fatal("run degraded")
 	}
@@ -140,7 +141,7 @@ func TestEvictedDataPlaneRehydratesFromDisk(t *testing.T) {
 	if _, ok := p.store.Get(dpk); ok {
 		t.Fatal("data-plane artifact still in memory after filling the store")
 	}
-	dp2, dpk2 := p.DataPlane(net, keys, dataplane.Options{})
+	dp2, dpk2 := p.DataPlaneCtx(context.Background(), net, keys, dataplane.Options{}, nil)
 	st := p.Stats()
 	if dpk2 != dpk || st.DataPlane.DiskHits != 1 || st.DataPlane.ColdRuns != 1 {
 		t.Errorf("evicted data plane not served from disk: %+v", st.DataPlane)

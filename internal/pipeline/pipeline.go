@@ -213,13 +213,8 @@ func DataPlaneKey(net *config.Network, devKeys map[string]Key, opts dataplane.Op
 	return keyOf(sections...)
 }
 
-// DataPlane runs (or reuses) the simulation stage.
-func (p *Pipeline) DataPlane(net *config.Network, devKeys map[string]Key, opts dataplane.Options) (*dataplane.Result, Key) {
-	return p.DataPlaneCtx(context.Background(), net, devKeys, opts, nil)
-}
-
-// DataPlaneCtx is DataPlane with cooperative cancellation and an optional
-// base: the data plane of the network net was edited from, computed under
+// DataPlaneCtx runs (or reuses) the simulation stage under ctx, with
+// cooperative cancellation and an optional base: the data plane of the network net was edited from, computed under
 // opts' simulation options. On a caching pipeline, after a store and a
 // disk miss, a non-nil base is first handed to dataplane.Update, and the
 // cold run happens only when Update declines. A Disabled() pipeline
@@ -271,14 +266,10 @@ func (p *Pipeline) DataPlaneCtx(ctx context.Context, net *config.Network, devKey
 	return res, k
 }
 
-// Graph builds (or reuses) the forwarding graph for a data plane on the
-// Pipeline's shared encoder.
-func (p *Pipeline) Graph(dp *dataplane.Result, dpKey Key) (*fwdgraph.Graph, Key) {
-	return p.GraphCtx(context.Background(), dp, dpKey, nil)
-}
-
-// GraphCtx is Graph with cooperative cancellation and an optional base:
-// the graph of the snapshot dp's snapshot was derived from. After a store
+// GraphCtx builds (or reuses) the forwarding graph for a data plane on
+// the Pipeline's shared encoder under ctx, with cooperative cancellation
+// and an optional base: the graph of the snapshot dp's snapshot was
+// derived from. After a store
 // miss the graph is built by fwdgraph.Update, which stitches it from
 // base's fragments for every device whose inputs are unchanged, on
 // caching and Disabled() pipelines alike (reuse is exact, so a stitched

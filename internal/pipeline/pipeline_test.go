@@ -74,13 +74,13 @@ func TestIdenticalSnapshotsDedupeAllStages(t *testing.T) {
 	texts := testTexts()
 
 	net1, keys1 := parse(p, texts)
-	dp1, dpk1 := p.DataPlane(net1, keys1, dataplane.Options{})
-	g1, gk1 := p.Graph(dp1, dpk1)
+	dp1, dpk1 := p.DataPlaneCtx(context.Background(), net1, keys1, dataplane.Options{}, nil)
+	g1, gk1 := p.GraphCtx(context.Background(), dp1, dpk1, nil)
 	a1, _ := p.Analysis(g1, gk1)
 
 	net2, keys2 := parse(p, texts)
-	dp2, dpk2 := p.DataPlane(net2, keys2, dataplane.Options{})
-	g2, gk2 := p.Graph(dp2, dpk2)
+	dp2, dpk2 := p.DataPlaneCtx(context.Background(), net2, keys2, dataplane.Options{}, nil)
+	g2, gk2 := p.GraphCtx(context.Background(), dp2, dpk2, nil)
 	a2, _ := p.Analysis(g2, gk2)
 
 	for name, k := range keys1 {
@@ -167,12 +167,12 @@ func TestDisabledPipelineNeverCaches(t *testing.T) {
 	if net1.Devices["a"] == net2.Devices["a"] {
 		t.Error("disabled pipeline reused a parsed model")
 	}
-	dp1, k := p.DataPlane(net1, nil, dataplane.Options{})
+	dp1, k := p.DataPlaneCtx(context.Background(), net1, nil, dataplane.Options{}, nil)
 	if !k.IsZero() {
 		t.Error("disabled pipeline issued a dp key")
 	}
-	g1, _ := p.Graph(dp1, k)
-	g2, _ := p.Graph(dp1, k)
+	g1, _ := p.GraphCtx(context.Background(), dp1, k, nil)
+	g2, _ := p.GraphCtx(context.Background(), dp1, k, nil)
 	if g1 == g2 {
 		t.Error("disabled pipeline reused a graph")
 	}
@@ -181,7 +181,7 @@ func TestDisabledPipelineNeverCaches(t *testing.T) {
 	if g1.Enc != g2.Enc {
 		t.Error("graphs of one disabled pipeline must share its encoder")
 	}
-	if g3, _ := Disabled().Graph(dp1, k); g3.Enc == g1.Enc {
+	if g3, _ := Disabled().GraphCtx(context.Background(), dp1, k, nil); g3.Enc == g1.Enc {
 		t.Error("two disabled pipelines share an encoder")
 	}
 	if st := p.Stats().Store; st != (StoreStats{}) {

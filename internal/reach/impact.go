@@ -28,10 +28,7 @@ import (
 func ImpactCone(g *fwdgraph.Graph, sources map[SourceLoc]bdd.Ref) map[string]bdd.Ref {
 	a := NewWithOptions(g, Options{Compress: false})
 	f := a.Enc.F
-	ext := bdd.True
-	if a.Enc.L.ExtBits() > 0 {
-		ext = a.Enc.ExtEq(0, a.Enc.L.ExtBits(), 0)
-	}
+	ext := a.ext0()
 	start := make(map[int]bdd.Ref)
 	for id := range a.G.Nodes {
 		n := a.G.Nodes[id]

@@ -78,10 +78,7 @@ func (a *Analysis) DestReachability(ctx context.Context, dstDevice string, hs bd
 	sets := a.Backward(ctx, map[int]bdd.Ref{sinkID: hs})
 	out := make(map[SourceLoc]bdd.Ref)
 	f := a.Enc.F
-	ext := bdd.True
-	if a.Enc.L.ExtBits() > 0 {
-		ext = a.Enc.ExtEq(0, a.Enc.L.ExtBits(), 0)
-	}
+	ext := a.ext0()
 	for id, set := range sets {
 		n := a.G.Nodes[id]
 		if n.Kind != fwdgraph.KindSource || set == bdd.False {
@@ -128,20 +125,14 @@ type MultipathViolation struct {
 
 // MultipathConsistency checks every source location: a violation exists if
 // some packet from that source can reach both a success sink and a failure
-// sink (multipath divergence). The sink sets come from AllPairs when the
-// graph allows it, else from one forward pass per source.
-func (a *Analysis) MultipathConsistency(ctx context.Context, hs bdd.Ref) []MultipathViolation {
+// sink (multipath divergence). The sink sets are read off ap, the shared
+// passes, when it is non-nil, else from one forward pass per source (see
+// SinksOf); the caller chooses.
+func (a *Analysis) MultipathConsistency(ctx context.Context, ap *AllPairs, hs bdd.Ref) []MultipathViolation {
 	f := a.Enc.F
-	sinksOf := func(src SourceLoc) (map[string]bdd.Ref, bool) {
-		res, ok := a.Reachability(ctx, src, hs)
-		return res.Sinks, ok
-	}
-	if ap, ok := a.AllPairs(ctx); ok {
-		sinksOf = func(src SourceLoc) (map[string]bdd.Ref, bool) { return ap.Sinks(src, hs) }
-	}
 	var out []MultipathViolation
 	for _, src := range a.Sources() {
-		sinks, ok := sinksOf(src)
+		sinks, ok := a.SinksOf(ctx, ap, src, hs)
 		if !ok {
 			continue
 		}
@@ -256,10 +247,7 @@ func (a *Analysis) Bidirectional(ctx context.Context, src SourceLoc, dstDevice s
 	}
 
 	// Return pass: swapped flows injected at the destination device.
-	ret := a.Enc.SwapSrcDst(delivered)
-	if a.Enc.L.ExtBits() > 0 {
-		ret = f.And(ret, a.Enc.ExtEq(0, a.Enc.L.ExtBits(), 0))
-	}
+	ret := f.And(a.Enc.SwapSrcDst(delivered), a.ext0())
 	retStart := make(map[int]bdd.Ref)
 	for id := range a.G.Nodes {
 		n := a.G.Nodes[id]
@@ -297,9 +285,7 @@ type LoopResult struct {
 // loop set.
 func (a *Analysis) DetectLoops(ctx context.Context, hs bdd.Ref) []LoopResult {
 	f := a.Enc.F
-	if a.Enc.L.ExtBits() > 0 {
-		hs = f.And(hs, a.Enc.ExtEq(0, a.Enc.L.ExtBits(), 0))
-	}
+	hs = f.And(hs, a.ext0())
 	sinks := make(map[int]bdd.Ref)
 	for id := range a.G.Nodes {
 		if a.G.Nodes[id].Kind == fwdgraph.KindSink {

@@ -308,11 +308,9 @@ type AllPairs struct {
 }
 
 // AllPairs runs, once per analysis, the backward pass of every sink kind.
-// ok is false when the graph rewrites headers (NAT): a backward set is
-// then a pre-image, not the post-transform set a forward pass reports at
-// the sink, so callers answer per source with Reachability. A pass cut
-// short by ctx is not memoised and also reports ok=false; a later call
-// under a live context runs the passes again.
+// ok is false when AllPairsExact is, so callers answer per source with
+// Reachability. A pass cut short by ctx is not memoised and also reports
+// ok=false; a later call under a live context runs the passes again.
 func (a *Analysis) AllPairs(ctx context.Context) (*AllPairs, bool) {
 	if a.allPairs != nil {
 		return a.allPairs, true
@@ -338,10 +336,16 @@ func (a *Analysis) AllPairsWithin(ctx context.Context, h bdd.Ref) (*AllPairs, bo
 	return a.allPairsOver(ctx, h)
 }
 
+// AllPairsExact reports whether the backward passes answer on a's graph:
+// not when it rewrites headers (NAT), since a backward set is then a
+// pre-image, not the post-transform set a forward pass reports at the
+// sink.
+func (a *Analysis) AllPairsExact() bool { return !a.G.HasTransforms() }
+
 // allPairsOver runs the backward pass of every sink kind with each sink
 // seeded with h.
 func (a *Analysis) allPairsOver(ctx context.Context, h bdd.Ref) (*AllPairs, bool) {
-	if a.G.HasTransforms() {
+	if !a.AllPairsExact() {
 		return nil, false
 	}
 	seeds := make(map[string]map[int]bdd.Ref)
@@ -355,10 +359,7 @@ func (a *Analysis) allPairsOver(ctx context.Context, h bdd.Ref) (*AllPairs, bool
 		}
 		seeds[n.Extra][id] = h
 	}
-	p := &AllPairs{a: a, ext0: bdd.True}
-	if bits := a.Enc.L.ExtBits(); bits > 0 {
-		p.ext0 = a.Enc.ExtEq(0, bits, 0)
-	}
+	p := &AllPairs{a: a, ext0: a.ext0()}
 	for kind := range seeds {
 		p.kinds = append(p.kinds, kind)
 	}
@@ -392,13 +393,30 @@ func (p *AllPairs) Sinks(src SourceLoc, hs bdd.Ref) (map[string]bdd.Ref, bool) {
 	return out, true
 }
 
+// ext0 is the seed constraint of every injected packet: extension
+// (zone/waypoint) bits = 0.
+func (a *Analysis) ext0() bdd.Ref {
+	if bits := a.Enc.L.ExtBits(); bits > 0 {
+		return a.Enc.ExtEq(0, bits, 0)
+	}
+	return bdd.True
+}
+
+// SinksOf returns src's sink sets over hs: read off ap when it is
+// non-nil, else from one forward pass from src under ctx. Callers choose
+// ap; ok is false when src is not a source of the graph.
+func (a *Analysis) SinksOf(ctx context.Context, ap *AllPairs, src SourceLoc, hs bdd.Ref) (map[string]bdd.Ref, bool) {
+	if ap != nil {
+		return ap.Sinks(src, hs)
+	}
+	res, ok := a.Reachability(ctx, src, hs)
+	return res.Sinks, ok
+}
+
 // SourceSets builds the default start map: every interface source node
 // carries the given header space, constrained to zone/waypoint bits = 0.
 func (a *Analysis) SourceSets(hs bdd.Ref) map[int]bdd.Ref {
-	f := a.Enc.F
-	if a.Enc.L.ExtBits() > 0 {
-		hs = f.And(hs, a.Enc.ExtEq(0, a.Enc.L.ExtBits(), 0))
-	}
+	hs = a.Enc.F.And(hs, a.ext0())
 	start := make(map[int]bdd.Ref)
 	for id := range a.G.Nodes {
 		if a.G.Nodes[id].Kind == fwdgraph.KindSource {
@@ -414,11 +432,7 @@ func (a *Analysis) SingleSource(device, iface string, hs bdd.Ref) (map[int]bdd.R
 	if !ok {
 		return nil, false
 	}
-	f := a.Enc.F
-	if a.Enc.L.ExtBits() > 0 {
-		hs = f.And(hs, a.Enc.ExtEq(0, a.Enc.L.ExtBits(), 0))
-	}
-	return map[int]bdd.Ref{id: hs}, true
+	return map[int]bdd.Ref{id: a.Enc.F.And(hs, a.ext0())}, true
 }
 
 // SinkSets groups reachable sets by sink kind, with zone/waypoint bits

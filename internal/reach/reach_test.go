@@ -3,6 +3,7 @@ package reach
 import (
 	"context"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/bdd"
@@ -248,20 +249,30 @@ func TestFigure2SSHOnly(t *testing.T) {
 	}
 }
 
+// TestMultipathConsistency runs the query per source (nil passes) and off
+// the shared passes; both readers must find the same violations.
 func TestMultipathConsistency(t *testing.T) {
 	ctx := context.Background()
 	_, a := analyze(t, testnet.Diamond())
-	if v := a.MultipathConsistency(ctx, bdd.True); len(v) != 0 {
-		t.Errorf("clean diamond should have no violations, got %d", len(v))
+	shared, _ := a.AllPairs(ctx)
+	for _, ap := range []*AllPairs{nil, shared} {
+		if v := a.MultipathConsistency(ctx, ap, bdd.True); len(v) != 0 {
+			t.Errorf("clean diamond should have no violations, got %d", len(v))
+		}
 	}
 	_, a = analyze(t, testnet.ECMPWithBrokenBranch())
 	enc := a.Enc
-	vs := a.MultipathConsistency(ctx, enc.FieldEq(hdr.Protocol, hdr.ProtoTCP))
-	if len(vs) == 0 {
+	shared, _ = a.AllPairs(ctx)
+	tcp := enc.FieldEq(hdr.Protocol, hdr.ProtoTCP)
+	want := a.MultipathConsistency(ctx, nil, tcp)
+	if len(want) == 0 {
 		t.Fatal("broken branch should violate multipath consistency")
 	}
+	if got := a.MultipathConsistency(ctx, shared, tcp); !reflect.DeepEqual(got, want) {
+		t.Errorf("shared passes found %v, forward passes %v", got, want)
+	}
 	// The violating set must be HTTP (the filtered service).
-	for _, v := range vs {
+	for _, v := range want {
 		if !enc.F.Implies(v.Packets, enc.FieldEq(hdr.DstPort, 80)) {
 			t.Errorf("violation from %v not confined to HTTP", v.Source)
 		}

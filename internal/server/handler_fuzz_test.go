@@ -14,7 +14,9 @@ import (
 // FuzzHandler sends arbitrary load bodies, edit bodies, and reachability
 // and service-reachable query strings through the full handler of a
 // server holding one small snapshot. The contract: never a 500 (no panic
-// escapes a handler), and every 4xx carries the usage exit code.
+// escapes a handler), every 4xx carries the usage exit code, and no
+// input trips a breaker or answers with a contained panic: no fault
+// point is armed, so a recovered panic is a bug, not a degraded answer.
 func FuzzHandler(f *testing.F) {
 	srv, err := server.New(server.Config{Seed: 1})
 	if err != nil {
@@ -39,6 +41,8 @@ func FuzzHandler(f *testing.F) {
 	f.Add(uint8(2), "src=&timeout=1ns")
 	f.Add(uint8(3), "dst=10.0.0.0/24&port=443&proto=6&client=sm-p01-tor01/host1")
 	f.Add(uint8(3), "dst=10.0.0.0/33&port=99999&timeout=-1s")
+	f.Add(uint8(2), "src=nope/eth0")
+	f.Add(uint8(3), "dst=10.0.0.0/24&client=nope/eth0")
 	f.Fuzz(func(t *testing.T, kind uint8, payload string) {
 		var rec *httptest.ResponseRecorder
 		switch kind % 4 {
@@ -62,6 +66,16 @@ func FuzzHandler(f *testing.F) {
 		if rec.Code >= 400 && rec.Code < 500 && rec.Header().Get(server.ExitCodeHeader) != "2" {
 			t.Fatalf("kind %d %q: %d with exit code %q", kind%4, payload, rec.Code,
 				rec.Header().Get(server.ExitCodeHeader))
+		}
+		var resp struct{ Diags []string }
+		_ = json.Unmarshal(rec.Body.Bytes(), &resp)
+		for _, d := range resp.Diags {
+			if strings.HasPrefix(d, "[panic]") {
+				t.Fatalf("kind %d %q: contained panic %s", kind%4, payload, d)
+			}
+		}
+		if trips := srv.Metrics().BreakerTrips; trips > 0 {
+			t.Fatalf("kind %d %q: %d breaker trips", kind%4, payload, trips)
 		}
 
 		// Keep the server at its one snapshot: drop whatever a load or an

@@ -521,6 +521,35 @@ func TestCircuitBreaker(t *testing.T) {
 	}
 }
 
+// TestUnknownSourceLeavesBreakerClosed: a reachability question naming a
+// source the snapshot does not have is answered, with no row, and is no
+// service failure. Three such questions and then a valid one all answer
+// 200 with exit 0, with no retry, no breaker trip and no panic
+// diagnostic.
+func TestUnknownSourceLeavesBreakerClosed(t *testing.T) {
+	_, ts := newServer(t, server.Config{})
+	tc := newTestClient(t, ts)
+	tc.load("s", smallFabric())
+	unknown := "/snapshots/s/reachability?src=nope/eth0"
+	for i, path := range []string{unknown, unknown, unknown, "/snapshots/s/reachability"} {
+		resp, ar := tc.do(http.MethodGet, path, nil)
+		if resp.StatusCode != http.StatusOK || ar.ExitCode != server.ExitOK {
+			t.Errorf("request %d (%s): status %d exit %d (%s)", i, path, resp.StatusCode, ar.ExitCode, ar.Error)
+		}
+		for _, d := range ar.Diags {
+			if strings.HasPrefix(d, "[panic]") {
+				t.Errorf("request %d (%s): %s", i, path, d)
+			}
+		}
+		if valid := path != unknown; valid != (ar.Text != "") {
+			t.Errorf("request %d (%s): text %q", i, path, ar.Text)
+		}
+	}
+	if m := tc.metrics(); m.BreakerTrips != 0 || m.Retries != 0 {
+		t.Errorf("breaker trips %d, retries %d; want 0 and 0", m.BreakerTrips, m.Retries)
+	}
+}
+
 // TestEditReplacesAncestor: an entry holds its merged texts and no link
 // to the snapshot it was edited from, so an edit may be published under
 // the name of its own ancestor. After "edit a as b" and "edit b as a",

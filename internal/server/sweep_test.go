@@ -231,6 +231,30 @@ func TestSweepEndpointErrors(t *testing.T) {
 	}
 }
 
+// TestSweepRejectsUnknownSources: a sweep monitoring a source the
+// snapshot does not have is the client's error: 400 with exit 2 naming
+// the source, before planning runs any question. It counts as neither
+// degraded nor a breaker failure (the threshold here is one), and the
+// snapshot still answers cleanly.
+func TestSweepRejectsUnknownSources(t *testing.T) {
+	_, ts := newServer(t, server.Config{Retries: -1, BreakerThreshold: 1, BreakerCooldown: time.Hour})
+	tc := newTestClient(t, ts)
+	tc.load("sm", smallFabric())
+	resp, ar := tc.do(http.MethodPost, "/snapshots/sm/sweep",
+		map[string]any{"src": []string{"sm-p01-tor01/host1", "nope/eth0"}})
+	if resp.StatusCode != http.StatusBadRequest || ar.ExitCode != server.ExitUsage || !strings.Contains(ar.Error, "nope/eth0") {
+		t.Errorf("unknown source: status %d exit %d (%s)", resp.StatusCode, ar.ExitCode, ar.Error)
+	}
+	if m := tc.metrics(); m.Degraded != 0 || m.BreakerTrips != 0 || m.PanicsRecovered != 0 || m.ClientErrors != 1 {
+		t.Errorf("degraded %d, breaker trips %d, panics %d, client errors %d; want 0, 0, 0, 1",
+			m.Degraded, m.BreakerTrips, m.PanicsRecovered, m.ClientErrors)
+	}
+	resp, ar = tc.do(http.MethodGet, "/snapshots/sm/reachability?src=sm-p01-tor01/host1", nil)
+	if resp.StatusCode != http.StatusOK || ar.ExitCode != server.ExitOK || len(ar.Diags) > 0 {
+		t.Errorf("after the refused sweep: status %d exit %d diags %v", resp.StatusCode, ar.ExitCode, ar.Diags)
+	}
+}
+
 // TestExpiredDeadlineOnWarmSnapshot: a deadline that has already expired
 // is answered 504 / exit 3 and counted as cancelled on a warm snapshot,
 // whose memoized answers need no cancellation point, as on a cold one —

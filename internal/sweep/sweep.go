@@ -218,7 +218,9 @@ func (p *Plan) Classes() int {
 	return n
 }
 
-// NewPlan enumerates and classifies the sweep over the base snapshot.
+// NewPlan enumerates and classifies the sweep over the base snapshot. It
+// refuses monitored sources whose device or interface the base snapshot
+// does not have.
 func NewPlan(base *core.Snapshot, spec Spec) (*Plan, error) {
 	if spec.K == 0 {
 		spec.K = 1
@@ -247,6 +249,15 @@ func NewPlan(base *core.Snapshot, spec Spec) (*Plan, error) {
 	}
 	if len(p.sources) == 0 {
 		return nil, fmt.Errorf("sweep: no monitored sources")
+	}
+	var unknown []string
+	for _, src := range p.sources {
+		if d := base.Net.Devices[src.Device]; d == nil || d.Interfaces[src.Iface] == nil {
+			unknown = append(unknown, src.Device+"/"+src.Iface)
+		}
+	}
+	if len(unknown) > 0 {
+		return nil, fmt.Errorf("sweep: unknown monitored sources %s", strings.Join(unknown, ", "))
 	}
 	p.params = core.ReachabilityParams{Sources: p.sources, DstIPs: spec.DstIPs}
 

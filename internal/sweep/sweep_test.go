@@ -515,6 +515,16 @@ func TestSweepSpecValidation(t *testing.T) {
 		t.Error("scenario cap must be enforced")
 	}
 	srcs, dst := monitored(t, base, "sv-p01-tor01", "sv-p01-tor02")
+	// Sources the snapshot does not have are refused by name, before any
+	// question runs on the base.
+	unknown := append([]reach.SourceLoc{{Device: "nope", Iface: "eth0"}, {Device: "sv-p01-tor01", Iface: "nope"}}, srcs...)
+	if _, err := NewPlan(base, Spec{Sources: unknown}); err == nil ||
+		!strings.Contains(err.Error(), "nope/eth0, sv-p01-tor01/nope") {
+		t.Errorf("unknown sources: err %v, want one naming nope/eth0 and sv-p01-tor01/nope", err)
+	}
+	if base.Degraded() {
+		t.Fatalf("refusing unknown sources degraded the base: %v", base.Diags())
+	}
 	p, err := NewPlan(base, Spec{Sources: srcs, DstIPs: []ip4.Prefix{dst}})
 	if err != nil {
 		t.Fatal(err)
