@@ -116,7 +116,8 @@ bench:
 # interned vs not-interned cost (Intern), failover p99s, forward overhead
 # and heir warm-hit rate (Cluster), the sweep's prune bound (Sweep/plan),
 # decode-over-run (DataPlaneArtifact), the stitched graph's speed over
-# a cold build (GraphBuild/update) and the Delta-restricted passes' speed
+# a cold build (GraphBuild/update), the spliced data plane's speed over a
+# cold run (DataPlaneUpdate/*/update) and the Delta-restricted passes' speed
 # over full ones (IncrementalCompare/compare, 20 edits; its other
 # sub-benchmarks carry no floor). Sweep/k1-links-nodes carries the executed
 # sweep's floors (prune ratio, speedup over cold replays); with each class
@@ -124,5 +125,5 @@ bench:
 # per worker, it peaks near 0.62 GB RSS on a 2-vCPU host
 # (EXPERIMENTS E13).
 bench-check:
-	$(GO) test -run '^$$' -bench '^Benchmark(Parallelism|Intern|Cluster|Sweep|GraphBuild|DataPlaneArtifact)$$' -benchmem .
+	$(GO) test -run '^$$' -bench '^Benchmark(Parallelism|Intern|Cluster|Sweep|GraphBuild|DataPlaneArtifact|DataPlaneUpdate)$$' -benchmem .
 	$(GO) test -run '^$$' -bench '^BenchmarkIncrementalCompare$$/^compare$$' -benchtime 20x -benchmem .

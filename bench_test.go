@@ -140,25 +140,95 @@ func BenchmarkGraphBuild(b *testing.B) {
 // edit of it: a null route for an unused /24 on one device, spliced by
 // dataplane.Update, so the other devices keep their NodeStates.
 func graphEdit(tb testing.TB) (base, edited *dataplane.Result) {
+	net, base := net2Run(tb)
+	edited, ok := dataplane.Update(context.Background(), base, unusedEdit(net), dataplane.Options{})
+	if !ok {
+		tb.Fatal("dataplane.Update declined the unused-/24 edit")
+	}
+	return base, edited
+}
+
+// net2Run parses NET2 and computes its data plane.
+func net2Run(tb testing.TB) (*config.Network, *dataplane.Result) {
 	net, _ := netgen.Catalog()[1].Gen().Parse() // NET2
-	base = dataplane.Run(net, dataplane.Options{})
+	base := dataplane.Run(net, dataplane.Options{})
 	if !base.Converged {
 		tb.Fatal("no convergence")
 	}
-	name := net.DeviceNames()[len(net.Devices)/2]
+	return net, base
+}
+
+// unusedEdit null-routes an unused /24 on NET2's middle device.
+func unusedEdit(net *config.Network) *config.Network {
+	return withNullRoute(net, net.DeviceNames()[len(net.Devices)/2], ip4.MustParsePrefix("198.51.100.0/24"))
+}
+
+// halfHostEdit is the perfbench change-loop shape: a null route over the
+// lower half of the first BGP-originated /24 host subnet.
+func halfHostEdit(tb testing.TB, net *config.Network) *config.Network {
+	for _, name := range net.DeviceNames() {
+		if bgp := net.Devices[name].VRFs[config.DefaultVRF].BGP; bgp != nil {
+			for _, p := range bgp.Networks {
+				if p.Len == 24 {
+					return withNullRoute(net, name, ip4.Prefix{Addr: p.Addr, Len: 25})
+				}
+			}
+		}
+	}
+	tb.Fatal("no device originates a /24")
+	return nil
+}
+
+// withNullRoute returns net with a null route for p added on device name;
+// every other device is net's own.
+func withNullRoute(net *config.Network, name string, p ip4.Prefix) *config.Network {
 	d := *net.Devices[name]
 	d.VRFs = maps.Clone(d.VRFs)
 	v := *d.VRFs[config.DefaultVRF]
-	v.StaticRoutes = append(slices.Clone(v.StaticRoutes),
-		config.StaticRoute{Prefix: ip4.MustParsePrefix("198.51.100.0/24"), Drop: true})
+	v.StaticRoutes = append(slices.Clone(v.StaticRoutes), config.StaticRoute{Prefix: p, Drop: true})
 	d.VRFs[config.DefaultVRF] = &v
-	enet := &config.Network{Devices: maps.Clone(net.Devices), Warnings: net.Warnings}
-	enet.Devices[name] = &d
-	edited, ok := dataplane.Update(context.Background(), base, enet, dataplane.Options{})
-	if !ok {
-		tb.Fatalf("dataplane.Update declined the edit of %s", name)
+	out := &config.Network{Devices: maps.Clone(net.Devices), Warnings: net.Warnings}
+	out.Devices[name] = &d
+	return out
+}
+
+// BenchmarkDataPlaneUpdate is the incremental data-plane layer: for two
+// one-device origination edits of NET2 — graphEdit's unused /24 and the
+// change-loop's half host subnet — /cold runs the edited network from
+// scratch and /update splices it from NET2's data plane with
+// dataplane.Update. The update must be 8x faster than cold (EXPERIMENTS
+// E10).
+func BenchmarkDataPlaneUpdate(b *testing.B) {
+	net, base := net2Run(b)
+	for _, c := range []struct {
+		name   string
+		edited *config.Network
+	}{
+		{"unused-24", unusedEdit(net)},
+		{"half-host-subnet", halfHostEdit(b, net)},
+	} {
+		var coldNs float64
+		b.Run(c.name+"/cold", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if r := dataplane.Run(c.edited, dataplane.Options{}); !r.Converged {
+					b.Fatal("no convergence")
+				}
+			}
+			coldNs = float64(b.Elapsed().Nanoseconds()) / float64(b.N)
+		})
+		b.Run(c.name+"/update", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, ok := dataplane.Update(context.Background(), base, c.edited, dataplane.Options{}); !ok {
+					b.Fatal("dataplane.Update declined the edit")
+				}
+			}
+			updateNs := float64(b.Elapsed().Nanoseconds()) / float64(b.N)
+			b.ReportMetric(coldNs/updateNs, "speedup")
+			if coldNs > 0 && 8*updateNs > coldNs {
+				b.Fatalf("update %.0f ns/op is not 8x faster than cold %.0f ns/op", updateNs, coldNs)
+			}
+		})
 	}
-	return base, edited
 }
 
 // ---------------------------------------------------------------------------

@@ -359,7 +359,7 @@ func runSweep(ctx context.Context, dir string, k int, fail string, workers int, 
 	t0 := time.Now()
 	plan, err := sweep.NewPlan(snap, spec)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "batfish: sweep: %v\n", err)
+		fmt.Fprintf(os.Stderr, "batfish: %v\n", err)
 		return exitUsage
 	}
 	fmt.Printf("sweep: %d scenarios in %d equivalence classes\n",

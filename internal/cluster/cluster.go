@@ -95,9 +95,6 @@ type Config struct {
 	// the detector needs SuspectAfter to notice, plus heartbeat slack for
 	// the new view to propagate).
 	FailoverWait time.Duration
-	// ForwardRetries is how many times a forwarder re-resolves the owner
-	// after a transport failure before giving up with 502 (default 2).
-	ForwardRetries int
 	// Client performs forwarded and cluster-control requests (default: a
 	// dedicated client; the shared http.DefaultClient is never mutated).
 	Client *http.Client
@@ -123,12 +120,6 @@ func (c *Config) defaults() error {
 	}
 	if c.FailoverWait <= 0 {
 		c.FailoverWait = c.SuspectAfter + 2*c.Heartbeat
-	}
-	if c.ForwardRetries == 0 {
-		c.ForwardRetries = 2
-	}
-	if c.ForwardRetries < 0 {
-		c.ForwardRetries = 0
 	}
 	if c.Client == nil {
 		c.Client = &http.Client{}

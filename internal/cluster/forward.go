@@ -17,13 +17,17 @@ import (
 // down.
 var relayHeaders = []string{"Content-Type", "Retry-After", server.ExitCodeHeader}
 
+// forwardRetries is how many times a forwarder re-resolves the owner after
+// a transport failure before giving up with 502.
+const forwardRetries = 2
+
 // forward relays a request for a snapshot owned by another member. The
 // happy path is one hop: send, copy the response back (whatever its
 // status — the owner's 429/503/404 are real answers, not transport
 // failures). On a transport error or a 502 ownership disagreement the
 // owner is presumed dead or the view stale, so the forwarder waits for
 // the view epoch to advance (the failure detector's job), re-resolves
-// the owner, and retries — at most ForwardRetries times, each bounded by
+// the owner, and retries — at most forwardRetries times, each bounded by
 // FailoverWait. Ownership may fail over to this node itself, in which
 // case the request is served locally.
 func (n *Node) forward(w http.ResponseWriter, r *http.Request, name string, body []byte, view View) {
@@ -47,7 +51,7 @@ func (n *Node) forward(w http.ResponseWriter, r *http.Request, name string, body
 				n.cfg.Logf("cluster: %s closing relayed response from %s: %v", n.cfg.ID, owner.ID, cerr)
 			}
 		}
-		if attempt >= n.cfg.ForwardRetries {
+		if attempt >= forwardRetries {
 			n.m.forwardFailed.Add(1)
 			w.Header().Set(HopHeader, n.cfg.ID)
 			writeClusterError(w, http.StatusBadGateway,

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -13,6 +14,7 @@ import (
 	"repro/internal/ip4"
 	"repro/internal/netgen"
 	"repro/internal/pipeline"
+	"repro/internal/reach"
 	"repro/internal/testnet"
 )
 
@@ -411,5 +413,67 @@ func sameDiffsAcross(t *testing.T, got []DifferentialFlows, f *bdd.Factory, want
 		if f.SatCount(a.Broken) != wf.SatCount(b.Broken) || f.SatCount(a.NewlyArrive) != wf.SatCount(b.NewlyArrive) {
 			t.Errorf("%v: broken/newly-arriving sets differ in size", a.Source)
 		}
+	}
+}
+
+// TestMultipathConsistencyGuardsEachSource: a panic injected in the guard
+// of one source device costs that device's violations and nothing else.
+// The network is a multipath fabric whose first aggregation switch drops
+// HTTP towards one ToR, so every ECMP source towards that ToR violates,
+// plus a one-interface host behind another ToR, the armed device.
+func TestMultipathConsistencyGuardsEachSource(t *testing.T) {
+	fab := netgen.Fabric(netgen.FabricParams{
+		Name: "mp", Spines: 2, Pods: 2, AggPerPod: 2, TorPerPod: 2, HostNetsPerTor: 1, Multipath: true})
+	texts := make(map[string]string, len(fab.Devices)+1)
+	for _, d := range fab.Devices {
+		texts[d.Hostname+".cfg"] = d.Text
+	}
+	const down = "interface down1\n description to mp-p01-tor01\n"
+	agg := texts["mp-p01-agg1.cfg"]
+	if !strings.Contains(agg, down) {
+		t.Fatalf("mp-p01-agg1 has no %q", down)
+	}
+	texts["mp-p01-agg1.cfg"] = strings.Replace(agg, down, down+" ip access-group NOHTTP out\n", 1) +
+		"ip access-list extended NOHTTP\n deny tcp any any eq 80\n permit ip any any\n!\n"
+	const host = "mp-host"
+	texts[host+".cfg"] = "hostname mp-host\n!\ninterface eth0\n ip address 10.0.3.10 255.255.255.0\n!\n" +
+		"ip route 0.0.0.0 0.0.0.0 10.0.3.1\n"
+
+	want := LoadTextWith(pipeline.Disabled(), texts).MultipathConsistency()
+	var others []reach.MultipathViolation
+	for _, v := range want {
+		if v.Source.Device != host {
+			others = append(others, v)
+		}
+	}
+	if len(others) == 0 || len(others) == len(want) {
+		t.Fatalf("want violations from %s and from other sources, got %d of %d elsewhere", host, len(others), len(want))
+	}
+
+	restore := faults.Activate(faults.New().Enable("question", host, faults.Rule{Kind: faults.Panic}))
+	s := LoadTextWith(pipeline.Disabled(), texts)
+	got := s.MultipathConsistency()
+	restore()
+	render := func(vs []reach.MultipathViolation) []string {
+		var out []string
+		for _, v := range vs {
+			out = append(out, fmt.Sprint(v.Source, v.Example))
+		}
+		return out
+	}
+	if g, w := render(got), render(others); !reflect.DeepEqual(g, w) {
+		t.Errorf("armed run found %v, want the unarmed run's other sources %v", g, w)
+	}
+	named := 0
+	for _, d := range s.Diags() {
+		if d.Device == host {
+			named++
+			if d.Stage != diag.StageQuestion {
+				t.Errorf("diagnostic %v: stage %s, want %s", d, d.Stage, diag.StageQuestion)
+			}
+		}
+	}
+	if named != 1 {
+		t.Errorf("%d diagnostics name %s, want 1: %s", named, host, diag.Summary(s.Diags()))
 	}
 }

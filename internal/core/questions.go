@@ -393,14 +393,27 @@ func (s *Snapshot) reachOne(src reach.SourceLoc, params ReachabilityParams, ap *
 
 // MultipathConsistency runs the paper's benchmark verification query
 // (§6.1) over the default header space, reading the same shared passes as
-// Reachability where sharedPasses allows them. A panic or budget trip
-// inside the query becomes a question-stage diagnostic and nil
-// violations.
+// Reachability where sharedPasses allows them. Like Reachability it
+// guards each source: a panic or budget trip while checking one becomes a
+// question-stage diagnostic naming its device and costs that source's
+// violations, not the others'. A failure before the first source (the
+// analysis or the shared passes) costs the question.
 func (s *Snapshot) MultipathConsistency() (out []reach.MultipathViolation) {
 	ctx := s.context()
-	s.guardQuestion("multipath-consistency", func() {
-		out = s.Analysis().MultipathConsistency(ctx, s.sharedPasses(ctx, nil, bdd.True, false), bdd.True)
-	})
+	var an *reach.Analysis
+	var ap *reach.AllPairs
+	if !s.guardQuestion("multipath-consistency", func() {
+		an, ap = s.analysis(ctx), s.sharedPasses(ctx, nil, bdd.True, false)
+	}) {
+		return nil
+	}
+	for _, src := range an.Sources() {
+		s.guardQuestion(src.Device, func() {
+			if v, ok := an.MultipathViolationOf(ctx, ap, src, bdd.True); ok {
+				out = append(out, v)
+			}
+		})
+	}
 	return out
 }
 

@@ -78,7 +78,7 @@ func (e *Engine) bgpCmp(vs *VRFState) routing.Comparator {
 			return 0
 		}
 		// 10. Oldest path (logical clock) for eBGP.
-		if !e.opts.DisableClocks && a.Protocol == routing.EBGP && a.Clock != b.Clock {
+		if a.Protocol == routing.EBGP && a.Clock != b.Clock {
 			if a.Clock < b.Clock {
 				return 1
 			}

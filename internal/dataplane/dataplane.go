@@ -55,9 +55,6 @@ type Options struct {
 	// MaxIterations bounds each protocol's exchange loop; exceeding it
 	// (without a detected cycle) reports non-convergence. 0 = default.
 	MaxIterations int
-	// DisableClocks turns off the logical-clock tie-break (ablation; with
-	// ScheduleLockstep this reproduces the original unstable behavior).
-	DisableClocks bool
 	// FullStateConvergence checks convergence by comparing complete RIB
 	// snapshots instead of delta emptiness (the memory-hungry classic
 	// method, §4.1.3; ablation only).

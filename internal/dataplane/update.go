@@ -7,11 +7,11 @@ package dataplane
 // engine computes every prefix's routes from that prefix's own routes
 // except at the lookups of the dependency set D (scope.go); when no
 // address of D lies inside a prefix of Q, those lookups answer as they
-// did before the edit, so every prefix that does not overlap Q keeps its
-// routes and FIB entries exactly. Update therefore simulates the edited
-// network scoped to Q — whose routes for Q equal the full run's, by the
-// scope's own argument — and splices that run's Q-overlapping state into
-// the base's.
+// did before the edit, so every prefix not in Q — a supernet or subnet of
+// one included — keeps its routes and FIB entry exactly. Update therefore
+// simulates the edited network scoped to Q — whose routes for Q equal the
+// full run's, by the scope's own argument — and splices that run's state
+// for the prefixes of Q into the base's.
 
 import (
 	"context"
@@ -80,7 +80,7 @@ func Update(ctx context.Context, base *Result, net *config.Network, opts Options
 		if bns == nil {
 			return nil, false
 		}
-		if bns.Device == sns.Device && sameOverlap(bns, sns, e.scope) {
+		if bns.Device == sns.Device && sameAtQ(bns, sns, e.scope) {
 			out.Nodes[name] = bns
 			continue
 		}
@@ -183,21 +183,17 @@ func withoutOrigination(d *config.Device) config.Device {
 // s. The zero address (no next hop) never counts.
 func (s Scope) holdsAny(addrs []ip4.Addr) bool {
 	for _, a := range addrs {
-		if a != 0 && s.overlaps(ip4.Prefix{Addr: a, Len: 32}) {
+		if a != 0 && slices.ContainsFunc(s, func(q ip4.Prefix) bool { return q.Contains(a) }) {
 			return true
 		}
 	}
 	return false
 }
 
-// overlaps reports whether p shares an address with a prefix of s.
-func (s Scope) overlaps(p ip4.Prefix) bool {
-	for _, q := range s {
-		if q.Overlaps(p) {
-			return true
-		}
-	}
-	return false
+// has reports whether p is a prefix of the canonical scope s.
+func (s Scope) has(p ip4.Prefix) bool {
+	_, ok := slices.BinarySearchFunc(s, p, ip4.Prefix.Compare)
+	return ok
 }
 
 // sameSessions reports whether two session lists agree in order and in
@@ -210,10 +206,9 @@ func sameSessions(a, b []*Session) bool {
 	})
 }
 
-// sameOverlap reports whether two states of one node agree, in every VRF,
-// on the best routes of all five RIBs and the FIB entries whose prefixes
-// overlap q.
-func sameOverlap(b, s *NodeState, q Scope) bool {
+// sameAtQ reports whether two states of one node agree, in every VRF, on
+// the best routes of all five RIBs and the FIB entry for each prefix of q.
+func sameAtQ(b, s *NodeState, q Scope) bool {
 	if !slices.Equal(b.vrfNames, s.vrfNames) {
 		return false
 	}
@@ -223,22 +218,24 @@ func sameOverlap(b, s *NodeState, q Scope) bool {
 			return false
 		}
 		bribs, sribs := bvs.ribs(), svs.ribs()
-		for i := range sribs {
-			if !slices.EqualFunc(overlapRoutes(bribs[i], q), overlapRoutes(sribs[i], q), sameRoute) {
+		for _, p := range q {
+			for i := range sribs {
+				if !slices.EqualFunc(bribs[i].Best(p), sribs[i].Best(p), sameRoute) {
+					return false
+				}
+			}
+			if !sameEntry(bvs.FIB.Exact(p), svs.FIB.Exact(p)) {
 				return false
 			}
-		}
-		if !slices.EqualFunc(overlapEntries(bvs.FIB, q), overlapEntries(svs.FIB, q), sameEntry) {
-			return false
 		}
 	}
 	return true
 }
 
-// splice builds a node's state from base's routes and FIB entries for
-// the prefixes that do not overlap the scope and the scoped run's for
-// those that do, the way the persist decoder builds one: every RIB by
-// Load, the FIB by inserts.
+// splice builds a node's state from the scoped run's routes and FIB
+// entries for the prefixes of the scope and base's for every other
+// prefix, the way the persist decoder builds one: every RIB by Load, the
+// FIB by inserts.
 func (e *Engine) splice(b, s *NodeState) (*NodeState, bool) {
 	ns := &NodeState{Device: s.Device, VRFs: make(map[string]*VRFState, len(s.VRFs)), vrfNames: s.vrfNames}
 	for _, vn := range s.vrfNames {
@@ -253,11 +250,13 @@ func (e *Engine) splice(b, s *NodeState) (*NodeState, bool) {
 		for i, rib := range vs.ribs() {
 			var routes []routing.Route
 			for _, p := range bribs[i].Prefixes() {
-				if !e.scope.overlaps(p) {
+				if !e.scope.has(p) {
 					routes = append(routes, bribs[i].Best(p)...)
 				}
 			}
-			routes = append(routes, overlapRoutes(sribs[i], e.scope)...)
+			for _, p := range e.scope {
+				routes = append(routes, sribs[i].Best(p)...)
+			}
 			slices.SortStableFunc(routes, func(x, y routing.Route) int { return x.Prefix.Compare(y.Prefix) })
 			if rib.Load(routes) != nil {
 				return nil, false
@@ -265,52 +264,18 @@ func (e *Engine) splice(b, s *NodeState) (*NodeState, bool) {
 		}
 		vs.FIB = fib.New()
 		for _, ent := range bvs.FIB.Entries() {
-			if !e.scope.overlaps(ent.Prefix) {
+			if !e.scope.has(ent.Prefix) {
 				vs.FIB.Add(fib.Entry{Prefix: ent.Prefix, NextHops: slices.Clone(ent.NextHops)})
 			}
 		}
-		for _, ent := range overlapEntries(svs.FIB, e.scope) {
-			vs.FIB.Add(fib.Entry{Prefix: ent.Prefix, NextHops: slices.Clone(ent.NextHops)})
+		for _, p := range e.scope {
+			if ent := svs.FIB.Exact(p); ent != nil {
+				vs.FIB.Add(fib.Entry{Prefix: p, NextHops: slices.Clone(ent.NextHops)})
+			}
 		}
 		ns.VRFs[vn] = vs
 	}
 	return ns, true
-}
-
-// overlapRoutes returns rib's best routes for the prefixes overlapping q,
-// in AllBest order: for each prefix of q, its supernets by exact lookup
-// and its subnets as one run of the sorted prefix list.
-func overlapRoutes(rib *routing.RIB, q Scope) []routing.Route {
-	ps := rib.Prefixes()
-	var hit []ip4.Prefix
-	for _, qp := range q {
-		for l := 0; l < int(qp.Len); l++ {
-			if p := (ip4.Prefix{Addr: qp.Addr, Len: uint8(l)}).Canonical(); len(rib.Best(p)) > 0 {
-				hit = append(hit, p)
-			}
-		}
-		i, _ := slices.BinarySearchFunc(ps, qp, ip4.Prefix.Compare)
-		for ; i < len(ps) && ps[i].Addr <= qp.Last(); i++ {
-			hit = append(hit, ps[i])
-		}
-	}
-	slices.SortFunc(hit, ip4.Prefix.Compare)
-	var out []routing.Route
-	for _, p := range slices.Compact(hit) {
-		out = append(out, rib.Best(p)...)
-	}
-	return out
-}
-
-// overlapEntries returns f's entries whose prefixes overlap q, in prefix
-// order.
-func overlapEntries(f *fib.FIB, q Scope) []fib.Entry {
-	var out []fib.Entry
-	for _, qp := range q {
-		out = append(out, f.Overlapping(qp)...)
-	}
-	slices.SortFunc(out, func(x, y fib.Entry) int { return x.Prefix.Compare(y.Prefix) })
-	return slices.CompactFunc(out, func(x, y fib.Entry) bool { return x.Prefix == y.Prefix })
 }
 
 // sameRoute compares route identity with attributes by value: the two
@@ -323,6 +288,10 @@ func sameRoute(a, b routing.Route) bool {
 	return a == b
 }
 
-func sameEntry(a, b fib.Entry) bool {
+// sameEntry compares two FIB entries, either of which may be absent.
+func sameEntry(a, b *fib.Entry) bool {
+	if a == nil || b == nil {
+		return a == b
+	}
 	return a.Prefix == b.Prefix && slices.Equal(a.NextHops, b.NextHops)
 }

@@ -6,6 +6,7 @@ import (
 	"maps"
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/config"
@@ -36,12 +37,14 @@ var updateNets = []struct {
 	{"mesh-2", func() *netgen.Snapshot {
 		return netgen.Random(netgen.RandomParams{Name: "m2", Nodes: 24, Degree: 4, LansPerNode: 1, Seed: 2})
 	}, 10},
-	{"fabric", func() *netgen.Snapshot {
-		return netgen.Fabric(netgen.FabricParams{Name: "f", Spines: 2, Pods: 3, AggPerPod: 2, TorPerPod: 3,
-			HostNetsPerTor: 2, Multipath: true, EdgeACLs: true})
-	}, 10},
+	{"fabric", fabricNet, 10},
 	{"NET1", func() *netgen.Snapshot { return catalogNet("NET1") }, 4},
 	{"NET2", func() *netgen.Snapshot { return catalogNet("NET2") }, 4},
+}
+
+func fabricNet() *netgen.Snapshot {
+	return netgen.Fabric(netgen.FabricParams{Name: "f", Spines: 2, Pods: 3, AggPerPod: 2, TorPerPod: 3,
+		HostNetsPerTor: 2, Multipath: true, EdgeACLs: true})
 }
 
 // TestEditUpdateMatchesCold is the differential check of Update. Each
@@ -70,11 +73,84 @@ func TestEditUpdateMatchesCold(t *testing.T) {
 			total.updated += n.updated
 		})
 	}
+	t.Run("fixed", checkFixedEdits)
 	if total.covered == 0 {
 		t.Error("no draw put an edited prefix over an address of D")
 	}
 	if total.eligible == 0 || 3*total.updated < 2*total.eligible {
 		t.Errorf("Update ran on %d of %d eligible draws, want at least two thirds", total.updated, total.eligible)
+	}
+}
+
+// checkFixedEdits runs three edits of the fabric network, each of which
+// must take the update path and equal the cold run: the change-loop shape
+// (a Null0 static over half of a BGP-originated ToR host subnet), a static
+// whose prefix strictly contains base routes and no address of D, and two
+// nested statics. In each, every node but the edited ToR must keep the
+// base's NodeState.
+func checkFixedEdits(t *testing.T) {
+	net := core.LoadGeneratedWith(pipeline.Disabled(), fabricNet()).Net
+	base := dataplane.Run(net, dataplane.Options{})
+	deps := dependencyAddrs(base)
+	var tor string
+	var host ip4.Prefix
+	for _, name := range net.DeviceNames() {
+		if v := net.Devices[name].VRFs[config.DefaultVRF]; tor == "" && strings.Contains(name, "-tor") && v.BGP != nil {
+			for _, p := range v.BGP.Networks {
+				if p.Len == 24 {
+					tor, host = name, p
+					break
+				}
+			}
+		}
+	}
+	if tor == "" {
+		t.Fatal("no ToR originates a /24 host subnet")
+	}
+	half := ip4.Prefix{Addr: host.Addr, Len: 25}
+	super := ip4.Prefix{Addr: host.Addr, Len: 16}.Canonical()
+	rows := []struct {
+		name     string
+		prefixes []ip4.Prefix
+	}{
+		{"half-host-subnet", []ip4.Prefix{half}},
+		{"supernet-of-host-subnets", []ip4.Prefix{super}},
+		{"nested", []ip4.Prefix{super, half}},
+	}
+	for _, row := range rows {
+		if coversAny(row.prefixes, deps) {
+			t.Fatalf("%s: %v holds an address of D", row.name, row.prefixes)
+		}
+		d := *net.Devices[tor]
+		d.VRFs = maps.Clone(d.VRFs)
+		v := *d.VRFs[config.DefaultVRF]
+		v.StaticRoutes = slices.Clone(v.StaticRoutes)
+		for _, p := range row.prefixes {
+			v.StaticRoutes = append(v.StaticRoutes, config.StaticRoute{Prefix: p, Drop: true})
+		}
+		d.VRFs[config.DefaultVRF] = &v
+		edited := &config.Network{Devices: maps.Clone(net.Devices), Warnings: net.Warnings}
+		edited.Devices[tor] = &d
+		got, ok := dataplane.Update(context.Background(), base, edited, dataplane.Options{})
+		if !ok {
+			t.Errorf("%s: Update fell back", row.name)
+			continue
+		}
+		compareUpdate(t, row.name, dataplane.Run(edited, dataplane.Options{}), got)
+		for name, ns := range got.Nodes {
+			if shared := ns == base.Nodes[name]; shared == (name == tor) {
+				t.Errorf("%s: node %s shares the base's state: %v", row.name, name, shared)
+			}
+		}
+	}
+	inside := 0
+	for _, rt := range base.Nodes[tor].VRFs[config.DefaultVRF].Main.AllBest() {
+		if rt.Prefix != super && super.ContainsPrefix(rt.Prefix) {
+			inside++
+		}
+	}
+	if inside == 0 {
+		t.Errorf("no base route of %s lies strictly inside %v", tor, super)
 	}
 }
 

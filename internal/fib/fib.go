@@ -5,7 +5,9 @@
 // as a decision diagram over the destination bits, building each next
 // hop's longest-prefix-match packet set node by node as a BDD edge label
 // (paper §4.2.1: "edge constraints ... encode the semantics of
-// longest-prefix matching").
+// longest-prefix matching"). The incremental data plane (dataplane.Update)
+// reads and splices entries by exact prefix (Exact): an edit changes the
+// entries of its own prefixes and no others.
 package fib
 
 import (
@@ -180,28 +182,20 @@ func (f *FIB) Entries() []Entry {
 	return sortEntries(collect(f.root, nil))
 }
 
-// Overlapping returns the entries whose prefixes overlap q — those that
-// contain it and those inside it — in canonical prefix order.
-func (f *FIB) Overlapping(q ip4.Prefix) []Entry {
-	q = q.Canonical()
-	var out []Entry
-	for cur := f.root; cur != nil; {
-		if q.ContainsPrefix(cur.Prefix) {
-			return sortEntries(collect(cur, out))
-		}
-		if !cur.Prefix.ContainsPrefix(q) {
-			break
-		}
-		if cur.Entry != nil {
-			out = append(out, *cur.Entry)
+// Exact returns the entry whose prefix is exactly p, or nil.
+func (f *FIB) Exact(p ip4.Prefix) *Entry {
+	p = p.Canonical()
+	for cur := f.root; cur != nil && cur.Prefix.ContainsPrefix(p); {
+		if cur.Prefix.Len == p.Len {
+			return cur.Entry
 		}
 		b := 0
-		if q.Addr.Bit(int(cur.Prefix.Len)) {
+		if p.Addr.Bit(int(cur.Prefix.Len)) {
 			b = 1
 		}
 		cur = cur.Children[b]
 	}
-	return out
+	return nil
 }
 
 // collect appends the entries of the subtree under n to out.

@@ -115,9 +115,10 @@ func TestLPMMatchesLinearScan(t *testing.T) {
 	}
 }
 
-// TestOverlappingMatchesScan checks Overlapping against a filter of
-// Entries on random tables dense enough for prefixes to nest.
-func TestOverlappingMatchesScan(t *testing.T) {
+// TestExactMatchesScan checks Exact against a scan of Entries on random
+// tries: a query finds the entry with exactly its prefix, or nil when
+// only supernets or subnets of it have entries.
+func TestExactMatchesScan(t *testing.T) {
 	rnd := rand.New(rand.NewSource(7))
 	randPrefix := func() ip4.Prefix {
 		return ip4.Prefix{Addr: ip4.Addr(10<<24 | rnd.Uint32()&0xffff), Len: uint8(8 + rnd.Intn(25))}.Canonical()
@@ -125,23 +126,27 @@ func TestOverlappingMatchesScan(t *testing.T) {
 	for trial := 0; trial < 20; trial++ {
 		f := New()
 		for i := 0; i < 200; i++ {
-			f.Add(Entry{Prefix: randPrefix(), NextHops: []NextHop{{Iface: "e"}}})
+			p := randPrefix()
+			f.Add(Entry{Prefix: p, NextHops: []NextHop{{Iface: p.String()}}})
 		}
 		all := f.Entries()
+		queries := make([]ip4.Prefix, 0, 400)
+		for _, e := range all {
+			queries = append(queries, e.Prefix)
+		}
 		for i := 0; i < 200; i++ {
-			q := randPrefix()
-			var want []ip4.Prefix
-			for _, e := range all {
-				if e.Prefix.Overlaps(q) {
-					want = append(want, e.Prefix)
+			queries = append(queries, randPrefix())
+		}
+		for _, q := range queries {
+			var want *Entry
+			for i := range all {
+				if all[i].Prefix == q {
+					want = &all[i]
 				}
 			}
-			var got []ip4.Prefix
-			for _, e := range f.Overlapping(q) {
-				got = append(got, e.Prefix)
-			}
-			if fmt.Sprint(got) != fmt.Sprint(want) {
-				t.Fatalf("Overlapping(%v) = %v, want %v", q, got, want)
+			got := f.Exact(q)
+			if (got == nil) != (want == nil) || got != nil && fmt.Sprint(*got) != fmt.Sprint(*want) {
+				t.Fatalf("Exact(%v) = %v, want %v", q, got, want)
 			}
 		}
 	}

@@ -184,8 +184,10 @@ func (p *Pipeline) sharedEnc() *hdr.Enc {
 // every unscoped, pre-scenario key byte-identical (warm disk caches stay
 // valid) and a scoped artifact apart from the full one.
 func dpOptionsKey(o dataplane.Options) []byte {
-	base := fmt.Sprintf("sched=%d;maxiter=%d;noclocks=%t;fullconv=%t",
-		o.Schedule, o.MaxIterations, o.DisableClocks, o.FullStateConvergence)
+	// The clock tie-break is always on; the literal noclocks=false keeps
+	// every key, and so every warm disk tier, byte-identical.
+	base := fmt.Sprintf("sched=%d;maxiter=%d;noclocks=false;fullconv=%t",
+		o.Schedule, o.MaxIterations, o.FullStateConvergence)
 	if sk := o.Suppress.CacheKey(); sk != "" {
 		base += ";suppress=" + sk
 	}

@@ -129,24 +129,32 @@ type MultipathViolation struct {
 // passes, when it is non-nil, else from one forward pass per source (see
 // SinksOf); the caller chooses.
 func (a *Analysis) MultipathConsistency(ctx context.Context, ap *AllPairs, hs bdd.Ref) []MultipathViolation {
-	f := a.Enc.F
 	var out []MultipathViolation
 	for _, src := range a.Sources() {
-		sinks, ok := a.SinksOf(ctx, ap, src, hs)
-		if !ok {
-			continue
+		if v, ok := a.MultipathViolationOf(ctx, ap, src, hs); ok {
+			out = append(out, v)
 		}
-		success, failure := Partition(sinks, f)
-		both := f.And(success, failure)
-		if both == bdd.False {
-			continue
-		}
-		ex, _ := a.Enc.PickPacket(both,
-			a.Enc.FieldEq(hdr.Protocol, hdr.ProtoTCP),
-			a.Enc.FieldGE(hdr.SrcPort, 1024))
-		out = append(out, MultipathViolation{Source: src, Packets: both, Example: ex})
 	}
 	return out
+}
+
+// MultipathViolationOf is MultipathConsistency's check of one source: its
+// violation, and whether it has one.
+func (a *Analysis) MultipathViolationOf(ctx context.Context, ap *AllPairs, src SourceLoc, hs bdd.Ref) (MultipathViolation, bool) {
+	sinks, ok := a.SinksOf(ctx, ap, src, hs)
+	if !ok {
+		return MultipathViolation{}, false
+	}
+	f := a.Enc.F
+	success, failure := Partition(sinks, f)
+	both := f.And(success, failure)
+	if both == bdd.False {
+		return MultipathViolation{}, false
+	}
+	ex, _ := a.Enc.PickPacket(both,
+		a.Enc.FieldEq(hdr.Protocol, hdr.ProtoTCP),
+		a.Enc.FieldGE(hdr.SrcPort, 1024))
+	return MultipathViolation{Source: src, Packets: both, Example: ex}, true
 }
 
 // WaypointResult partitions delivered traffic by whether it traversed the

@@ -43,6 +43,7 @@ func FuzzHandler(f *testing.F) {
 	f.Add(uint8(3), "dst=10.0.0.0/33&port=99999&timeout=-1s")
 	f.Add(uint8(2), "src=nope/eth0")
 	f.Add(uint8(3), "dst=10.0.0.0/24&client=nope/eth0")
+	f.Add(uint8(2), "src=sm-p01-tor01")
 	f.Fuzz(func(t *testing.T, kind uint8, payload string) {
 		var rec *httptest.ResponseRecorder
 		switch kind % 4 {

@@ -503,14 +503,16 @@ func (s *Server) serveQuestion(w http.ResponseWriter, r *http.Request, q string,
 	writeJSON(w, status, resp)
 }
 
-// parseSourceLocs parses repeated "device" or "device/iface" params.
+// parseSourceLocs parses repeated "device/iface" params. Every source of
+// the forwarding graph is an interface, so a value without both halves
+// is refused rather than answered with no row.
 func parseSourceLocs(vals []string) ([]reach.SourceLoc, error) {
 	var out []reach.SourceLoc
 	for _, v := range vals {
-		if v == "" {
-			return nil, fmt.Errorf("empty source location")
-		}
 		dev, iface, _ := strings.Cut(v, "/")
+		if dev == "" || iface == "" {
+			return nil, fmt.Errorf("bad source location %q (want device/iface)", v)
+		}
 		out = append(out, reach.SourceLoc{Device: dev, Iface: iface})
 	}
 	return out, nil

@@ -94,7 +94,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	case planErr != nil:
 		finish(outcomeClientError)
 		writeJSON(w, http.StatusBadRequest, apiResponse{Snapshot: name,
-			ExitCode: ExitUsage, Error: "sweep: " + planErr.Error()})
+			ExitCode: ExitUsage, Error: planErr.Error()})
 		return
 	}
 

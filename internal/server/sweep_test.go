@@ -245,6 +245,9 @@ func TestSweepRejectsUnknownSources(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest || ar.ExitCode != server.ExitUsage || !strings.Contains(ar.Error, "nope/eth0") {
 		t.Errorf("unknown source: status %d exit %d (%s)", resp.StatusCode, ar.ExitCode, ar.Error)
 	}
+	if n := strings.Count(ar.Error, "sweep: "); n != 1 {
+		t.Errorf("unknown source: error %q carries the \"sweep: \" prefix %d times, want once", ar.Error, n)
+	}
 	if m := tc.metrics(); m.Degraded != 0 || m.BreakerTrips != 0 || m.PanicsRecovered != 0 || m.ClientErrors != 1 {
 		t.Errorf("degraded %d, breaker trips %d, panics %d, client errors %d; want 0, 0, 0, 1",
 			m.Degraded, m.BreakerTrips, m.PanicsRecovered, m.ClientErrors)
@@ -252,6 +255,35 @@ func TestSweepRejectsUnknownSources(t *testing.T) {
 	resp, ar = tc.do(http.MethodGet, "/snapshots/sm/reachability?src=sm-p01-tor01/host1", nil)
 	if resp.StatusCode != http.StatusOK || ar.ExitCode != server.ExitOK || len(ar.Diags) > 0 {
 		t.Errorf("after the refused sweep: status %d exit %d diags %v", resp.StatusCode, ar.ExitCode, ar.Diags)
+	}
+}
+
+// TestDeviceOnlySourceRefused: every source of the forwarding graph is an
+// interface, so a device-only source location is refused with 400 / exit
+// 2 naming the value, by reachability, service-reachable and the sweep
+// body alike, before any snapshot work.
+func TestDeviceOnlySourceRefused(t *testing.T) {
+	_, ts := newServer(t, server.Config{})
+	tc := newTestClient(t, ts)
+	tc.load("sm", smallFabric())
+	for _, req := range []struct {
+		method, path string
+		body         any
+		bad          string // the refused value
+	}{
+		{http.MethodGet, "/snapshots/sm/reachability?src=sm-p01-tor01", nil, "sm-p01-tor01"},
+		{http.MethodGet, "/snapshots/sm/reachability?src=sm-p01-tor01/host1&src=/host1", nil, "/host1"},
+		{http.MethodGet, "/snapshots/sm/service-reachable?dst=10.0.0.0/24&port=443&client=sm-p01-tor01", nil, "sm-p01-tor01"},
+		{http.MethodPost, "/snapshots/sm/sweep", map[string]any{"src": []string{"sm-p01-tor01"}}, "sm-p01-tor01"},
+	} {
+		resp, ar := tc.do(req.method, req.path, req.body)
+		if resp.StatusCode != http.StatusBadRequest || ar.ExitCode != server.ExitUsage || !strings.Contains(ar.Error, `"`+req.bad+`"`) {
+			t.Errorf("%s %s: status %d exit %d (%s), want 400 / exit 2 naming %q",
+				req.method, req.path, resp.StatusCode, ar.ExitCode, ar.Error, req.bad)
+		}
+	}
+	if m := tc.metrics(); m.ClientErrors != 4 || m.Degraded != 0 || m.BreakerTrips != 0 {
+		t.Errorf("client errors %d, degraded %d, breaker trips %d; want 4, 0, 0", m.ClientErrors, m.Degraded, m.BreakerTrips)
 	}
 }
 
