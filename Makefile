@@ -52,7 +52,7 @@ test:
 
 race:
 	$(GO) test -race -short ./...
-	$(GO) test -race -run 'TestParallelismMatchesSerial|TestPoolConcurrentInterning|TestEditUpdateMatchesCold' ./internal/dataplane/ ./internal/routing/
+	$(GO) test -race -run 'TestParallelismMatchesSerial|TestPoolConcurrentInterning|TestEditUpdateMatchesCold|TestRunFromConcurrent' ./internal/dataplane/ ./internal/routing/
 	$(GO) test -race -run 'TestIncrementalEquivalence|TestScenarioIncrementalEquivalence|TestCompareWithSharedMatchesPerSource' ./internal/core/
 	$(GO) test -race -run 'TestChaos|TestCancel' ./internal/faults/
 	$(GO) test -race -run 'TestSweepDeterminismAcrossWorkers|TestSweepWorkerKillRequeue' ./internal/sweep/
@@ -117,13 +117,15 @@ bench:
 # and heir warm-hit rate (Cluster), the sweep's prune bound (Sweep/plan),
 # decode-over-run (DataPlaneArtifact), the stitched graph's speed over
 # a cold build (GraphBuild/update), the spliced data plane's speed over a
-# cold run (DataPlaneUpdate/*/update) and the Delta-restricted passes' speed
-# over full ones (IncrementalCompare/compare, 20 edits; its other
-# sub-benchmarks carry no floor). Sweep/k1-links-nodes carries the executed
+# cold run (DataPlaneUpdate/*/update), a scoped failure class re-run
+# from its base over a cold run (DataPlaneRerun/rerun) and the
+# Delta-restricted passes' speed over full ones
+# (IncrementalCompare/compare, 20 edits; its other sub-benchmarks carry
+# no floor). Sweep/k1-links-nodes carries the executed
 # sweep's floors (prune ratio, speedup over cold replays); with each class
 # simulating only the monitored destinations, on one store-less runtime
 # per worker, it peaks near 0.62 GB RSS on a 2-vCPU host
 # (EXPERIMENTS E13).
 bench-check:
-	$(GO) test -run '^$$' -bench '^Benchmark(Parallelism|Intern|Cluster|Sweep|GraphBuild|DataPlaneArtifact|DataPlaneUpdate)$$' -benchmem .
+	$(GO) test -run '^$$' -bench '^Benchmark(Parallelism|Intern|Cluster|Sweep|GraphBuild|DataPlaneArtifact|DataPlaneUpdate|DataPlaneRerun)$$' -benchmem .
 	$(GO) test -run '^$$' -bench '^BenchmarkIncrementalCompare$$/^compare$$' -benchtime 20x -benchmem .

@@ -75,11 +75,14 @@ func (sc Scenario) ID() string {
 // parse diagnostics are shared with the baseline — while scenarios with
 // config edits parse only the files whose text changed (or that the
 // baseline quarantined or never reached), and every other file keeps the
-// baseline's parsed model by pointer (see Edit). A
-// config-only scenario applied to a snapshot whose data plane is computed
-// records that data plane as the new snapshot's edit base (see Edit), and
-// any scenario applied to a snapshot whose graph is built records that
-// graph, whose unchanged device fragments the new graph reuses
+// baseline's parsed model by pointer (see Edit). Any scenario applied
+// to a snapshot whose data plane is computed records that data plane as
+// the new snapshot's base: the new data plane re-runs from it
+// (dataplane.RunFrom takes its topology and every unchanged device's
+// index and connected state, on any pipeline), or, for a config-only
+// scenario on a caching pipeline, splices from it (dataplane.Update, see
+// Edit). Any scenario applied to a snapshot whose graph is built records
+// that graph, whose unchanged device fragments the new graph reuses
 // (fwdgraph.Update, which builds cold from a cancelled graph).
 // Failure suppressions compose: applying a scenario to an
 // already-suppressed snapshot merges the overlays.
@@ -110,10 +113,8 @@ func (s *Snapshot) Apply(sc Scenario) *Snapshot {
 			}
 		}
 		ns = load(s.context(), s.pl, texts, unchanged)
-		if sc.suppression().Empty() {
-			ns.base = s.dp
-		}
 	}
+	ns.base = s.dp
 	ns.baseG = s.g
 	ns.opts = s.opts
 	ns.opts.Suppress = s.opts.Suppress.Merge(sc.suppression())

@@ -56,9 +56,10 @@ type Snapshot struct {
 	devKeys map[string]pipeline.Key           // hostname → parse-artifact key
 
 	opts dataplane.Options
-	// base is the data plane of the snapshot this one was edited from,
+	// base is the data plane of the snapshot this one was derived from,
 	// when it was already computed: the starting point the pipeline hands
-	// to dataplane.Update. It is dropped once dp is computed.
+	// to dataplane.Update and dataplane.RunFrom. It is dropped once dp is
+	// computed.
 	base  *dataplane.Result
 	dp    *dataplane.Result
 	dpKey pipeline.Key
@@ -349,7 +350,7 @@ func (s *Snapshot) Pipeline() *pipeline.Pipeline {
 }
 
 // SetDataPlaneOptions overrides simulation options (before the first
-// DataPlane call). The edit base, computed under the old options, is
+// DataPlane call). The base, computed under the old options, is
 // dropped.
 func (s *Snapshot) SetDataPlaneOptions(o dataplane.Options) { s.opts, s.base = o, nil }
 

@@ -101,26 +101,6 @@ func (e *Engine) bgpCmp(vs *VRFState) routing.Comparator {
 	}
 }
 
-// sourceIPFor picks the local session IP for a configured neighbor:
-// the update-source interface's address if set, else the address of the
-// interface whose subnet contains the peer.
-func (e *Engine) sourceIPFor(node string, d *config.Device, vrfName string, n *config.BGPNeighbor) ip4.Addr {
-	if n.UpdateSource != "" {
-		if i, ok := d.Interfaces[n.UpdateSource]; ok && i.Active {
-			if p, ok := i.Primary(); ok {
-				return p.Addr
-			}
-		}
-		return 0
-	}
-	if iface, ok := e.connIface(node, vrfName, n.PeerIP); ok {
-		if p, ok := d.Interfaces[iface].Primary(); ok {
-			return p.Addr
-		}
-	}
-	return 0
-}
-
 // establishSessions recomputes all BGP sessions from configuration and the
 // current data plane. Both compatibility (mirrored neighbor statements,
 // matching AS numbers — the BGP session compatibility analysis of Lesson 5)
@@ -153,7 +133,7 @@ func (e *Engine) establishSessions() {
 					LocalNode: node, LocalVRF: cv.Name, LocalAS: cv.BGP.ASN,
 					PeerIP: n.PeerIP, PeerAS: n.RemoteAS, Neighbor: n,
 				}
-				s.LocalIP = e.sourceIPFor(node, d, cv.Name, n)
+				s.LocalIP = ns.idx.sourceIP(d, cv.Name, n)
 				s.EBGP = n.RemoteAS != cv.BGP.ASN
 				if s.LocalIP == 0 {
 					s.DownReason = "no local source IP"

@@ -7,17 +7,25 @@ import (
 )
 
 // initConnected installs connected subnets and local host routes for every
-// active interface, and seeds each VRF's main RIB. Per-node independent,
-// so nodes fan out over the worker pool.
+// active interface, and seeds each VRF's main RIB; a node whose connected
+// state the run shares takes it from its base node (shareConnected).
+// Per-node independent, so nodes fan out over the worker pool.
 func (e *Engine) initConnected() {
 	e.runPhase("connected", e.names, func(node string) {
+		if b := e.connFrom[node]; b != nil {
+			ns := e.nodes[node]
+			e.forEachVRFOf(node, func(_ string, _ *config.Device, cv *config.VRF, vs *VRFState) {
+				shareConnected(b.VRFs[cv.Name], vs, &ns.clock)
+			})
+			return
+		}
 		e.forEachVRFOf(node, e.initConnectedNode)
 	})
 }
 
 func (e *Engine) initConnectedNode(node string, d *config.Device, cv *config.VRF, vs *VRFState) {
 	{
-		for _, in := range d.InterfaceNames() {
+		for _, in := range e.nodes[node].idx.ifaces {
 			i := d.Interfaces[in]
 			if !i.Active || i.VRFOrDefault() != cv.Name {
 				continue

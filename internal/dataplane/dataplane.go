@@ -123,8 +123,15 @@ type NodeState struct {
 	clock routing.Clock
 
 	// vrfNames caches the sorted VRF names (VRF materialization is
-	// complete after New), so per-iteration phases don't re-sort.
+	// complete after the engine is built), so per-iteration phases don't
+	// re-sort.
 	vrfNames []string
+
+	// idx is the device's derived state (devIndex). It is nil on a
+	// NodeState decoded from an artifact, whose RIBs Load stamped. A
+	// NodeState that carries it holds ConnRIBs initConnected built, with
+	// a cold run's clocks, so a run from this state may share both.
+	idx *devIndex
 }
 
 // DefaultVRF returns the default VRF state.
@@ -270,11 +277,9 @@ type Engine struct {
 	names   []string
 	nameIdx map[string]int
 
-	// connIdx precomputes, per node and VRF, the active sub-/32 interface
-	// prefixes in sorted interface order: connIface is on the next-hop
-	// resolution hot path and previously re-sorted interface names per
-	// call.
-	connIdx map[string]map[string][]connEntry
+	// connFrom maps each node whose connected state this run shares to
+	// the base NodeState it shares it from (RunFrom).
+	connFrom map[string]*NodeState
 
 	// curStage labels the phase for diagnostics; set between phases
 	// (never concurrently with a running phase).
@@ -308,25 +313,23 @@ type ifaceRef struct {
 	node, iface, vrf string
 }
 
-// connEntry is one active interface prefix, in sorted interface order.
-type connEntry struct {
-	iface  string
-	prefix ip4.Prefix
-}
-
-// New creates an engine over the parsed network.
-func New(net *config.Network, opts Options) *Engine {
+// newEngine creates an engine over the parsed network, taking from base
+// (nil for none) what RunFrom lists.
+func newEngine(ctx context.Context, base *Result, net *config.Network, opts Options) *Engine {
 	sup := opts.Suppress.Canonical()
 	e := &Engine{
-		net:    net,
-		topo:   topo.Infer(net).Mask(sup.Links, sup.Nodes),
-		opts:   opts,
-		pool:   routing.NewPool(),
-		nodes:  make(map[string]*NodeState),
-		ctx:    context.Background(),
-		failed: make(map[string]bool),
-		sup:    sup,
-		scope:  opts.Scope.Canonical(),
+		net:      net,
+		opts:     opts,
+		pool:     routing.NewPool(),
+		nodes:    make(map[string]*NodeState),
+		ctx:      ctx,
+		failed:   make(map[string]bool),
+		sup:      sup,
+		scope:    opts.Scope.Canonical(),
+		connFrom: make(map[string]*NodeState),
+	}
+	if e.ctx == nil {
+		e.ctx = context.Background()
 	}
 	if len(sup.Sessions) > 0 {
 		e.sessDown = make(map[SessionKey]bool, len(sup.Sessions))
@@ -348,50 +351,29 @@ func New(net *config.Network, opts Options) *Engine {
 	for i, n := range e.names {
 		e.nameIdx[n] = i
 	}
+	e.topo = e.topologyFrom(base)
 	e.ipOwner = make(map[ip4.Addr][]ifaceRef)
-	e.connIdx = make(map[string]map[string][]connEntry, len(e.names))
 	for _, name := range e.names {
 		d := net.Devices[name]
 		ns := &NodeState{Device: d, VRFs: make(map[string]*VRFState)}
-		e.nodes[name] = ns
-		byVRF := make(map[string][]connEntry)
-		e.connIdx[name] = byVRF
-		for _, in := range d.InterfaceNames() {
-			i := d.Interfaces[in]
-			if !i.Active {
-				continue
+		if b := base.baseNode(name, d); b != nil {
+			ns.idx = b.idx
+			if !base.Degraded() {
+				e.connFrom[name] = b
 			}
-			vrf := i.VRFOrDefault()
-			for _, p := range i.Addresses {
-				e.ipOwner[p.Addr] = append(e.ipOwner[p.Addr], ifaceRef{node: name, iface: in, vrf: vrf})
-				if p.Len < 32 {
-					byVRF[vrf] = append(byVRF[vrf], connEntry{iface: in, prefix: p})
-				}
-			}
+		} else {
+			ns.idx = newDevIndex(d)
 		}
-	}
-	// Materialize every VRF state up front (configured VRFs plus any VRF an
-	// interface references), so e.vrf is a pure map read during parallel
-	// phases instead of a create-on-miss that would race.
-	for _, name := range e.names {
-		d := net.Devices[name]
-		for vn := range d.VRFs {
+		e.nodes[name] = ns
+		// Materialize every VRF state up front, so e.vrf is a pure map read
+		// during parallel phases instead of a create-on-miss that would race.
+		ns.vrfNames = ns.idx.vrfNames
+		for _, vn := range ns.vrfNames {
 			e.vrf(name, vn)
 		}
-		for _, in := range d.InterfaceNames() {
-			if i := d.Interfaces[in]; i.Active {
-				e.vrf(name, i.VRFOrDefault())
-			}
+		for _, o := range ns.idx.owned {
+			e.ipOwner[o.addr] = append(e.ipOwner[o.addr], ifaceRef{node: name, iface: o.iface, vrf: o.vrf})
 		}
-	}
-	for _, name := range e.names {
-		ns := e.nodes[name]
-		names := make([]string, 0, len(ns.VRFs))
-		for vn := range ns.VRFs {
-			names = append(names, vn)
-		}
-		sort.Strings(names)
-		ns.vrfNames = names
 	}
 	e.inScope = e.newScopeFilter(e.scope)
 	return e
@@ -416,7 +398,7 @@ func (e *Engine) newVRFState(name string, clock *routing.Clock) *VRFState {
 }
 
 // vrf returns (creating) the VRF state for node/vrfName. All creation
-// happens during New; afterwards this is a pure map read.
+// happens in newEngine; afterwards this is a pure map read.
 func (e *Engine) vrf(node, vrfName string) *VRFState {
 	ns := e.nodes[node]
 	if v, ok := ns.VRFs[vrfName]; ok {
@@ -429,19 +411,16 @@ func (e *Engine) vrf(node, vrfName string) *VRFState {
 
 // Run executes the full simulation and returns the data plane.
 func Run(net *config.Network, opts Options) *Result {
-	return New(net, opts).Run()
+	return RunFrom(context.Background(), nil, net, opts)
 }
 
 // RunContext executes the full simulation under a context: cancellation
 // (or a deadline) is checked between phases and once per color-class
 // round of the exchange loops, so large runs stop promptly with a
-// partial, diagnosed result instead of running to completion.
+// partial, diagnosed result instead of running to completion. It is
+// RunFrom with no base.
 func RunContext(ctx context.Context, net *config.Network, opts Options) *Result {
-	e := New(net, opts)
-	if ctx != nil {
-		e.ctx = ctx
-	}
-	return e.Run()
+	return RunFrom(ctx, nil, net, opts)
 }
 
 // cancelled checks the run's context; the first observation records the
@@ -608,18 +587,9 @@ func (e *Engine) warnf(format string, args ...any) {
 func (e *Engine) ownerOf(a ip4.Addr) []ifaceRef { return e.ipOwner[a] }
 
 // connIface returns the active interface on node whose subnet contains a,
-// restricted to the given VRF. Scans the precomputed per-VRF prefix index
-// (sorted interface order, so longest-match ties keep their historical
-// first-interface winner).
+// restricted to the given VRF (devIndex.connIface).
 func (e *Engine) connIface(node, vrfName string, a ip4.Addr) (string, bool) {
-	best := ""
-	bestLen := -1
-	for _, en := range e.connIdx[node][vrfName] {
-		if en.prefix.Contains(a) && int(en.prefix.Len) > bestLen {
-			best, bestLen = en.iface, int(en.prefix.Len)
-		}
-	}
-	return best, bestLen >= 0
+	return e.nodes[node].idx.connIface(vrfName, a)
 }
 
 // neighborFor returns the device at the far end of (node, iface) that owns

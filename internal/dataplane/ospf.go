@@ -112,7 +112,7 @@ func (e *Engine) seedOSPFNode(node string, d *config.Device, cv *config.VRF, vs 
 	if cv.OSPF == nil {
 		return
 	}
-	for _, in := range d.InterfaceNames() {
+	for _, in := range e.nodes[node].idx.ifaces {
 		i := d.Interfaces[in]
 		if !i.Active || i.OSPF == nil || i.VRFOrDefault() != cv.Name {
 			continue

@@ -23,10 +23,10 @@ package dataplane
 // future engine read across prefixes must extend D.
 
 import (
+	"slices"
 	"sort"
 	"strings"
 
-	"repro/internal/config"
 	"repro/internal/ip4"
 )
 
@@ -85,9 +85,9 @@ func (f *scopeFilter) keep(p ip4.Prefix) bool {
 }
 
 // newScopeFilter builds the run's filter from the canonical scope and the
-// configuration of the devices in the run: both ends of every BGP session
-// (sessionViable walks both ways), every static next hop and every
-// route-map next-hop constant. It returns nil for the empty scope.
+// D addresses and destination-NAT pools of exactly the devices in the run
+// (devIndex), so a scoped result stays a function of its cache key. It
+// returns nil for the empty scope.
 func (e *Engine) newScopeFilter(scope Scope) *scopeFilter {
 	if len(scope) == 0 {
 		return nil
@@ -98,34 +98,11 @@ func (e *Engine) newScopeFilter(scope Scope) *scopeFilter {
 	}
 	var deps []ip4.Addr
 	for _, name := range e.names {
-		d := e.net.Devices[name]
-		for _, r := range d.NATRules {
-			if r.Kind == config.DestNAT {
-				f.ranges = append(f.ranges, [2]ip4.Addr{r.PoolLo, r.PoolHi})
-			}
-		}
-		for _, cv := range d.VRFs {
-			for _, sr := range cv.StaticRoutes {
-				deps = append(deps, sr.NextHop)
-			}
-			if cv.BGP == nil {
-				continue
-			}
-			for _, n := range cv.BGP.Neighbors {
-				deps = append(deps, n.PeerIP, e.sourceIPFor(name, d, cv.Name, n))
-			}
-		}
-		for _, rm := range d.RouteMaps {
-			for _, c := range rm.Clauses {
-				for _, s := range c.Sets {
-					if s.Kind == config.SetNextHop {
-						deps = append(deps, s.NextHop)
-					}
-				}
-			}
-		}
+		idx := e.nodes[name].idx
+		f.ranges = append(f.ranges, idx.natPools...)
+		deps = append(deps, idx.deps...)
 	}
-	sort.Slice(deps, func(i, j int) bool { return deps[i] < deps[j] })
+	slices.Sort(deps)
 	deps = dedupSlice(deps)
 	if len(deps) > 0 && deps[0] == 0 {
 		deps = deps[1:] // no next hop, or no session source address

@@ -37,11 +37,13 @@ import (
 //     next hop of a removed static — lies inside an edited prefix, and the
 //     scoped run of the edit converges cleanly with base's sessions.
 //
-// The result equals RunContext(ctx, net, opts) in every node fingerprint,
-// session and convergence flag; its iteration counts and Pool are the
-// scoped run's, the work it actually did. Nodes whose device and state
-// the edit leaves alone share base's NodeState. When Update reports false
-// the caller runs RunContext, the reference.
+// The scoped run starts from base (RunFrom), so every unedited device
+// takes base's topology, index and connected state. The result equals
+// RunContext(ctx, net, opts) in every node fingerprint, session and
+// convergence flag; its iteration counts and Pool are the scoped run's,
+// the work it actually did. Nodes whose device and state the edit leaves
+// alone share base's NodeState. When Update reports false the caller
+// runs RunFrom, whose result is RunContext's.
 func Update(ctx context.Context, base *Result, net *config.Network, opts Options) (*Result, bool) {
 	if len(base.Scope) > 0 || len(opts.Scope) > 0 || !cleanRun(base) ||
 		base.Suppress.CacheKey() != opts.Suppress.CacheKey() {
@@ -52,12 +54,9 @@ func Update(ctx context.Context, base *Result, net *config.Network, opts Options
 		return nil, false
 	}
 	opts.Scope = q
-	e := New(net, opts)
+	e := newEngine(ctx, base, net, opts)
 	if e.scope.holdsAny(e.inScope.deps) || e.scope.holdsAny(hops) {
 		return nil, false
-	}
-	if ctx != nil {
-		e.ctx = ctx
 	}
 	sr := e.Run()
 	if !cleanRun(sr) || !sameSessions(base.Sessions, sr.Sessions) {
@@ -235,19 +234,22 @@ func sameAtQ(b, s *NodeState, q Scope) bool {
 // splice builds a node's state from the scoped run's routes and FIB
 // entries for the prefixes of the scope and base's for every other
 // prefix, the way the persist decoder builds one: every RIB by Load, the
-// FIB by inserts.
+// FIB by inserts. The ConnRIB and the device index are the scoped run's
+// own: connected routes read neither the scope nor an origination edit.
 func (e *Engine) splice(b, s *NodeState) (*NodeState, bool) {
-	ns := &NodeState{Device: s.Device, VRFs: make(map[string]*VRFState, len(s.VRFs)), vrfNames: s.vrfNames}
+	ns := &NodeState{Device: s.Device, VRFs: make(map[string]*VRFState, len(s.VRFs)), vrfNames: s.vrfNames, idx: s.idx}
 	for _, vn := range s.vrfNames {
 		bvs, svs := b.VRFs[vn], s.VRFs[vn]
 		if bvs == nil || bvs.FIB == nil || svs.FIB == nil {
 			return nil, false
 		}
 		vs := e.newVRFState(vn, &ns.clock)
+		vs.ConnRIB = svs.ConnRIB
 		vs.multipathEBGP, vs.multipathIBGP = svs.multipathEBGP, svs.multipathIBGP
 		vs.Sessions = svs.Sessions
-		bribs, sribs := bvs.ribs(), svs.ribs()
-		for i, rib := range vs.ribs() {
+		bribs, sribs, ribs := bvs.ribs(), svs.ribs(), vs.ribs()
+		for i := 1; i < len(ribs); i++ { // ribs[0] is the ConnRIB
+			rib := ribs[i]
 			var routes []routing.Route
 			for _, p := range bribs[i].Prefixes() {
 				if !e.scope.has(p) {

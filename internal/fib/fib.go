@@ -307,7 +307,13 @@ func resolveRoute(rib *routing.RIB, res Resolver, rt routing.Route, depth int) (
 	return out, true
 }
 
+// dedupNextHops sorts next hops by interface, IP and drop flag and drops
+// repeats. Most entries (every connected and local route) have a single
+// next hop, which needs neither.
 func dedupNextHops(nhs []NextHop) []NextHop {
+	if len(nhs) <= 1 {
+		return nhs
+	}
 	sort.Slice(nhs, func(i, j int) bool {
 		a, b := nhs[i], nhs[j]
 		if a.Iface != b.Iface {

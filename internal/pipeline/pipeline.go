@@ -21,7 +21,10 @@
 // which is sound because Update's result equals that cold run in
 // Fingerprint, every node's state and every session; only its iteration
 // counts, which describe the work done, differ. The cold path
-// (Disabled(), and every store-less reference check) never splices.
+// (Disabled(), and every store-less reference check) never splices; it
+// may still re-run from a base (dataplane.RunFrom), which takes only
+// state the derivation leaves unchanged and equals a cold run byte for
+// byte.
 //
 // An edited snapshot parses only its changed files, on caching and
 // Disabled() pipelines alike: ParseCtx takes every other file's artifact,
@@ -216,15 +219,17 @@ func DataPlaneKey(net *config.Network, devKeys map[string]Key, opts dataplane.Op
 }
 
 // DataPlaneCtx runs (or reuses) the simulation stage under ctx, with
-// cooperative cancellation and an optional base: the data plane of the network net was edited from, computed under
-// opts' simulation options. On a caching pipeline, after a store and a
-// disk miss, a non-nil base is first handed to dataplane.Update, and the
-// cold run happens only when Update declines. A Disabled() pipeline
-// ignores base, so it stays the cold reference. Degraded results —
-// cancelled, quarantined, or carrying any diagnostic — are returned with
-// a zero Key and never stored: caching a partial simulation would let a
-// transient failure masquerade as the truth for every later
-// byte-identical snapshot.
+// cooperative cancellation and an optional base: the data plane of the
+// snapshot this one was derived from (by an edit, a failure overlay or
+// both), computed under opts' schedule and limits. On a caching
+// pipeline, after a store and a disk miss, a non-nil base is first
+// handed to dataplane.Update. Every other miss runs dataplane.RunFrom
+// from base (nil for none), on Disabled() pipelines too: its result is
+// the cold run's byte for byte, so only Update's splice is kept off the
+// cold reference. Degraded results — cancelled, quarantined, or carrying
+// any diagnostic — are returned with a zero Key and never stored:
+// caching a partial simulation would let a transient failure masquerade
+// as the truth for every later byte-identical snapshot.
 func (p *Pipeline) DataPlaneCtx(ctx context.Context, net *config.Network, devKeys map[string]Key, opts dataplane.Options, base *dataplane.Result) (*dataplane.Result, Key) {
 	start := time.Now()
 	var k Key
@@ -255,7 +260,7 @@ func (p *Pipeline) DataPlaneCtx(ctx context.Context, net *config.Network, devKey
 		p.dp.Updates++
 		p.statMu.Unlock()
 	} else {
-		res = dataplane.RunContext(ctx, net, opts)
+		res = dataplane.RunFrom(ctx, base, net, opts)
 	}
 	if res.Degraded() {
 		k = Key{}

@@ -26,6 +26,11 @@ func (c *Clock) Next() uint64 { return c.t.Add(1) }
 // Now returns the current timestamp without advancing.
 func (c *Clock) Now() uint64 { return c.t.Load() }
 
+// Advance moves the clock n draws forward without stamping anything: a
+// run that shares n routes another RIB stamped from an equal clock skips
+// their draws, so its later draws stamp what drawing them would have.
+func (c *Clock) Advance(n uint64) { c.t.Add(n) }
+
 // Comparator orders candidate routes for the same prefix: positive if a is
 // preferred over b, negative if b over a, zero if equally good (ECMP).
 type Comparator func(a, b Route) int
@@ -393,8 +398,12 @@ func (r *RIB) Prefixes() []ip4.Prefix {
 
 // AllBest returns every best route in canonical prefix order.
 func (r *RIB) AllBest() []Route {
-	var out []Route
-	for _, p := range r.Prefixes() {
+	ps := r.Prefixes()
+	if len(ps) == 0 {
+		return nil
+	}
+	out := make([]Route, 0, len(ps)) // every prefix has a best route
+	for _, p := range ps {
 		out = append(out, r.entries[p].best...)
 	}
 	return out

@@ -60,13 +60,15 @@ const runtimeGrowth = 4
 
 // workerRT is one worker's private execution runtime: a base snapshot
 // rebuilt from the plan's texts on its own pipeline.Disabled(), whose
-// parsed model every scenario shares. The pipeline keeps no artifacts,
-// since every class is a distinct scenario and nothing reads a class's
-// data plane, graph or analysis again; its one BDD factory
-// (unsynchronized, so never shared between workers) serves every class
-// the worker runs until it passes limit nodes. The base answers the
-// plan's question once when the runtime is built, to refuse a degraded
-// baseline; each scenario then answers on its own.
+// parsed model every scenario shares and whose scoped, unmasked data
+// plane every class re-runs from (dataplane.RunFrom takes its topology,
+// masked, and every live device's index and connected state). The
+// pipeline keeps no artifacts, since every class is a distinct scenario
+// and nothing reads a class's data plane, graph or analysis again; its
+// one BDD factory (unsynchronized, so never shared between workers)
+// serves every class the worker runs until it passes limit nodes. The
+// base answers the plan's question once when the runtime is built, to
+// refuse a degraded baseline; each scenario then answers on its own.
 type workerRT struct {
 	base  *core.Snapshot
 	limit int

@@ -1,6 +1,12 @@
 package topo
 
-import "testing"
+import (
+	"fmt"
+	"math/rand"
+	"reflect"
+	"slices"
+	"testing"
+)
 
 func TestLinkCanonicalAndString(t *testing.T) {
 	e := Edge{Node1: "b", Iface1: "e1", Node2: "a", Iface2: "e0"}
@@ -73,4 +79,77 @@ func TestMask(t *testing.T) {
 	if _, ok := n.EdgeFrom("c", "e1"); !ok {
 		t.Error("c<->d must survive a b-down mask")
 	}
+}
+
+// TestMaskMatchesReindex checks Mask against re-indexing the kept edges
+// from scratch, on random meshes under random link and node masks: the
+// same edges in the same order and the same per-node and per-interface
+// indexes, with no entry for a node or interface left without edges.
+func TestMaskMatchesReindex(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for draw := 0; draw < 50; draw++ {
+		var spec [][4]string
+		for i := 0; i < 4+rng.Intn(12); i++ {
+			a, b := rng.Intn(8), rng.Intn(8)
+			if a == b {
+				continue
+			}
+			spec = append(spec, [4]string{
+				string(rune('a' + a)), fmt.Sprintf("e%d", i),
+				string(rune('a' + b)), fmt.Sprintf("e%d", i),
+			})
+		}
+		full := Infer(netWith(t, spec))
+		all := full.Links()
+		var links []Link
+		var nodes []string
+		for k := rng.Intn(3); k > 0 && len(all) > 0; k-- {
+			links = append(links, all[rng.Intn(len(all))])
+		}
+		for k := rng.Intn(2); k > 0; k-- {
+			nodes = append(nodes, string(rune('a'+rng.Intn(8))))
+		}
+		if len(links) == 0 && len(nodes) == 0 {
+			continue
+		}
+		before := deepCopy(full)
+		got := full.Mask(links, nodes)
+		want := &Topology{byNode: make(map[string][]Edge), byIfx: make(map[endpoint][]Edge)}
+		dropNode := make(map[string]bool)
+		for _, n := range nodes {
+			dropNode[n] = true
+		}
+		for _, e := range full.Edges {
+			dropped := dropNode[e.Node1] || dropNode[e.Node2]
+			for _, l := range links {
+				dropped = dropped || l == e.Link()
+			}
+			if dropped {
+				continue
+			}
+			want.Edges = append(want.Edges, e)
+			want.byNode[e.Node1] = append(want.byNode[e.Node1], e)
+			ep := endpoint{e.Node1, e.Iface1}
+			want.byIfx[ep] = append(want.byIfx[ep], e)
+		}
+		if !slices.Equal(got.Edges, want.Edges) ||
+			!reflect.DeepEqual(got.byNode, want.byNode) || !reflect.DeepEqual(got.byIfx, want.byIfx) {
+			t.Errorf("draw %d: Mask(%v, %v) differs from a re-index of the kept edges", draw, links, nodes)
+		}
+		if !reflect.DeepEqual(full, before) {
+			t.Errorf("draw %d: Mask modified its receiver", draw)
+		}
+	}
+}
+
+// deepCopy copies t's edges and indexes, edge lists included.
+func deepCopy(t *Topology) *Topology {
+	c := &Topology{Edges: slices.Clone(t.Edges), byNode: make(map[string][]Edge), byIfx: make(map[endpoint][]Edge)}
+	for n, es := range t.byNode {
+		c.byNode[n] = slices.Clone(es)
+	}
+	for ep, es := range t.byIfx {
+		c.byIfx[ep] = slices.Clone(es)
+	}
+	return c
 }

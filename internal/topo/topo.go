@@ -6,6 +6,7 @@
 package topo
 
 import (
+	"maps"
 	"sort"
 
 	"repro/internal/config"
@@ -170,8 +171,10 @@ func (t *Topology) Links() []Link {
 
 // Mask returns a topology without the given links and without any edge
 // touching one of the given nodes — the edge-level projection of a failure
-// scenario. Indexes are rebuilt; the receiver is never modified. With
-// nothing to mask the receiver is returned unchanged.
+// scenario. The receiver is never modified: the new indexes share its
+// edge lists for every node the mask leaves alone and rebuild only those
+// of nodes that lost an edge. With nothing to mask the receiver is
+// returned unchanged.
 func (t *Topology) Mask(links []Link, nodes []string) *Topology {
 	if len(links) == 0 && len(nodes) == 0 {
 		return t
@@ -184,17 +187,27 @@ func (t *Topology) Mask(links []Link, nodes []string) *Topology {
 	for _, n := range nodes {
 		dropNode[n] = true
 	}
-	nt := &Topology{byNode: make(map[string][]Edge), byIfx: make(map[endpoint][]Edge)}
+	nt := &Topology{Edges: make([]Edge, 0, len(t.Edges)), byNode: maps.Clone(t.byNode), byIfx: maps.Clone(t.byIfx)}
+	lost := make(map[string]bool)
 	for _, e := range t.Edges {
 		if dropNode[e.Node1] || dropNode[e.Node2] || dropLink[e.Link()] {
+			lost[e.Node1] = true
 			continue
 		}
 		nt.Edges = append(nt.Edges, e)
 	}
+	for _, e := range t.Edges {
+		if lost[e.Node1] {
+			delete(nt.byNode, e.Node1)
+			delete(nt.byIfx, endpoint{e.Node1, e.Iface1})
+		}
+	}
 	for _, e := range nt.Edges {
-		nt.byNode[e.Node1] = append(nt.byNode[e.Node1], e)
-		ep := endpoint{e.Node1, e.Iface1}
-		nt.byIfx[ep] = append(nt.byIfx[ep], e)
+		if lost[e.Node1] {
+			nt.byNode[e.Node1] = append(nt.byNode[e.Node1], e)
+			ep := endpoint{e.Node1, e.Iface1}
+			nt.byIfx[ep] = append(nt.byIfx[ep], e)
+		}
 	}
 	return nt
 }
